@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz chaos chaos-cluster smoke bench-smoke ci bench-json bench-diff
+.PHONY: all build vet test race fuzz chaos chaos-cluster smoke bench-smoke ci bench-json bench-diff bench-e2e
 
 all: ci
 
@@ -15,23 +15,28 @@ test:
 
 # Race-check the concurrency-heavy packages: the replication transport,
 # the replay engine, the epoch batcher, the sharded memtable index
-# (including TestScanParallelStress — ScanParallel racing GetOrCreate and
-# Vacuum), the query admission path, and the cluster router/fan-out (its
-# chaos e2e runs separately under chaos-cluster).
+# (including TestScanStress — full-range ordered Scans, so the merged view
+# flips stale/rebuilt/valid, racing GetOrCreate and Vacuum), the query
+# planner against feed + compaction, the columnar compactor, the
+# checkpoint writer, the HTAP node wiring, and the cluster router/fan-out
+# (its chaos e2e runs separately under chaos-cluster).
 race:
-	$(GO) test -race ./internal/ship/... ./internal/replay/... ./internal/epoch/... ./internal/memtable/... ./internal/query/...
+	$(GO) test -race ./internal/ship/... ./internal/replay/... ./internal/epoch/... ./internal/memtable/... ./internal/query/... \
+		./internal/colstore/... ./internal/checkpoint/... ./internal/htap/...
 	$(GO) test -race -skip 'TestClusterChaos' ./internal/cluster/
 
 # Short fuzz smoke: the wire-format decoder, the memtable scan variants
-# (Scan/ScanAny/ScanParallel vs a flat-map reference), the columnar
-# segment decoder (hostile length prefixes must fail cleanly), and the
-# columnar planner differential (segment + delta reads vs a row-wise twin
-# across random freeze schedules).
+# (Scan/ScanAny vs a flat-map reference), the columnar segment decoder
+# (hostile length prefixes must fail cleanly), the read planner
+# differential (the columnar and both empty-base executors vs a
+# planner-free oracle across random freeze schedules), and the checkpoint
+# reader (corrupt or truncated files must fail cleanly).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/ship/
 	$(GO) test -run='^$$' -fuzz=FuzzScanVariants -fuzztime=10s ./internal/memtable/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzColumnarScan -fuzztime=10s ./internal/query/
+	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/checkpoint/
 
 # Chaos e2e in short mode under the race detector: repeated hard
 # restarts at random points under transport faults plus an injected
@@ -73,16 +78,17 @@ bench-smoke:
 
 # The memtable benchmark set archived in BENCH_memtable.json and diffed
 # by bench-diff: the index scaling curve plus every scan variant.
-MEMTABLE_BENCH = BenchmarkGetOrCreateParallel|BenchmarkScanMerged|BenchmarkScanCascade|BenchmarkScanAny|BenchmarkScanParallel
+MEMTABLE_BENCH = BenchmarkGetOrCreateParallel|BenchmarkScanMerged|BenchmarkScanCascade|BenchmarkScanAny
 
 # The ship benchmark set archived in BENCH_ship.json: the compression
 # path per workload (with its wire/raw ratio metric) and the raw-encode
 # baseline it is diffed against.
 SHIP_BENCH = BenchmarkShipCompress|BenchmarkShipEncodeRaw
 
-# The query benchmark set archived in BENCH_query.json: columnar scans
-# and aggregates over a majority-frozen table, plus the row-wise twins
-# they are measured against.
+# The query benchmark set archived in BENCH_query.json: scans and
+# aggregates through the one planner over a majority-frozen table
+# (Columnar*) and over the same rows never compacted (Row*) — the two
+# sides of its only selection.
 QUERY_BENCH = BenchmarkColumnarScan|BenchmarkColumnarAggregate|BenchmarkRowScan|BenchmarkRowAggregate
 
 # Serial-vs-pipelined replay throughput and memtable index benchmarks,
@@ -114,5 +120,12 @@ bench-diff:
 		| $(GO) run ./tools/benchjson -diff BENCH_ship.json
 	$(GO) test -run='^$$' -bench='$(QUERY_BENCH)' -benchmem ./internal/query/ \
 		| $(GO) run ./tools/benchjson -diff BENCH_query.json
+
+# The end-to-end freshness benchmark declared in BENCHMARK.json: every
+# workload once, untraced. bench/README.md documents -workload, -seed,
+# -seconds, -trace 1 (per-layer budget) and -repeat/-compare for paired
+# before/after runs.
+bench-e2e:
+	$(GO) run ./bench
 
 ci: build vet test race chaos chaos-cluster bench-smoke smoke

@@ -274,7 +274,6 @@ type routeFlags struct {
 	concurrency     int
 	delay           time.Duration
 	stale           int64
-	ordered         bool
 	compress        bool
 	applyProfiles   func()
 }
@@ -294,7 +293,6 @@ func parseRouteFlags(args []string) (*routeFlags, error) {
 	fs.IntVar(&c.concurrency, "concurrency", 8, "concurrent query workers")
 	fs.DurationVar(&c.delay, "delay", 0, "per-link replication delay: link i gets i×delay (ship.FaultConn latency)")
 	fs.Int64Var(&c.stale, "stale", 1_000_000, "query timestamps trail the shipped watermark by up to this many commit-ts units (0 = always query the head)")
-	fs.BoolVar(&c.ordered, "ordered", false, "routed reads demand global key order (merged Scan); default reads are order-insensitive aggregates (ScanAny)")
 	fs.BoolVar(&c.compress, "compress", false, "negotiate flate frame compression on every replication link")
 	c.applyProfiles = contentionProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {

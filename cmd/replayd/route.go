@@ -13,7 +13,6 @@ import (
 	"aets/internal/htap"
 	"aets/internal/metrics"
 	"aets/internal/primary"
-	"aets/internal/query"
 	"aets/internal/ship"
 	"aets/internal/workload"
 )
@@ -189,21 +188,8 @@ func runRoute(args []string) error {
 				lat := time.Since(t0)
 				// A real (cheap) read on the admitted snapshot, so the
 				// routed replica does serve the query it was picked for.
-				// The variant follows what the caller claims to need:
-				// -ordered drives the merged ordered Scan (the OLAP path
-				// that pays for global key order), the default drives the
-				// order-insensitive Count over the unordered shard walk.
 				sn := adm.Replica.(cluster.Snapshotter).Query(adm.TS, tables...)
-				if c.ordered {
-					rows := 0
-					err = sn.Scan(tables[0], 0, ^uint64(0), func(query.Row) bool {
-						rows++
-						return true
-					})
-				} else {
-					_, err = sn.Count(tables[0])
-				}
-				if err != nil {
+				if _, err = sn.Count(tables[0]); err != nil {
 					adm.Done()
 					queryErr.Store(err)
 					return

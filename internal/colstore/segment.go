@@ -120,11 +120,14 @@ func (s *Segment) Sum(col uint32) int64 { return s.sums[col] }
 // of all live rows except those whose indexes appear in excl (ascending).
 // The delta-shadow case of MaxCommitTS: excluded rows are hidden by a
 // visible chain, so their timestamps must not count. Runs word-at-a-time
-// over the tombstone bitmap with an early exit once seed already dominates
-// MaxLiveTS.
+// over the tombstone bitmap; when seed already dominates MaxLiveTS, or
+// nothing is excluded, the footer stat answers without touching a row.
 func (s *Segment) MaxLiveTSExcluding(excl []int, seed int64) int64 {
 	if seed >= s.MaxLiveTS {
 		return seed
+	}
+	if len(excl) == 0 {
+		return s.MaxLiveTS
 	}
 	max := seed
 	e := 0

@@ -94,10 +94,8 @@ func newNodeWith(mt *memtable.Memtable, kind Kind, plan *grouping.Plan, opts Opt
 	if opts.Columnar {
 		n.cs = colstore.NewStore()
 		n.comp = colstore.NewCompactor(mt, n.cs)
-		n.ex = query.NewExecutorWith(mt, r, n.cs)
-	} else {
-		n.ex = query.NewExecutor(mt, r)
 	}
+	n.ex = query.NewExecutor(mt, r, n.cs)
 	n.r.Start()
 	return n, nil
 }

@@ -180,32 +180,6 @@ func BenchmarkScanAny(b *testing.B) {
 	}
 }
 
-// BenchmarkScanParallel prices the concurrent ordered scan (producers +
-// loser-tree consumer). The fixture table is never fully Scan()ed, so the
-// view stays unmaterialized and the parallel machinery itself is
-// measured; on a single hardware thread it degrades to roughly the
-// sequential cascade plus scheduling overhead.
-func BenchmarkScanParallel(b *testing.B) {
-	for _, shards := range []int{8, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			tab := benchTable(shards)
-			n := tab.Len()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				seen := 0
-				tab.ScanParallel(0, ^uint64(0), func(uint64, *Record) bool {
-					seen++
-					return true
-				})
-				if seen != n {
-					b.Fatalf("scan saw %d of %d records", seen, n)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkAppend(b *testing.B) {
 	rec := &Record{Key: 1}
 	vers := make([]*Version, 1024)

@@ -8,11 +8,10 @@
 // every table into N key-hash shards (N = next power of two ≥ GOMAXPROCS),
 // each with its own B+Tree and read/write mutex. Concurrent GetOrCreate
 // calls on different shards never touch the same mutex; Scan stitches the
-// shard iterators back together with a loser-tree merge (merge.go) so
-// analytics queries keep seeing global key order, ScanAny visits shards
-// one by one with zero merge cost for order-insensitive aggregates, and
-// ScanParallel overlaps the shard walks with an order-preserving
-// consumer (parallel.go).
+// shards back into global key order with a branchless merge cascade,
+// memoized in a merged view while the table does not grow (merge.go,
+// view.go), and ScanAny visits shards one by one with zero merge cost for
+// order-insensitive aggregates.
 package memtable
 
 import (
@@ -236,12 +235,10 @@ type Table struct {
 	shards []shard
 	obs    *obsHook
 
-	// merge and par pool the scratch state of Scan and ScanParallel
-	// (iterators, loser-tree nodes, chunk rings) so repeated scans run
-	// allocation-free. Per-table pools keep the scratch sized to this
+	// merge pools Scan's cascade stages so repeated scans run
+	// allocation-free. A per-table pool keeps the scratch sized to this
 	// table's shard count.
 	merge sync.Pool // *mergeScratch
-	par   sync.Pool // *parScratch
 
 	// view caches the merged key order of all shards between table
 	// growths; see view.go.
@@ -255,7 +252,6 @@ func newTable(id wal.TableID, n int, obs *obsHook) *Table {
 		t.shards[i].t = newTree()
 	}
 	t.merge.New = func() any { return newMergeScratch(len(t.shards)) }
-	t.par.New = func() any { return newParScratch(len(t.shards)) }
 	return t
 }
 
@@ -305,8 +301,7 @@ func (t *Table) GetOrCreate(key uint64) *Record {
 	return rec
 }
 
-// Scan (ordered), ScanAny (unordered) and ScanParallel (ordered,
-// concurrent shard walks) live in merge.go and parallel.go.
+// Scan (ordered) and ScanAny (unordered) live in merge.go.
 
 // Len returns the number of records in the table.
 func (t *Table) Len() int {

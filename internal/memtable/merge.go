@@ -23,9 +23,7 @@ package memtable
 //     misprediction latency. Measured on the reference 8-shard merge the
 //     cascade is ~2.5x faster than the binary heap of iterators it
 //     replaced and ~1.7x faster than a hand-optimized loser tree
-//     (EXPERIMENTS.md has the full progression; the loser tree survives
-//     as ScanParallel's chunk-stream consumer in parallel.go, where chunk
-//     granularity amortizes its per-pop walk).
+//     (EXPERIMENTS.md has the full progression).
 //   - The bottom stages read keys and records straight out of B+Tree leaf
 //     arrays — leaves are clamped against the scan bound once per leaf
 //     (binary search), so the counted loops never test the bound per key.

@@ -12,16 +12,17 @@ import (
 // benchState is the shared majority-frozen fixture: 1<<16 random keys
 // below 1<<20 through 8 shards (the same population as the memtable scan
 // benchmarks), every one frozen into the columnar base, then a ~1k-row
-// hot delta re-dirtied on top. The row-wise twin holds the identical
-// visible state in vacuumed chains, so Columnar-vs-Row sub-benchmarks
-// price the two read paths over the same data.
+// hot delta re-dirtied on top. The row-store twin holds the identical
+// visible state in vacuumed chains and no base at all, so Columnar-vs-Row
+// sub-benchmarks price the two sides of the planner's one selection (is
+// there a base segment?) over the same data.
 type benchState struct {
-	vis  *fakeVis
-	exC  *Executor // columnar: base segment + hot delta
-	exR  *Executor // row-wise twin
-	rows  int   // live rows at the snapshot
-	ts    int64 // snapshot timestamp
-	maxTS int64 // expected MaxCommitTS (newest live version)
+	vis   *fakeVis
+	exC   *Executor // columnar: base segment + hot delta
+	exR   *Executor // row-store twin: empty base, every record is delta
+	rows  int       // live rows at the snapshot
+	ts    int64     // snapshot timestamp
+	maxTS int64     // expected MaxCommitTS (newest live version)
 }
 
 func newBenchState(tb testing.TB) *benchState {
@@ -31,8 +32,8 @@ func newBenchState(tb testing.TB) *benchState {
 	mtR := memtable.NewWithShards(8)
 	cs := colstore.NewStore()
 	comp := colstore.NewCompactor(mtC, cs)
-	st.exC = NewExecutorWith(mtC, st.vis, cs)
-	st.exR = NewExecutor(mtR, st.vis)
+	st.exC = NewExecutor(mtC, st.vis, cs)
+	st.exR = NewExecutor(mtR, st.vis, nil)
 
 	put := func(key uint64, del bool) {
 		st.ts++
@@ -128,8 +129,9 @@ func BenchmarkColumnarScan(b *testing.B) {
 	})
 }
 
-// BenchmarkRowScan is the row-wise twin of BenchmarkColumnarScan: the
-// same calls planned over vacuumed version chains.
+// BenchmarkRowScan is the never-compacted side of BenchmarkColumnarScan:
+// the same calls through the same planner with an empty base, so every
+// row is resolved from its vacuumed version chain.
 func BenchmarkRowScan(b *testing.B) {
 	st := newBenchState(b)
 	s := st.exR.Begin(st.ts, 1)
@@ -193,8 +195,9 @@ func BenchmarkColumnarAggregate(b *testing.B) {
 	})
 }
 
-// BenchmarkRowAggregate is the row-wise twin of
-// BenchmarkColumnarAggregate: every aggregate walks all chains.
+// BenchmarkRowAggregate is the never-compacted side of
+// BenchmarkColumnarAggregate: with an empty base there are no footer
+// stats, so every aggregate walks all chains.
 func BenchmarkRowAggregate(b *testing.B) {
 	st := newBenchState(b)
 	s := st.exR.Begin(st.ts, 1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,26 +32,35 @@ func colI64(v int64) wal.Column {
 	return wal.Column{ID: 1, Value: b}
 }
 
-// twinPair is the differential harness: a columnar node and a row-wise
-// twin fed identical writes, with the twin vacuuming at every freeze
-// watermark (the freeze rule stores exactly the image such a vacuum
-// keeps, so the two must answer every legal query identically).
+// twinPair is the differential harness: a columnar node and a plain
+// memtable twin fed identical writes, with the twin vacuuming at every
+// freeze watermark (the freeze rule stores exactly the image such a vacuum
+// keeps, so every legal query must read the same rows from both). The
+// twin is read two ways: by refRows, the planner-free oracle, and by the
+// two degenerate executors, which run the same planner as the columnar
+// one and so cannot serve as its reference.
 type twinPair struct {
 	vis  *fakeVis
 	mtC  *memtable.Memtable
 	mtR  *memtable.Memtable
-	cs   *colstore.Store
 	comp *colstore.Compactor
-	exC  *Executor
-	exR  *Executor
+	exs  []namedExecutor
+}
+
+type namedExecutor struct {
+	name string
+	ex   *Executor
 }
 
 func newTwinPair() *twinPair {
 	p := &twinPair{vis: &fakeVis{}, mtC: memtable.New(), mtR: memtable.New()}
-	p.cs = colstore.NewStore()
-	p.comp = colstore.NewCompactor(p.mtC, p.cs)
-	p.exC = NewExecutorWith(p.mtC, p.vis, p.cs)
-	p.exR = NewExecutor(p.mtR, p.vis)
+	cs := colstore.NewStore()
+	p.comp = colstore.NewCompactor(p.mtC, cs)
+	p.exs = []namedExecutor{
+		{"columnar", NewExecutor(p.mtC, p.vis, cs)},
+		{"row-store", NewExecutor(p.mtR, p.vis, nil)},
+		{"never-compacted", NewExecutor(p.mtR, p.vis, colstore.NewStore())},
+	}
 	return p
 }
 
@@ -78,14 +88,32 @@ type gotRow struct {
 	cols map[uint32]string
 }
 
-func collectScan(t *testing.T, s *Snapshot, from, to uint64, any bool) []gotRow {
+// refRows is the independent oracle: the rows of table 1 visible at qts
+// with from ≤ key ≤ to, read record by record with Record.Visible and
+// Record.ReadRow over the unordered shard walk and sorted here. It shares
+// nothing with the planner — no colstore, no merge driver, no stitch.
+func refRows(mt *memtable.Memtable, qts int64, from, to uint64) []gotRow {
+	var out []gotRow
+	mt.Table(1).ScanAny(0, ^uint64(0), func(key uint64, rec *memtable.Record) bool {
+		v := rec.Visible(qts)
+		if key < from || key > to || v == nil || v.Deleted {
+			return true
+		}
+		g := gotRow{key: key, ts: v.CommitTS, cols: map[uint32]string{}}
+		for id, val := range rec.ReadRow(qts) {
+			g.cols[id] = string(val)
+		}
+		out = append(out, g)
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
+func collectScan(t *testing.T, s *Snapshot, from, to uint64) []gotRow {
 	t.Helper()
 	var out []gotRow
-	scan := s.Scan
-	if any {
-		scan = s.ScanAny
-	}
-	if err := scan(1, from, to, func(r Row) bool {
+	if err := s.Scan(1, from, to, func(r Row) bool {
 		g := gotRow{key: r.Key, ts: r.CommitTS, cols: map[uint32]string{}}
 		for id, v := range r.Columns {
 			g.cols[id] = string(v)
@@ -94,14 +122,6 @@ func collectScan(t *testing.T, s *Snapshot, from, to uint64, any bool) []gotRow 
 		return true
 	}); err != nil {
 		t.Fatal(err)
-	}
-	if any {
-		// Order-insensitive: canonicalise.
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j-1].key > out[j].key; j-- {
-				out[j-1], out[j] = out[j], out[j-1]
-			}
-		}
 	}
 	return out
 }
@@ -115,7 +135,7 @@ func rowsEqual(a, b []gotRow) bool {
 			return false
 		}
 		for id, v := range a[i].cols {
-			if b[i].cols[id] != v {
+			if w, ok := b[i].cols[id]; !ok || w != v {
 				return false
 			}
 		}
@@ -123,141 +143,145 @@ func rowsEqual(a, b []gotRow) bool {
 	return true
 }
 
-// compare checks every public read operation agrees between the columnar
-// node and the row twin at snapshot qts.
-func (p *twinPair) compare(t *testing.T, qts int64) {
+// compare checks every public read operation of every executor against
+// the oracle at snapshot qts. extra is one more scan range on top of the
+// fixed ones (the fuzzer's).
+func (p *twinPair) compare(t *testing.T, qts int64, extra [2]uint64) {
 	t.Helper()
-	sc, sr := p.exC.Begin(qts, 1), p.exR.Begin(qts, 1)
+	for _, ne := range p.exs {
+		compareExecutor(t, ne.name, ne.ex.Begin(qts, 1), p.mtR, extra)
+	}
+}
 
-	cc, errC := sc.Count(1)
-	cr, errR := sr.Count(1)
-	if errC != nil || errR != nil || cc != cr {
-		t.Fatalf("qts %d: Count col=%d row=%d (err %v/%v)", qts, cc, cr, errC, errR)
-	}
-	for _, col := range []uint32{1, 2, 9} {
-		vc, _ := sc.SumInt64(1, col)
-		vr, _ := sr.SumInt64(1, col)
-		if vc != vr {
-			t.Fatalf("qts %d: SumInt64(%d) col=%d row=%d", qts, col, vc, vr)
-		}
-	}
-	mc, _ := sc.MaxCommitTS(1)
-	mr, _ := sr.MaxCommitTS(1)
-	if mc != mr {
-		t.Fatalf("qts %d: MaxCommitTS col=%d row=%d", qts, mc, mr)
-	}
+func compareExecutor(t *testing.T, name string, s *Snapshot, mtRef *memtable.Memtable, extra [2]uint64) {
+	t.Helper()
+	qts := s.TS
+	ref := refRows(mtRef, qts, 0, ^uint64(0))
 
-	full := collectScan(t, sc, 0, ^uint64(0), false)
-	if ref := collectScan(t, sr, 0, ^uint64(0), false); !rowsEqual(full, ref) {
-		t.Fatalf("qts %d: Scan mismatch\ncol: %+v\nrow: %+v", qts, full, ref)
+	// Aggregates, derived from the oracle's rows under SumInt64's stated
+	// convention (8-byte little-endian values count, anything else is 0).
+	if n, err := s.Count(1); err != nil || n != len(ref) {
+		t.Fatalf("%s qts %d: Count = %d (err %v), want %d", name, qts, n, err, len(ref))
 	}
-	if any := collectScan(t, sc, 0, ^uint64(0), true); !rowsEqual(any, full) {
-		t.Fatalf("qts %d: ScanAny disagrees with Scan", qts)
-	}
-	// Sub-ranges, including single-key and sentinel-bounded windows.
-	ranges := [][2]uint64{{1, 100}, {11, 11}, {5001, ^uint64(0)}, {0, 0}, {^uint64(0), ^uint64(0)}, {200, 4000}}
-	for _, r := range ranges {
-		a := collectScan(t, sc, r[0], r[1], false)
-		b := collectScan(t, sr, r[0], r[1], false)
-		if !rowsEqual(a, b) {
-			t.Fatalf("qts %d: Scan[%d,%d] mismatch\ncol: %+v\nrow: %+v", qts, r[0], r[1], a, b)
-		}
-	}
-
-	for _, k := range fuzzKeys {
-		rc, okC, _ := sc.Get(1, k)
-		rr, okR, _ := sr.Get(1, k)
-		if okC != okR {
-			t.Fatalf("qts %d: Get(%d) ok col=%v row=%v", qts, k, okC, okR)
-		}
-		if okC {
-			if rc.CommitTS != rr.CommitTS || len(rc.Columns) != len(rr.Columns) {
-				t.Fatalf("qts %d: Get(%d) col=%+v row=%+v", qts, k, rc, rr)
-			}
-			for id, v := range rc.Columns {
-				if !bytes.Equal(v, rr.Columns[id]) {
-					t.Fatalf("qts %d: Get(%d) col %d mismatch", qts, k, id)
-				}
-			}
-		}
-	}
-
-	// ScanCols against both the row twin's ScanCols and the Scan-derived
-	// reference.
 	cols := []uint32{1, 2, 9}
-	type colsRow struct {
-		key  uint64
-		ts   int64
-		vals []string
-	}
-	gather := func(s *Snapshot) []colsRow {
-		var out []colsRow
-		if err := s.ScanCols(1, 0, ^uint64(0), cols, func(key uint64, ts int64, vals [][]byte) bool {
-			r := colsRow{key: key, ts: ts}
-			for _, v := range vals {
-				r.vals = append(r.vals, string(v))
-			}
-			out = append(out, r)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	gc, gr := gather(sc), gather(sr)
-	if len(gc) != len(gr) {
-		t.Fatalf("qts %d: ScanCols row count col=%d row=%d", qts, len(gc), len(gr))
-	}
-	for i := range gc {
-		if gc[i].key != gr[i].key || gc[i].ts != gr[i].ts {
-			t.Fatalf("qts %d: ScanCols row %d header mismatch", qts, i)
-		}
-		for j := range cols {
-			if gc[i].vals[j] != gr[i].vals[j] {
-				t.Fatalf("qts %d: ScanCols key %d col %d: %q vs %q",
-					qts, gc[i].key, cols[j], gc[i].vals[j], gr[i].vals[j])
+	for _, col := range cols {
+		var want int64
+		for _, r := range ref {
+			if v, ok := r.cols[col]; ok && len(v) == 8 {
+				want += int64(binary.LittleEndian.Uint64([]byte(v)))
 			}
 		}
+		if got, _ := s.SumInt64(1, col); got != want {
+			t.Fatalf("%s qts %d: SumInt64(%d) = %d, want %d", name, qts, col, got, want)
+		}
+	}
+	var wantMax int64
+	for _, r := range ref {
+		if r.ts > wantMax {
+			wantMax = r.ts
+		}
+	}
+	if got, _ := s.MaxCommitTS(1); got != wantMax {
+		t.Fatalf("%s qts %d: MaxCommitTS = %d, want %d", name, qts, got, wantMax)
 	}
 
-	// ScanKeys (the vectorized batch scan, including sub-ranges so the
-	// bulk-copy runs hit partial windows) against the Scan reference.
-	for _, r := range [][2]uint64{{0, ^uint64(0)}, {1, 100}, {200, 4000}, {11, 11}} {
+	// Scan and ScanKeys over the full range and sub-ranges: single-key and
+	// sentinel-bounded windows (so the zero-copy runs hit partial
+	// windows), an inverted range, and the caller's.
+	ranges := [][2]uint64{{0, ^uint64(0)}, {1, 100}, {11, 11}, {5001, ^uint64(0)}, {0, 0},
+		{^uint64(0), ^uint64(0)}, {200, 4000}, {100, 1}, extra}
+	for _, r := range ranges {
+		want := refRows(mtRef, qts, r[0], r[1])
+		if got := collectScan(t, s, r[0], r[1]); !rowsEqual(got, want) {
+			t.Fatalf("%s qts %d: Scan[%d,%d] mismatch\ngot:  %+v\nwant: %+v", name, qts, r[0], r[1], got, want)
+		}
 		var ks []uint64
 		var ts []int64
-		if err := sc.ScanKeys(1, r[0], r[1], func(keys []uint64, tss []int64) bool {
+		if err := s.ScanKeys(1, r[0], r[1], func(keys []uint64, tss []int64) bool {
 			ks = append(ks, keys...)
 			ts = append(ts, tss...)
 			return true
 		}); err != nil {
 			t.Fatal(err)
 		}
-		ref := collectScan(t, sr, r[0], r[1], false)
-		if len(ks) != len(ref) {
-			t.Fatalf("qts %d: ScanKeys[%d,%d] %d rows, want %d", qts, r[0], r[1], len(ks), len(ref))
+		if len(ks) != len(want) {
+			t.Fatalf("%s qts %d: ScanKeys[%d,%d] %d rows, want %d", name, qts, r[0], r[1], len(ks), len(want))
 		}
-		for i := range ref {
-			if ks[i] != ref[i].key || ts[i] != ref[i].ts {
-				t.Fatalf("qts %d: ScanKeys[%d,%d] row %d = (%d,%d), want (%d,%d)",
-					qts, r[0], r[1], i, ks[i], ts[i], ref[i].key, ref[i].ts)
+		for i := range want {
+			if ks[i] != want[i].key || ts[i] != want[i].ts {
+				t.Fatalf("%s qts %d: ScanKeys[%d,%d] row %d = (%d,%d), want (%d,%d)",
+					name, qts, r[0], r[1], i, ks[i], ts[i], want[i].key, want[i].ts)
 			}
 		}
+	}
+
+	for _, k := range fuzzKeys {
+		var want []gotRow
+		for _, r := range ref {
+			if r.key == k {
+				want = []gotRow{r}
+			}
+		}
+		row, ok, err := s.Get(1, k)
+		var got []gotRow
+		if ok {
+			g := gotRow{key: row.Key, ts: row.CommitTS, cols: map[uint32]string{}}
+			for id, v := range row.Columns {
+				g.cols[id] = string(v)
+			}
+			got = []gotRow{g}
+		}
+		if err != nil || !rowsEqual(got, want) {
+			t.Fatalf("%s qts %d: Get(%d) = %+v (err %v), want %+v", name, qts, k, got, err, want)
+		}
+	}
+
+	i := 0
+	if err := s.ScanCols(1, 0, ^uint64(0), cols, func(key uint64, ts int64, vals [][]byte) bool {
+		if i >= len(ref) || key != ref[i].key || ts != ref[i].ts {
+			t.Fatalf("%s qts %d: ScanCols row %d = (%d,%d), oracle has %d rows", name, qts, i, key, ts, len(ref))
+		}
+		for j, col := range cols {
+			if want := ref[i].cols[col]; string(vals[j]) != want {
+				t.Fatalf("%s qts %d: ScanCols key %d col %d: %q, want %q", name, qts, key, col, vals[j], want)
+			}
+		}
+		i++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(ref) {
+		t.Fatalf("%s qts %d: ScanCols visited %d rows, want %d", name, qts, i, len(ref))
 	}
 }
 
 // FuzzColumnarScan is the reference-equality proof: a fuzz-driven write/
-// freeze/query schedule runs against a columnar node and a row-wise twin
-// vacuumed at every freeze watermark, and every read operation must agree
-// at every legal snapshot (qts at or above the newest freeze watermark).
+// freeze/query schedule runs against a columnar node and a plain twin
+// vacuumed at every freeze watermark, and every read operation of the
+// columnar and both degenerate executors must agree with the oracle at
+// every legal snapshot (qts at or above the newest freeze watermark).
 func FuzzColumnarScan(f *testing.F) {
-	f.Add([]byte{0x01, 0x42, 0x17, 0xf0, 0x33, 0x08, 0xff, 0x2a, 0x90, 0x11})
-	f.Add([]byte{0xf0, 0xf0, 0xf0, 0x00, 0x0d, 0x0d, 0x80, 0x81, 0x82, 0x83, 0xf1, 0x01})
-	f.Add(bytes.Repeat([]byte{0x07, 0xe0, 0x55}, 20))
-	f.Add([]byte{})
+	f.Add([]byte{0x01, 0x42, 0x17, 0xf0, 0x33, 0x08, 0xff, 0x2a, 0x90, 0x11}, uint64(0), ^uint64(0))
+	f.Add([]byte{0xf0, 0xf0, 0xf0, 0x00, 0x0d, 0x0d, 0x80, 0x81, 0x82, 0x83, 0xf1, 0x01}, uint64(2), uint64(12))
+	f.Add(bytes.Repeat([]byte{0x07, 0xe0, 0x55}, 20), uint64(10), uint64(5001))
+	f.Add([]byte{}, uint64(0), uint64(0))
+	// No freeze point before the final one: every mid-schedule compare
+	// (op 7) reads a columnar node that has never compacted.
+	f.Add([]byte{0x00, 0x01, 0x01, 0x02, 0x02, 0x05, 0x04, 0x01, 0x07, 0xff, 0x03, 0x0a, 0x07, 0x14}, uint64(1), uint64(101))
+	// An inverted range over a frozen base with a hot delta on top.
+	f.Add([]byte{0x01, 0x03, 0x02, 0x04, 0x05, 0x00, 0x01, 0x03, 0x04, 0x04, 0x07, 0x10}, uint64(5000), uint64(3))
+	// The tombstone rules, one seed each: a chain re-inserted over a
+	// frozen tombstone (the base row must not be backed out of Count), and
+	// a partial update over a hot delete over a live frozen row (the
+	// delete must block fill-down from the base).
+	f.Add([]byte{0x01, 0x04, 0x01, 0x03, 0x04, 0x03, 0x05, 0x00, 0x01, 0x03, 0x07, 0xff}, uint64(3), uint64(10))
+	f.Add([]byte{0x01, 0x04, 0x01, 0x03, 0x05, 0x00, 0x04, 0x03, 0x01, 0x2d, 0x07, 0xff}, uint64(3), uint64(10))
 
 	strVals := []string{"x", "yy", "zzz", ""}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, from, to uint64) {
 		p := newTwinPair()
+		extra := [2]uint64{from, to}
 		ts := int64(0)
 		txn := uint64(0)
 		var wLast int64
@@ -284,7 +308,7 @@ func FuzzColumnarScan(f *testing.F) {
 				if ts > wLast {
 					wLast = ts
 					p.freeze(wLast)
-					p.compare(t, wLast)
+					p.compare(t, wLast, extra)
 				}
 			case 7: // compare at a legal snapshot at or above the watermark
 				qts := wLast + int64(arg)
@@ -292,7 +316,7 @@ func FuzzColumnarScan(f *testing.F) {
 					qts = ts
 				}
 				if qts >= wLast && qts > 0 {
-					p.compare(t, qts)
+					p.compare(t, qts, extra)
 				}
 			}
 		}
@@ -300,20 +324,21 @@ func FuzzColumnarScan(f *testing.F) {
 			return
 		}
 		p.freeze(ts)
-		p.compare(t, ts)
+		p.compare(t, ts, extra)
 	})
 }
 
 // TestColumnarConcurrent drives feed, vacuum, compaction and queries
 // concurrently (meant for -race): writers own disjoint key ranges, the
 // compactor trails the visible clock by a large retention, and after
-// quiescing the columnar state must equal the final write of every key.
+// quiescing the columnar state must equal the final write of every key
+// and the oracle's read of a plain twin fed the same writes.
 func TestColumnarConcurrent(t *testing.T) {
 	vis := &fakeVis{}
-	mt := memtable.New()
+	mt, mtRef := memtable.New(), memtable.New()
 	cs := colstore.NewStore()
 	comp := colstore.NewCompactor(mt, cs)
-	ex := NewExecutorWith(mt, vis, cs)
+	ex := NewExecutor(mt, vis, cs)
 
 	const writers = 4
 	const keysPer = 200
@@ -336,9 +361,11 @@ func TestColumnarConcurrent(t *testing.T) {
 					if !del {
 						cols = []wal.Column{colI64(int64(w*rounds + r))}
 					}
-					mt.Table(1).GetOrCreate(key).Append(&memtable.Version{
-						TxnID: uint64(ts), CommitTS: ts, Deleted: del, Columns: cols,
-					})
+					for _, m := range []*memtable.Memtable{mt, mtRef} {
+						m.Table(1).GetOrCreate(key).Append(&memtable.Version{
+							TxnID: uint64(ts), CommitTS: ts, Deleted: del, Columns: cols,
+						})
+					}
 					vis.ts.Store(ts)
 				}
 			}
@@ -396,6 +423,7 @@ func TestColumnarConcurrent(t *testing.T) {
 	mt.Vacuum(final)
 	comp.RunOnce(final)
 	s := ex.Begin(final, 1)
+	compareExecutor(t, "columnar", s, mtRef, [2]uint64{0, keysPer})
 	for w := 0; w < writers; w++ {
 		for k := 0; k < keysPer; k++ {
 			key := uint64(w*keysPer + k)
@@ -419,72 +447,81 @@ func TestColumnarConcurrent(t *testing.T) {
 }
 
 // TestColumnarZeroAllocOps pins the planner's steady-state operations at
-// zero allocations over a majority-frozen table with a small hot delta.
+// zero allocations on both sides of its one selection: a majority-frozen
+// table with a small hot delta, and the same rows never compacted (on a
+// columnar node and on a row-store one), where every record is delta.
 func TestColumnarZeroAllocOps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomises sync.Pool caching; alloc counts are meaningless")
 	}
-	vis := &fakeVis{}
-	mt := memtable.New()
-	cs := colstore.NewStore()
-	comp := colstore.NewCompactor(mt, cs)
-	ex := NewExecutorWith(mt, vis, cs)
-
-	ts := int64(0)
-	put := func(key uint64, del bool) {
-		ts++
-		var cols []wal.Column
-		if !del {
-			cols = []wal.Column{colI64(int64(key)), {ID: 2, Value: []byte("v")}}
+	for _, fx := range []struct {
+		name     string
+		columnar bool
+		compact  bool
+	}{{"compacted", true, true}, {"never-compacted", true, false}, {"row-store", false, false}} {
+		vis := &fakeVis{}
+		mt := memtable.New()
+		var cs *colstore.Store
+		if fx.columnar {
+			cs = colstore.NewStore()
 		}
-		mt.Table(1).GetOrCreate(key).Append(&memtable.Version{
-			TxnID: uint64(ts), CommitTS: ts, Deleted: del, Columns: cols,
-		})
-		vis.ts.Store(ts)
-	}
-	for k := uint64(0); k < 4096; k++ {
-		put(k, k%64 == 63)
-	}
-	frozenAt := ts
-	mt.Vacuum(frozenAt)
-	if comp.RunOnce(frozenAt) == 0 {
-		t.Fatal("nothing froze")
-	}
-	for k := uint64(0); k < 64; k++ { // hot delta over the frozen base
-		put(k*61, k%9 == 0)
-	}
+		ex := NewExecutor(mt, vis, cs)
 
-	s := ex.Begin(ts, 1)
-	cols := []uint32{1, 2}
-	ops := map[string]func(){
-		"Count":       func() { _, _ = s.Count(1) },
-		"SumInt64":    func() { _, _ = s.SumInt64(1, 1) },
-		"MaxCommitTS": func() { _, _ = s.MaxCommitTS(1) },
-		"ScanCols": func() {
-			_ = s.ScanCols(1, 0, ^uint64(0), cols, func(uint64, int64, [][]byte) bool { return true })
-		},
-		"ScanKeys": func() {
-			_ = s.ScanKeys(1, 0, ^uint64(0), func([]uint64, []int64) bool { return true })
-		},
-	}
-	for name, op := range ops {
-		op() // warm scratch buffers
-		if allocs := testing.AllocsPerRun(50, op); allocs != 0 {
-			t.Errorf("%s allocates %.1f/op, want 0", name, allocs)
+		ts := int64(0)
+		put := func(key uint64, del bool) {
+			ts++
+			var cols []wal.Column
+			if !del {
+				cols = []wal.Column{colI64(int64(key)), {ID: 2, Value: []byte("v")}}
+			}
+			mt.Table(1).GetOrCreate(key).Append(&memtable.Version{
+				TxnID: uint64(ts), CommitTS: ts, Deleted: del, Columns: cols,
+			})
+			vis.ts.Store(ts)
+		}
+		for k := uint64(0); k < 4096; k++ {
+			put(k, k%64 == 63)
+		}
+		mt.Vacuum(ts)
+		if fx.compact && colstore.NewCompactor(mt, cs).RunOnce(ts) == 0 {
+			t.Fatal("nothing froze")
+		}
+		for k := uint64(0); k < 64; k++ { // hot delta over the frozen base
+			put(k*61, k%9 == 0)
+		}
+
+		s := ex.Begin(ts, 1)
+		cols := []uint32{1, 2}
+		ops := map[string]func(){
+			"Count":       func() { _, _ = s.Count(1) },
+			"SumInt64":    func() { _, _ = s.SumInt64(1, 1) },
+			"MaxCommitTS": func() { _, _ = s.MaxCommitTS(1) },
+			"ScanCols": func() {
+				_ = s.ScanCols(1, 0, ^uint64(0), cols, func(uint64, int64, [][]byte) bool { return true })
+			},
+			"ScanKeys": func() {
+				_ = s.ScanKeys(1, 0, ^uint64(0), func([]uint64, []int64) bool { return true })
+			},
+		}
+		for name, op := range ops {
+			op() // warm the pooled plan buffers (and the memtable's merged view)
+			if allocs := testing.AllocsPerRun(50, op); allocs != 0 {
+				t.Errorf("%s/%s allocates %.1f/op, want 0", fx.name, name, allocs)
+			}
 		}
 	}
 }
 
-// TestColumnarFirstCompactionUnderScan pins the torn-publish guard: a
-// query planned while the table has never been compacted must run its row
-// fallback under the table read lock, so a racing first compaction cannot
-// empty chains mid-scan. (Deterministic shape; the race variant is
-// TestColumnarConcurrent.)
-func TestColumnarRowFallbackBeforeFirstCompaction(t *testing.T) {
+// TestColumnarBeforeFirstCompaction pins the never-compacted shape on a
+// columnar node: with no base segment yet the planner must serve every row
+// from the chains (under the table read lock, so a racing first compaction
+// cannot empty chains mid-scan — the race variant is
+// TestColumnarConcurrent).
+func TestColumnarBeforeFirstCompaction(t *testing.T) {
 	vis := &fakeVis{}
 	mt := memtable.New()
 	cs := colstore.NewStore()
-	ex := NewExecutorWith(mt, vis, cs)
+	ex := NewExecutor(mt, vis, cs)
 	ts := int64(0)
 	for k := uint64(0); k < 10; k++ {
 		ts++

@@ -1,0 +1,353 @@
+package query
+
+// plan.go is the read planner. Every snapshot operation resolves as one
+// immutable base segment plus a delta of version chains, stitched with
+// newest-wins semantics; a row-store node or a never-compacted table is
+// the same plan with an empty base.
+//
+// Consistency model. The freeze rule (colstore) guarantees a base row is
+// exactly the version a Vacuum at the freeze watermark would have kept,
+// and legal snapshots sit at or above that watermark, so every base row is
+// visible (CommitTS ≤ watermark ≤ qts) unless a chain shadows it. Per
+// record, the stitch is:
+//
+//   - chain visible at qts → the chain wins: its columns merge
+//     newest-first, and if the walk reaches the chain end without hitting
+//     a tombstone, the base row's columns fill in underneath (the base row
+//     is the chain's vacuumed predecessor);
+//   - chain invisible at qts (all post-freeze versions are newer) → the
+//     base row alone, exactly what a vacuumed row store would show;
+//   - tombstones shadow: a deleted visible version hides the row, a
+//     deleted base row contributes nothing and blocks fill-down.
+//
+// walk is the one place these rules are applied; the operations in
+// query.go only say what to do with the base runs and delta rows it
+// yields.
+//
+// On a columnar node the plan holds the table's colstore read lock for the
+// span of one operation, so a concurrent compaction pass (publish new base
+// + empty the frozen chains) is observed atomically — "chain empty" always
+// implies "the base I loaded has the row", and a first compaction cannot
+// tear a read that found no base yet.
+
+import (
+	"encoding/binary"
+	"math/bits"
+
+	"aets/internal/colstore"
+	"aets/internal/memtable"
+	"aets/internal/wal"
+)
+
+// scanKeysBatch is the ScanKeys output vector length: large enough that
+// the per-batch callback amortises to nothing, small enough to stay
+// cache-resident (4096 rows = 64 KiB of keys + timestamps).
+const scanKeysBatch = 4096
+
+// deltaBlock is how many delta records merge resolves at a time. Working
+// in blocks keeps the tree walk, the chain resolution and the consumer (a
+// cache miss per record each) in separate tight loops, which overlap their
+// misses far better than one deep callback chain per record does, while
+// a block's versions are still in L1 when the consumer reads them.
+const deltaBlock = 256
+
+// plan is one operation's resolved read over [from, to]. It is pooled per
+// executor together with its buffers, so steady-state scans and aggregates
+// run allocation-free.
+type plan struct {
+	s        *Snapshot
+	tab      *memtable.Table
+	st       *colstore.TableState // non-nil: read lock held until end
+	from, to uint64
+
+	// base rows [pos, bn) are still to be read; walk advances pos. base
+	// is nil when no base rows participate: a row-store node, a table
+	// never compacted, or a segment pruned whole by its footer.
+	base    *colstore.Segment
+	pos, bn int
+	// compacted reports that the table has a base segment (pruned or
+	// not): its frozen chains are empty, so the hot lists enumerate the
+	// delta. Without one, every record is delta and the table's own index
+	// enumerates it in O(range).
+	compacted bool
+
+	hot     []*memtable.Record
+	hotKeys []uint64 // parallel to hot
+	tmpR    []*memtable.Record
+	tmpK    []uint64 // radix-sort temporaries
+	vals    [][]byte
+	colIdx  []int
+	excl    []int
+	vers    [deltaBlock]*memtable.Version // merge's per-block row vectors
+	shadow  [deltaBlock]int
+	batchK  []uint64 // ScanKeys output batch
+	batchT  []int64
+}
+
+// begin resolves the plan for [from, to] of table. Callers defer end.
+func (s *Snapshot) begin(table wal.TableID, from, to uint64) *plan {
+	e := s.ex
+	p, _ := e.plans.Get().(*plan)
+	if p == nil {
+		p = &plan{}
+	}
+	p.s, p.tab, p.from, p.to = s, e.mt.Table(table), from, to
+	if e.cs == nil {
+		return p
+	}
+	p.st = e.cs.Table(table)
+	p.st.RLock()
+	base := p.st.Base()
+	if base == nil {
+		return p
+	}
+	p.compacted = true
+	// A segment whose whole key range misses [from, to], or whose oldest
+	// row is newer than the snapshot (only possible for queries below the
+	// freeze watermark, outside the read contract), is skipped whole.
+	if base.Len() == 0 || to < base.MinKey || from > base.MaxKey || s.TS < base.MinTS {
+		e.cs.PruneHits.Add(1)
+		return p
+	}
+	e.cs.PruneMisses.Add(1)
+	p.base = base
+	p.pos, p.bn = base.LowerBound(from), base.Len()
+	if to < base.MaxKey { // so to+1 cannot wrap
+		p.bn = base.LowerBoundFrom(p.pos, to+1)
+	}
+	return p
+}
+
+// end releases the table lock and returns the plan to the pool.
+func (p *plan) end() {
+	if p.st != nil {
+		p.st.RUnlock()
+	}
+	e := p.s.ex
+	p.s, p.tab, p.st, p.base = nil, nil, nil, nil
+	p.pos, p.bn, p.compacted = 0, 0, false
+	e.plans.Put(p)
+}
+
+// gather enumerates the delta of a compacted table restricted to
+// [from, to] — sorted by key and deduped — into hot and the parallel
+// hotKeys, which walk compares against instead of dereferencing a record
+// per probe. A point read asks the index for its one candidate instead.
+func (p *plan) gather() {
+	if p.from == p.to {
+		p.hot, p.hotKeys = p.hot[:0], p.hotKeys[:0]
+		if rec := p.tab.Get(p.from); rec != nil {
+			p.hot, p.hotKeys = append(p.hot, rec), append(p.hotKeys, p.from)
+		}
+		return
+	}
+	p.hot = p.tab.HotRecords(p.hot[:0])
+	if cap(p.hotKeys) < len(p.hot) {
+		p.hotKeys = make([]uint64, 0, cap(p.hot))
+		p.tmpR = make([]*memtable.Record, cap(p.hot))
+		p.tmpK = make([]uint64, cap(p.hot))
+	}
+	out, keys := p.hot[:0], p.hotKeys[:0]
+	for _, r := range p.hot {
+		if k := r.Key; k >= p.from && k <= p.to {
+			out = append(out, r)
+			keys = append(keys, k)
+		}
+	}
+	p.hot, p.hotKeys = colstore.SortDedupePairs(out, keys, p.tmpR, p.tmpK)
+}
+
+// runFunc receives base rows [i, e), all live and shadowed by no chain.
+type runFunc func(i, e int) bool
+
+// deltaFunc receives a batch of delta rows as parallel vectors: the key,
+// the newest visible version of its chain (possibly a tombstone), and the
+// live base row it shadows, or -1 when it shadows none (absent,
+// tombstoned, or no base).
+type deltaFunc func(keys []uint64, vers []*memtable.Version, shadow []int) bool
+
+// walk is the merge driver: it yields the read as base runs and delta
+// row batches. With run non-nil the pieces arrive in ascending key order. A nil run
+// means the caller accounts for the base from the segment's footer stats
+// and only wants the delta adjustments, in any order. Either callback
+// returning false stops the walk; walk reports whether it ran to the end.
+func (p *plan) walk(run runFunc, rows deltaFunc) bool {
+	ok := true
+	if p.compacted || p.from == p.to {
+		p.gather()
+		for off := 0; ok && off < len(p.hot); off += deltaBlock {
+			end := min(off+deltaBlock, len(p.hot))
+			ok = p.merge(p.hot[off:end], p.hotKeys[off:end], run, rows)
+		}
+	} else {
+		// Empty base, every record is delta: stream the table's own index
+		// through the same merge.
+		p.hot, p.hotKeys = p.hot[:0], p.hotKeys[:0]
+		block := func(key uint64, rec *memtable.Record) bool {
+			p.hot, p.hotKeys = append(p.hot, rec), append(p.hotKeys, key)
+			if len(p.hot) == deltaBlock {
+				ok = p.merge(p.hot, p.hotKeys, run, rows)
+				p.hot, p.hotKeys = p.hot[:0], p.hotKeys[:0]
+			}
+			return ok
+		}
+		if run != nil {
+			p.tab.Scan(p.from, p.to, block)
+		} else {
+			p.tab.ScanAny(p.from, p.to, block)
+		}
+		ok = ok && p.merge(p.hot, p.hotKeys, run, rows)
+	}
+	return ok && (run == nil || liveRuns(p.base, p.pos, p.bn, run))
+}
+
+// merge stitches one block of delta records (ascending keys, at most
+// deltaBlock of them) over the base rows from p.pos on and yields the
+// pieces to walk's callbacks. keys is compacted in place.
+func (p *plan) merge(recs []*memtable.Record, keys []uint64, run runFunc, rows deltaFunc) bool {
+	// Resolve visibility in one tight pass — an independent cache miss
+	// per record, nothing else in the way — and drop the chains invisible
+	// at the snapshot: they shadow nothing, their base rows stay in runs.
+	ts, n := p.s.TS, 0
+	for j, rec := range recs {
+		if v := rec.Visible(ts); v != nil {
+			keys[n], p.vers[n] = keys[j], v
+			n++
+		}
+	}
+	keys, vers, shadow := keys[:n], p.vers[:n], p.shadow[:n]
+	base, bn, pos := p.base, p.bn, p.pos
+	if pos == bn { // no base rows left: nothing to shadow, nothing to interleave
+		for j := range shadow {
+			shadow[j] = -1
+		}
+		return n == 0 || rows(keys, vers, shadow)
+	}
+	ds := 0 // pending delta batch start
+	for j, k := range keys {
+		i := -1
+		if pos < bn {
+			lo := pos
+			if pos = base.LowerBoundFrom(pos, k); pos > bn {
+				pos = bn
+			}
+			if run != nil && pos > lo {
+				// Base rows sort between the pending batch and this row.
+				if ds < j && !rows(keys[ds:j], vers[ds:j], shadow[ds:j]) || !liveRuns(base, lo, pos, run) {
+					return false
+				}
+				ds = j
+			}
+			if pos < bn && base.Keys[pos] == k {
+				if !base.Deleted(pos) {
+					i = pos
+				}
+				pos++
+			}
+		}
+		shadow[j] = i
+	}
+	p.pos = pos
+	return ds == n || rows(keys[ds:], vers[ds:], shadow[ds:])
+}
+
+// liveRuns hands base rows [i, end) to run as maximal tombstone-free
+// runs, walking the bitmap a word at a time.
+func liveRuns(base *colstore.Segment, i, end int, run runFunc) bool {
+	for i < end {
+		t := end
+		if w := base.Del[i>>6] >> (uint(i) & 63); w != 0 {
+			t = i + bits.TrailingZeros64(w)
+		} else {
+			for wi := i>>6 + 1; wi <= (end-1)>>6; wi++ {
+				if w := base.Del[wi]; w != 0 {
+					t = wi<<6 + bits.TrailingZeros64(w)
+					break
+				}
+			}
+		}
+		if t > end {
+			t = end
+		}
+		if t > i && !run(i, t) {
+			return false
+		}
+		i = t + 1
+	}
+	return true
+}
+
+// baseRow materialises base row i.
+func (p *plan) baseRow(i int) Row {
+	cols := make(map[uint32][]byte, len(p.base.Cols))
+	p.base.ForEachColumn(i, func(id uint32, val []byte) { cols[id] = val })
+	return Row{Key: p.base.Keys[i], CommitTS: p.base.CommitTS[i], Columns: cols}
+}
+
+// stitch materialises a delta row: the chain's columns newest-first from
+// v, then — unless a tombstone ended the walk — base row i's underneath.
+func (p *plan) stitch(key uint64, v *memtable.Version, i int) Row {
+	cols := make(map[uint32][]byte, len(v.Columns))
+	w := v
+	for ; w != nil && !w.Deleted; w = w.Next() {
+		for _, c := range w.Columns {
+			if _, ok := cols[c.ID]; !ok {
+				cols[c.ID] = c.Value
+			}
+		}
+	}
+	if w == nil && i >= 0 { // versions older than a delete belong to a prior row
+		p.base.ForEachColumn(i, func(id uint32, val []byte) {
+			if _, ok := cols[id]; !ok {
+				cols[id] = val
+			}
+		})
+	}
+	return Row{Key: key, CommitTS: v.CommitTS, Columns: cols}
+}
+
+// chainColValue is stitch's chain walk for one column: the first version
+// from v down that carries col wins. stop reports that the walk ended
+// inside the chain — at the value or at a tombstone; stop=false means it
+// ran past the chain end, and the caller fills down from the base row
+// (baseValue). Small enough to inline into the per-row callbacks.
+func chainColValue(v *memtable.Version, col uint32) (val []byte, stop bool) {
+	for w := v; w != nil; w = w.Next() {
+		if w.Deleted {
+			return nil, true
+		}
+		for _, c := range w.Columns {
+			if c.ID == col {
+				return c.Value, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// baseValue returns column ci of base row i, or nil when either is absent
+// (< 0).
+func (p *plan) baseValue(i, ci int) []byte {
+	if i < 0 || ci < 0 {
+		return nil
+	}
+	val, _ := p.base.Cols[ci].Value(i)
+	return val
+}
+
+// colIndex returns the base segment's index of column id, or -1.
+func (p *plan) colIndex(id uint32) int {
+	if p.base == nil {
+		return -1
+	}
+	return p.base.ColIndex(id)
+}
+
+// le64 is the WAL's integer convention: values that are not exactly 8
+// bytes count as 0.
+func le64(b []byte) int64 {
+	if len(b) != 8 {
+		return 0
+	}
+	return int64(binary.LittleEndian.Uint64(b))
+}

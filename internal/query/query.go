@@ -5,17 +5,17 @@
 // tables it touches, and then reads record versions with commit timestamps
 // at or below the snapshot — the visibility rule of paper §V-B.
 //
-// When the executor carries a columnar store (query.NewExecutorWith), every
-// read is planned as columnar-segments + memtable-delta merge: the frozen
-// base segment supplies the cold rows through vectorized column arrays,
-// the hot delta is stitched over it with newest-wins semantics, and the
-// two views are reference-equal to the row-wise path by construction (the
+// Every read is planned as base segment + memtable delta (plan.go): the
+// frozen base supplies the cold rows through vectorized column arrays and
+// footer stats, the delta of version chains is stitched over it with
+// newest-wins semantics, and a node without a columnar store — or a table
+// not compacted yet — is the same plan with an empty base. The stitched
+// view is reference-equal to a plain chain read by construction (the
 // freeze rule stores exactly the version a Vacuum at the watermark keeps;
 // see DESIGN.md §17 and the FuzzColumnarScan differential test).
 package query
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -34,22 +34,14 @@ type Visibility interface {
 type Executor struct {
 	mt  *memtable.Memtable
 	vis Visibility
-	cs  *colstore.Store // nil = row-wise only
+	cs  *colstore.Store // nil = row-store node: every table's base is empty
 
-	// scratch pools the planner's per-operation state (delta gather,
-	// value buffers, exclusion lists) so steady-state columnar scans and
-	// aggregates run allocation-free.
-	scratch sync.Pool // *planScratch
+	plans sync.Pool // *plan, with its per-operation buffers
 }
 
-// NewExecutor returns an Executor over the given Memtable and replayer.
-func NewExecutor(mt *memtable.Memtable, vis Visibility) *Executor {
-	return &Executor{mt: mt, vis: vis}
-}
-
-// NewExecutorWith returns an Executor that plans reads over cs's columnar
-// segments stitched with mt's hot delta. A nil cs degrades to NewExecutor.
-func NewExecutorWith(mt *memtable.Memtable, vis Visibility, cs *colstore.Store) *Executor {
+// NewExecutor returns an Executor that plans reads over cs's columnar
+// segments stitched with mt's delta. cs is nil on a row-store node.
+func NewExecutor(mt *memtable.Memtable, vis Visibility, cs *colstore.Store) *Executor {
 	return &Executor{mt: mt, vis: vis, cs: cs}
 }
 
@@ -97,27 +89,14 @@ func (s *Snapshot) check(table wal.TableID) error {
 }
 
 // Get returns the row with the given key as of the snapshot, or ok=false
-// if it does not exist or is deleted at the snapshot.
-func (s *Snapshot) Get(table wal.TableID, key uint64) (Row, bool, error) {
-	if err := s.check(table); err != nil {
-		return Row{}, false, err
-	}
-	if s.ex.cs != nil {
-		return s.colGet(table, key)
-	}
-	return s.rowGet(table, key)
-}
-
-func (s *Snapshot) rowGet(table wal.TableID, key uint64) (Row, bool, error) {
-	rec := s.ex.mt.Table(table).Get(key)
-	if rec == nil {
-		return Row{}, false, nil
-	}
-	v := rec.Visible(s.TS)
-	if v == nil || v.Deleted {
-		return Row{}, false, nil
-	}
-	return Row{Key: key, CommitTS: v.CommitTS, Columns: rec.ReadRow(s.TS)}, true, nil
+// if it does not exist or is deleted at the snapshot: a Scan of the
+// one-key range, which the planner resolves through the index.
+func (s *Snapshot) Get(table wal.TableID, key uint64) (row Row, ok bool, err error) {
+	err = s.Scan(table, key, key, func(r Row) bool {
+		row, ok = r, true
+		return false
+	})
+	return row, ok, err
 }
 
 // Scan visits all visible rows with from ≤ key ≤ to in key order. fn
@@ -126,41 +105,22 @@ func (s *Snapshot) Scan(table wal.TableID, from, to uint64, fn func(Row) bool) e
 	if err := s.check(table); err != nil {
 		return err
 	}
-	if s.ex.cs != nil {
-		return s.colScan(table, from, to, fn)
-	}
-	s.rowScan(table, from, to, fn)
-	return nil
-}
-
-func (s *Snapshot) rowScan(table wal.TableID, from, to uint64, fn func(Row) bool) {
-	s.ex.mt.Table(table).Scan(from, to, func(key uint64, rec *memtable.Record) bool {
-		v := rec.Visible(s.TS)
-		if v == nil || v.Deleted {
-			return true
+	p := s.begin(table, from, to)
+	defer p.end()
+	p.walk(func(i, e int) bool {
+		for ; i < e; i++ {
+			if !fn(p.baseRow(i)) {
+				return false
+			}
 		}
-		return fn(Row{Key: key, CommitTS: v.CommitTS, Columns: rec.ReadRow(s.TS)})
-	})
-}
-
-// ScanAny visits all visible rows with from ≤ key ≤ to in NO particular
-// key order. On a row-wise executor the shards of the underlying table are
-// walked one after another with zero merge cost; on a columnar executor
-// the planner's ordered merge is already the cheapest enumeration, so
-// ScanAny shares it. fn returning false stops the scan early.
-func (s *Snapshot) ScanAny(table wal.TableID, from, to uint64, fn func(Row) bool) error {
-	if err := s.check(table); err != nil {
-		return err
-	}
-	if s.ex.cs != nil {
-		return s.colScan(table, from, to, fn)
-	}
-	s.ex.mt.Table(table).ScanAny(from, to, func(key uint64, rec *memtable.Record) bool {
-		v := rec.Visible(s.TS)
-		if v == nil || v.Deleted {
-			return true
+		return true
+	}, func(keys []uint64, vers []*memtable.Version, shadow []int) bool {
+		for j, v := range vers {
+			if !v.Deleted && !fn(p.stitch(keys[j], v, shadow[j])) {
+				return false
+			}
 		}
-		return fn(Row{Key: key, CommitTS: v.CommitTS, Columns: rec.ReadRow(s.TS)})
+		return true
 	})
 	return nil
 }
@@ -170,68 +130,127 @@ func (s *Snapshot) ScanAny(table wal.TableID, from, to uint64, fn func(Row) bool
 // the visited row (nil when the row does not carry it), resolved with the
 // same newest-wins semantics as Get. The vals slice and its backing
 // buffers are reused across calls — callers must copy anything they keep.
-// On a columnar executor the segment rows are served straight from the
-// column arrays (0 allocs/op steady state); without one, the row store is
-// walked with per-column chain resolution, which is the honest baseline
-// the columnar benchmarks compare against.
+// Base rows are served straight from the column arrays, delta rows by
+// per-column chain resolution; 0 allocs/op steady state either way.
 func (s *Snapshot) ScanCols(table wal.TableID, from, to uint64, cols []uint32, fn func(key uint64, ts int64, vals [][]byte) bool) error {
 	if err := s.check(table); err != nil {
 		return err
 	}
-	if s.ex.cs != nil {
-		return s.colScanCols(table, from, to, cols, fn)
+	p := s.begin(table, from, to)
+	defer p.end()
+	if cap(p.vals) < len(cols) {
+		p.vals = make([][]byte, len(cols))
+		p.colIdx = make([]int, len(cols))
 	}
-	sc := s.ex.getScratch()
-	defer s.ex.putScratch(sc)
-	vals := sc.valBuf(len(cols))
-	s.ex.mt.Table(table).Scan(from, to, func(key uint64, rec *memtable.Record) bool {
-		v := rec.Visible(s.TS)
-		if v == nil || v.Deleted {
-			return true
+	vals, colIdx := p.vals[:len(cols)], p.colIdx[:len(cols)]
+	for c, id := range cols {
+		colIdx[c] = p.colIndex(id)
+	}
+	base := p.base
+	p.walk(func(i, e int) bool {
+		for ; i < e; i++ {
+			for c, ci := range colIdx {
+				vals[c] = p.baseValue(i, ci)
+			}
+			if !fn(base.Keys[i], base.CommitTS[i], vals) {
+				return false
+			}
 		}
-		for i, col := range cols {
-			vals[i], _ = chainColValue(v, col)
+		return true
+	}, func(keys []uint64, vers []*memtable.Version, shadow []int) bool {
+		for j, v := range vers {
+			if v.Deleted {
+				continue
+			}
+			for c, id := range cols {
+				val, stop := chainColValue(v, id)
+				if !stop {
+					val = p.baseValue(shadow[j], colIdx[c])
+				}
+				vals[c] = val
+			}
+			if !fn(keys[j], v.CommitTS, vals) {
+				return false
+			}
 		}
-		return fn(key, v.CommitTS, vals)
+		return true
 	})
 	return nil
 }
 
 // ScanKeys streams the visible keys and their commit timestamps of
 // [from, to] in ascending key order as column vectors. This is the
-// vectorized scan: on a columnar executor, frozen runs arrive as
-// zero-copy windows directly over the segment's key/timestamp vectors
-// with no per-row version resolution, and hot-delta rows arrive in
+// vectorized scan: base runs arrive as zero-copy windows directly over
+// the segment's key/timestamp vectors with no per-row version resolution
+// (segments are immutable, so a window stays coherent even if a
+// compaction publishes a successor mid-scan), and delta rows arrive in
 // buffered batches. Batch sizes vary; the slices may be reused between
 // callbacks — copy out anything kept past the return.
 func (s *Snapshot) ScanKeys(table wal.TableID, from, to uint64, fn func(keys []uint64, ts []int64) bool) error {
 	if err := s.check(table); err != nil {
 		return err
 	}
-	if s.ex.cs != nil {
-		s.colScanKeys(table, from, to, fn)
-	} else {
-		s.rowScanKeys(table, from, to, fn)
+	p := s.begin(table, from, to)
+	defer p.end()
+	if p.batchK == nil {
+		p.batchK = make([]uint64, scanKeysBatch)
+		p.batchT = make([]int64, scanKeysBatch)
+	}
+	keys, tss, kn := p.batchK, p.batchT, 0
+	base := p.base
+	if p.walk(func(i, e int) bool {
+		if kn > 0 { // delta rows buffered ahead of this run go first
+			n := kn
+			kn = 0
+			if !fn(keys[:n], tss[:n]) {
+				return false
+			}
+		}
+		return fn(base.Keys[i:e:e], base.CommitTS[i:e:e])
+	}, func(dk []uint64, vers []*memtable.Version, _ []int) bool {
+		for j, v := range vers {
+			if v.Deleted {
+				continue
+			}
+			if kn == len(keys) {
+				kn = 0
+				if !fn(keys, tss) {
+					return false
+				}
+			}
+			keys[kn], tss[kn] = dk[j], v.CommitTS
+			kn++
+		}
+		return true
+	}) && kn > 0 {
+		fn(keys[:kn], tss[:kn])
 	}
 	return nil
 }
 
-// Count returns the number of rows visible in the table at the snapshot.
-// Columnar plans answer from the segment's live-row stat plus an O(delta)
-// adjustment; row-wise plans ride the unordered shard walk with no per-row
-// allocation.
+// Count returns the number of rows visible in the table at the snapshot:
+// the base segment's live-row stat plus an O(delta) adjustment.
 func (s *Snapshot) Count(table wal.TableID) (int, error) {
 	if err := s.check(table); err != nil {
 		return 0, err
 	}
-	if s.ex.cs != nil {
-		return s.colCount(table)
-	}
+	p := s.begin(table, 0, ^uint64(0))
+	defer p.end()
 	n := 0
-	s.ex.mt.Table(table).ScanAny(0, ^uint64(0), func(_ uint64, rec *memtable.Record) bool {
-		if v := rec.Visible(s.TS); v != nil && !v.Deleted {
-			n++
+	if p.base != nil {
+		n = p.base.Live
+	}
+	p.walk(nil, func(_ []uint64, vers []*memtable.Version, shadow []int) bool {
+		d := 0 // n lives in the closure's frame; fold the block in a register
+		for j, v := range vers {
+			if !v.Deleted {
+				d++
+			}
+			if shadow[j] >= 0 {
+				d-- // the chain shadows a counted base row
+			}
 		}
+		n += d
 		return true
 	})
 	return n, nil
@@ -239,23 +258,37 @@ func (s *Snapshot) Count(table wal.TableID) (int, error) {
 
 // MaxCommitTS returns the newest commit timestamp visible in the table at
 // the snapshot — a freshness probe: how recent is the data this query can
-// actually see. Columnar plans run a vectorized max over the segment's
-// commit-ts vector (skipping delta-shadowed rows); row-wise plans ride the
-// unordered shard walk.
+// actually see. The base contributes a vectorized max over its commit-ts
+// vector that skips delta-shadowed rows.
 func (s *Snapshot) MaxCommitTS(table wal.TableID) (int64, error) {
 	if err := s.check(table); err != nil {
 		return 0, err
 	}
-	if s.ex.cs != nil {
-		return s.colMaxCommitTS(table)
-	}
+	p := s.begin(table, 0, ^uint64(0))
+	defer p.end()
 	var max int64
-	s.ex.mt.Table(table).ScanAny(0, ^uint64(0), func(_ uint64, rec *memtable.Record) bool {
-		if v := rec.Visible(s.TS); v != nil && !v.Deleted && v.CommitTS > max {
-			max = v.CommitTS
+	excl := p.excl[:0]
+	p.walk(nil, func(_ []uint64, vers []*memtable.Version, shadow []int) bool {
+		m := max
+		for j, v := range vers {
+			if !v.Deleted && v.CommitTS > m {
+				m = v.CommitTS
+			}
+			if i := shadow[j]; i >= 0 {
+				// A visible chain shadows its base row whatever its own
+				// fate: the base row's ts must not count. The delta of a
+				// compacted table arrives key-sorted, so excl comes out
+				// ascending as MaxLiveTSExcluding needs.
+				excl = append(excl, i)
+			}
 		}
+		max = m
 		return true
 	})
+	p.excl = excl
+	if p.base != nil {
+		max = p.base.MaxLiveTSExcluding(excl, max)
+	}
 	return max, nil
 }
 
@@ -264,31 +297,38 @@ func (s *Snapshot) MaxCommitTS(table wal.TableID) (int64, error) {
 // integer convention). A row contributes its newest visible value of col
 // under ReadRow semantics — the first version at or below the snapshot
 // that carries the column, never reaching past a delete. Rows without the
-// column, or whose value is not exactly 8 bytes, contribute nothing.
-// Columnar plans answer from the segment's precomputed column sum plus an
-// O(delta) adjustment; row-wise plans ride the unordered shard walk.
+// column, or whose value is not exactly 8 bytes, contribute nothing. The
+// base contributes its precomputed column sum; the delta adjusts it in
+// O(delta).
 func (s *Snapshot) SumInt64(table wal.TableID, col uint32) (int64, error) {
 	if err := s.check(table); err != nil {
 		return 0, err
 	}
-	if s.ex.cs != nil {
-		return s.colSumInt64(table, col)
-	}
+	p := s.begin(table, 0, ^uint64(0))
+	defer p.end()
 	var sum int64
-	s.ex.mt.Table(table).ScanAny(0, ^uint64(0), func(_ uint64, rec *memtable.Record) bool {
-		for v := rec.Visible(s.TS); v != nil; v = v.Next() {
-			if v.Deleted {
-				return true // older versions belong to a prior row
+	ci := p.colIndex(col)
+	if p.base != nil {
+		sum = p.base.Sum(col)
+	}
+	p.walk(nil, func(_ []uint64, vers []*memtable.Version, shadow []int) bool {
+		var d int64
+		for j, v := range vers {
+			// The chain shadows base row i (if any): back out its
+			// precomputed contribution, then add the chain's.
+			i := shadow[j]
+			if i >= 0 {
+				d -= le64(p.baseValue(i, ci))
 			}
-			for _, c := range v.Columns {
-				if c.ID == col {
-					if len(c.Value) == 8 {
-						sum += int64(binary.LittleEndian.Uint64(c.Value))
-					}
-					return true
+			if !v.Deleted {
+				val, stop := chainColValue(v, col)
+				if !stop {
+					val = p.baseValue(i, ci)
 				}
+				d += le64(val)
 			}
 		}
+		sum += d
 		return true
 	})
 	return sum, nil

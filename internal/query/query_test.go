@@ -50,7 +50,7 @@ func testBackup(t *testing.T) (*replay.Engine, *memtable.Memtable, int64) {
 
 func TestSnapshotGet(t *testing.T) {
 	eng, mt, last := testBackup(t)
-	ex := NewExecutor(mt, eng)
+	ex := NewExecutor(mt, eng, nil)
 
 	s := ex.Begin(last, 1)
 	row, ok, err := s.Get(1, 1)
@@ -77,7 +77,7 @@ func TestSnapshotGet(t *testing.T) {
 
 func TestSnapshotScanAndCount(t *testing.T) {
 	eng, mt, last := testBackup(t)
-	ex := NewExecutor(mt, eng)
+	ex := NewExecutor(mt, eng, nil)
 	s := ex.Begin(last, 1)
 
 	var keys []uint64
@@ -102,7 +102,7 @@ func TestSnapshotScanAndCount(t *testing.T) {
 
 func TestUndeclaredTableRejected(t *testing.T) {
 	eng, mt, last := testBackup(t)
-	ex := NewExecutor(mt, eng)
+	ex := NewExecutor(mt, eng, nil)
 	s := ex.Begin(last, 1)
 	if _, _, err := s.Get(2, 1); err == nil {
 		t.Fatal("read from undeclared table accepted")
@@ -114,7 +114,7 @@ func TestUndeclaredTableRejected(t *testing.T) {
 
 func TestBeginFreshest(t *testing.T) {
 	eng, mt, last := testBackup(t)
-	ex := NewExecutor(mt, eng)
+	ex := NewExecutor(mt, eng, nil)
 	s := ex.Begin(0, 1) // freshest visible, never blocks
 	if s.TS < last {
 		t.Fatalf("freshest snapshot at %d, want ≥ %d", s.TS, last)
@@ -149,7 +149,7 @@ func TestBeginFreshestRacesFeeds(t *testing.T) {
 	eng := replay.New("AETS", mt, grouping.SingleGroup([]wal.TableID{1}), replay.Config{Workers: 4})
 	eng.Start()
 	t.Cleanup(eng.Stop)
-	ex := NewExecutor(mt, eng)
+	ex := NewExecutor(mt, eng, nil)
 
 	var fed atomic.Bool
 	var wg sync.WaitGroup
@@ -218,7 +218,7 @@ func TestBeginFreshestRacesFeeds(t *testing.T) {
 
 func TestSnapshotScanEarlyStop(t *testing.T) {
 	eng, mt, last := testBackup(t)
-	ex := NewExecutor(mt, eng)
+	ex := NewExecutor(mt, eng, nil)
 	s := ex.Begin(last, 1)
 	visits := 0
 	_ = s.Scan(1, 0, ^uint64(0), func(Row) bool {
