@@ -18,25 +18,30 @@ test:
 # (including TestScanStress — full-range ordered Scans, so the merged view
 # flips stale/rebuilt/valid, racing GetOrCreate and Vacuum), the query
 # planner against feed + compaction, the columnar compactor, the
-# checkpoint writer, the HTAP node wiring, and the cluster router/fan-out
-# (its chaos e2e runs separately under chaos-cluster).
+# checkpoint writer, the HTAP node wiring, the cluster router/fan-out
+# and the recovery supervisor/spool (their chaos e2es run separately,
+# already under -race, in chaos-cluster and chaos).
 race:
 	$(GO) test -race ./internal/ship/... ./internal/replay/... ./internal/epoch/... ./internal/memtable/... ./internal/query/... \
 		./internal/colstore/... ./internal/checkpoint/... ./internal/htap/...
 	$(GO) test -race -skip 'TestClusterChaos' ./internal/cluster/
+	$(GO) test -race -skip 'TestChaos' ./internal/recovery/...
 
 # Short fuzz smoke: the wire-format decoder, the memtable scan variants
 # (Scan/ScanAny vs a flat-map reference), the columnar segment decoder
 # (hostile length prefixes must fail cleanly), the read planner
 # differential (the columnar and both empty-base executors vs a
-# planner-free oracle across random freeze schedules), and the checkpoint
-# reader (corrupt or truncated files must fail cleanly).
+# planner-free oracle across random freeze schedules), the checkpoint
+# reader (corrupt or truncated files must fail cleanly), and the spool
+# segment scan (arbitrary bytes as a segment must recover to a spool
+# that still appends and replays).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/ship/
 	$(GO) test -run='^$$' -fuzz=FuzzScanVariants -fuzztime=10s ./internal/memtable/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzColumnarScan -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/checkpoint/
+	$(GO) test -run='^$$' -fuzz=FuzzScanSegment -fuzztime=10s ./internal/recovery/
 
 # Chaos e2e in short mode under the race detector: repeated hard
 # restarts at random points under transport faults plus an injected
@@ -53,8 +58,8 @@ chaos:
 # fan-out where replicas hard-crash mid-stream and recover through the
 # supervisor while routed queries stay reference-equal and satisfied
 # queries admit without blocking. The second leg runs a mixed-capability
-# fleet — one replica pinned to wire v1, the rest negotiating flate — to
-# prove one stale peer cannot disable compression for its siblings.
+# fleet — one replica without CapFlate, the rest negotiating flate — to
+# prove one such peer cannot disable compression for its siblings.
 # The third leg drives snapshot catch-up and anti-entropy: a bounded
 # divergence buffer sheds under a crashed replica (counted, not
 # terminal), the replica rejoins through a wire snapshot with zero
@@ -65,8 +70,9 @@ chaos-cluster:
 	AETS_CHAOS_COMPRESS=1 $(GO) test -race -short -run 'TestClusterChaos' -count=1 ./internal/cluster/
 	AETS_CHAOS_SNAPSHOT=1 $(GO) test -race -short -run 'TestClusterChaos' -count=1 ./internal/cluster/
 
-# Boot `replayd backup -http`, scrape /metrics and /healthz, fail on
-# non-200 responses or missing replay_* series.
+# Boot `replayd backup -http` with no directories, scrape /metrics and
+# /healthz, fail on non-200 responses or missing replay_* series, then
+# stop it and fail if its scratch directory outlives it.
 smoke:
 	sh scripts/smoke-obsrv.sh
 

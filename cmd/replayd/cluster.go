@@ -14,13 +14,14 @@ import (
 	"aets/internal/workload"
 )
 
-// runCluster is the fan-out primary: one generated epoch stream shipped
-// to every -connect replica simultaneously, each over its own
-// independent link (cursor, window, reconnect), so a slow or dead
-// replica never stalls its siblings. Per-link progress is published as
-// ship_* metrics labelled peer="<addr>".
-func runCluster(args []string) error {
-	c, err := parseClusterFlags(args)
+// runCluster is the sender side, `primary` and `cluster` alike: one
+// generated epoch stream shipped to every -connect replica (one or
+// many) simultaneously, each over its own independent link (cursor,
+// window, reconnect), so a slow or dead replica never stalls its
+// siblings. Per-link progress is published as ship_* metrics labelled
+// peer="<addr>".
+func runCluster(mode string, args []string) error {
+	c, err := parseClusterFlags(mode, args)
 	if err != nil {
 		return err
 	}
@@ -97,7 +98,7 @@ func runCluster(args []string) error {
 	}
 	defer closeHTTP()
 
-	stopProgress := startProgress(func() {
+	stopProgress := startTicker(time.Second, func() {
 		for _, st := range fan.Stats() {
 			status := "ok"
 			if st.Err != nil {

@@ -45,61 +45,10 @@ func knownAlgo(name string) bool {
 	return false
 }
 
-type primaryFlags struct {
-	connect, workload     string
-	txns, epochSize       int
-	seed                  int64
-	rate, window, retries int
-	hb                    time.Duration
-	httpAddr              string
-	compress              bool
-	applyProfiles         func()
-}
-
-func parsePrimaryFlags(args []string) (*primaryFlags, error) {
-	fs := flag.NewFlagSet("primary", flag.ContinueOnError)
-	c := &primaryFlags{}
-	fs.StringVar(&c.connect, "connect", "localhost:7070", "backup address")
-	fs.StringVar(&c.workload, "workload", "tpcc", "workload: tpcc, chbench, seats, bustracker")
-	fs.IntVar(&c.txns, "txns", 50000, "transactions to ship")
-	fs.IntVar(&c.epochSize, "epoch", 2048, "epoch size")
-	fs.Int64Var(&c.seed, "seed", 1, "seed")
-	fs.IntVar(&c.rate, "rate", 0, "epochs per second pacing (0 = as fast as possible)")
-	fs.IntVar(&c.window, "window", 32, "max in-flight (unacked) epochs before Send blocks")
-	fs.DurationVar(&c.hb, "hb", 500*time.Millisecond, "heartbeat interval (0 disables)")
-	fs.IntVar(&c.retries, "retries", 8, "consecutive reconnect attempts before giving up")
-	fs.StringVar(&c.httpAddr, "http", "", "serve /metrics /healthz /varz /debug/pprof on this address (empty disables)")
-	fs.BoolVar(&c.compress, "compress", false, "negotiate flate frame compression (falls back to raw against peers that lack it)")
-	c.applyProfiles = contentionProfileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	if c.connect == "" {
-		return nil, usagef("primary: -connect must not be empty")
-	}
-	if !knownWorkload(c.workload) {
-		return nil, usagef("primary: unknown workload %q (tpcc, chbench, seats, bustracker)", c.workload)
-	}
-	if c.txns <= 0 || c.epochSize <= 0 {
-		return nil, usagef("primary: -txns and -epoch must be positive (got %d, %d)", c.txns, c.epochSize)
-	}
-	if c.window <= 0 {
-		return nil, usagef("primary: -window must be positive (got %d)", c.window)
-	}
-	if c.retries <= 0 {
-		return nil, usagef("primary: -retries must be positive (got %d)", c.retries)
-	}
-	if c.rate < 0 || c.hb < 0 {
-		return nil, usagef("primary: -rate and -hb must not be negative")
-	}
-	return c, nil
-}
-
 type backupFlags struct {
 	listen, algo, workload string
 	workers, pipeline      int
 	once                   bool
-	ckpt, resume           string
 	gcEvery                time.Duration
 	columnar               bool
 	compactEvery           time.Duration
@@ -107,13 +56,10 @@ type backupFlags struct {
 	spoolDir, ckptDir      string
 	ckptEvery              int
 	ckptInterval           time.Duration
-	syncPolicy             string
+	syncPolicy             recovery.SyncPolicy
 	compress               bool
 	applyProfiles          func()
 }
-
-// supervised reports whether the recovery supervisor runs the node.
-func (c *backupFlags) supervised() bool { return c.spoolDir != "" }
 
 func parseBackupFlags(args []string) (*backupFlags, error) {
 	fs := flag.NewFlagSet("backup", flag.ContinueOnError)
@@ -124,17 +70,15 @@ func parseBackupFlags(args []string) (*backupFlags, error) {
 	fs.IntVar(&c.pipeline, "pipeline", 2, "replay pipeline depth: epochs in flight (0 = serial; aets/tplr only)")
 	fs.StringVar(&c.workload, "workload", "tpcc", "workload schema (for grouping): tpcc, chbench, seats, bustracker")
 	fs.BoolVar(&c.once, "once", true, "exit after the first clean end-of-stream")
-	fs.StringVar(&c.ckpt, "checkpoint", "", "write a checkpoint file after the stream drains")
-	fs.StringVar(&c.resume, "resume", "", "restore from this checkpoint and resume the stream at its epoch cursor")
 	fs.DurationVar(&c.gcEvery, "gc-every", 0, "vacuum version chains at this interval (0 disables)")
 	fs.BoolVar(&c.columnar, "columnar", false, "freeze cold data into columnar segments and plan reads as segment + delta merges")
 	fs.DurationVar(&c.compactEvery, "compact-every", 0, "columnar compaction cadence (0 = reuse -gc-every; requires -columnar when set)")
 	fs.StringVar(&c.httpAddr, "http", "", "serve /metrics /healthz /varz /debug/pprof on this address (empty disables)")
-	fs.StringVar(&c.spoolDir, "spool-dir", "", "durable epoch spool directory; with -ckpt-dir, runs the crash-recovery supervisor")
-	fs.StringVar(&c.ckptDir, "ckpt-dir", "", "atomic checkpoint directory for the recovery supervisor")
-	fs.IntVar(&c.ckptEvery, "ckpt-every", 0, "supervisor: checkpoint after this many applied epochs (0 disables)")
-	fs.DurationVar(&c.ckptInterval, "ckpt-interval", 30*time.Second, "supervisor: checkpoint at least this often while epochs arrive (0 disables)")
-	fs.StringVar(&c.syncPolicy, "sync", "always", "spool sync policy: always, interval, never")
+	fs.StringVar(&c.spoolDir, "spool-dir", "", "durable epoch spool directory (requires -ckpt-dir; with neither, both live in a scratch directory removed on exit)")
+	fs.StringVar(&c.ckptDir, "ckpt-dir", "", "atomic checkpoint directory (requires -spool-dir)")
+	fs.IntVar(&c.ckptEvery, "ckpt-every", 0, "checkpoint after this many applied epochs (0 disables)")
+	fs.DurationVar(&c.ckptInterval, "ckpt-interval", 30*time.Second, "checkpoint at least this often while epochs arrive (0 disables)")
+	syncPolicy := fs.String("sync", "always", "spool sync policy: always, interval, never")
 	fs.BoolVar(&c.compress, "compress", false, "advertise flate frame compression to senders (raw frames still accepted)")
 	c.applyProfiles = contentionProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -165,15 +109,10 @@ func parseBackupFlags(args []string) (*backupFlags, error) {
 		return nil, usagef("backup: -compact-every requires -columnar")
 	}
 	if (c.spoolDir == "") != (c.ckptDir == "") {
-		return nil, usagef("backup: recovery mode needs both -spool-dir and -ckpt-dir (got spool-dir=%q, ckpt-dir=%q)", c.spoolDir, c.ckptDir)
+		return nil, usagef("backup: give both -spool-dir and -ckpt-dir, or neither (got spool-dir=%q, ckpt-dir=%q)", c.spoolDir, c.ckptDir)
 	}
-	if c.supervised() && c.resume != "" {
-		return nil, usagef("backup: -resume conflicts with -spool-dir/-ckpt-dir — the supervisor restores from its checkpoint directory automatically")
-	}
-	if c.supervised() && c.ckpt != "" {
-		return nil, usagef("backup: -checkpoint conflicts with -spool-dir/-ckpt-dir — the supervisor checkpoints into -ckpt-dir on its own schedule")
-	}
-	if _, err := recovery.ParseSyncPolicy(c.syncPolicy); err != nil {
+	var err error
+	if c.syncPolicy, err = recovery.ParseSyncPolicy(*syncPolicy); err != nil {
 		return nil, usagef("backup: %v", err)
 	}
 	return c, nil
@@ -196,10 +135,13 @@ type clusterFlags struct {
 	applyProfiles         func()
 }
 
-func parseClusterFlags(args []string) (*clusterFlags, error) {
-	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
+// parseClusterFlags parses the sender side's one flag set: `primary`
+// is `cluster` with one peer, so mode only names the flag set and
+// prefixes its usage errors.
+func parseClusterFlags(mode string, args []string) (*clusterFlags, error) {
+	fs := flag.NewFlagSet(mode, flag.ContinueOnError)
 	c := &clusterFlags{}
-	connect := fs.String("connect", "", "comma-separated replica addresses (required)")
+	connect := fs.String("connect", "localhost:7070", "comma-separated replica addresses, one or more")
 	fs.StringVar(&c.workload, "workload", "tpcc", "workload: tpcc, chbench, seats, bustracker")
 	fs.IntVar(&c.txns, "txns", 50000, "transactions to ship")
 	fs.IntVar(&c.epochSize, "epoch", 2048, "epoch size")
@@ -214,52 +156,49 @@ func parseClusterFlags(args []string) (*clusterFlags, error) {
 	fs.BoolVar(&c.columnar, "columnar", false, "run the snapshot mirror node columnar: freeze cold data into segments (requires -snapshot)")
 	fs.DurationVar(&c.compactEvery, "compact-every", 0, "mirror-node columnar compaction cadence (0 disables; requires -columnar)")
 	fs.StringVar(&c.httpAddr, "http", "", "serve /metrics /healthz /varz /debug/pprof on this address (empty disables)")
-	fs.BoolVar(&c.compress, "compress", false, "negotiate flate frame compression per peer (a v1 peer still gets raw frames)")
+	fs.BoolVar(&c.compress, "compress", false, "negotiate flate frame compression per peer (a peer that lacks it still gets raw frames)")
 	c.applyProfiles = contentionProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	if *connect == "" {
-		return nil, usagef("cluster: -connect is required (comma-separated replica addresses)")
 	}
 	seen := map[string]bool{}
 	for _, a := range strings.Split(*connect, ",") {
 		a = strings.TrimSpace(a)
 		if a == "" {
-			return nil, usagef("cluster: empty address in -connect %q", *connect)
+			return nil, usagef("%s: empty address in -connect %q", mode, *connect)
 		}
 		if seen[a] {
-			return nil, usagef("cluster: duplicate address %q in -connect", a)
+			return nil, usagef("%s: duplicate address %q in -connect", mode, a)
 		}
 		seen[a] = true
 		c.connects = append(c.connects, a)
 	}
 	if !knownWorkload(c.workload) {
-		return nil, usagef("cluster: unknown workload %q (tpcc, chbench, seats, bustracker)", c.workload)
+		return nil, usagef("%s: unknown workload %q (tpcc, chbench, seats, bustracker)", mode, c.workload)
 	}
 	if c.txns <= 0 || c.epochSize <= 0 {
-		return nil, usagef("cluster: -txns and -epoch must be positive (got %d, %d)", c.txns, c.epochSize)
+		return nil, usagef("%s: -txns and -epoch must be positive (got %d, %d)", mode, c.txns, c.epochSize)
 	}
 	if c.window <= 0 || c.retries <= 0 {
-		return nil, usagef("cluster: -window and -retries must be positive")
+		return nil, usagef("%s: -window and -retries must be positive", mode)
 	}
 	if c.rate < 0 || c.hb < 0 || c.maxQueue < 0 {
-		return nil, usagef("cluster: -rate, -hb and -max-queue must not be negative")
+		return nil, usagef("%s: -rate, -hb and -max-queue must not be negative", mode)
 	}
 	if c.digestEvery < 0 {
-		return nil, usagef("cluster: -digest-every must not be negative (got %d)", c.digestEvery)
+		return nil, usagef("%s: -digest-every must not be negative (got %d)", mode, c.digestEvery)
 	}
 	if c.digestEvery > 0 && !c.snapshot {
-		return nil, usagef("cluster: -digest-every requires -snapshot (a detected mismatch is repaired by snapshot)")
+		return nil, usagef("%s: -digest-every requires -snapshot (a detected mismatch is repaired by snapshot)", mode)
 	}
 	if c.columnar && !c.snapshot {
-		return nil, usagef("cluster: -columnar requires -snapshot (it configures the snapshot mirror node)")
+		return nil, usagef("%s: -columnar requires -snapshot (it configures the snapshot mirror node)", mode)
 	}
 	if c.compactEvery < 0 {
-		return nil, usagef("cluster: -compact-every must not be negative")
+		return nil, usagef("%s: -compact-every must not be negative", mode)
 	}
 	if c.compactEvery > 0 && !c.columnar {
-		return nil, usagef("cluster: -compact-every requires -columnar")
+		return nil, usagef("%s: -compact-every requires -columnar", mode)
 	}
 	return c, nil
 }

@@ -1,31 +1,31 @@
 // Command replayd demonstrates primary→backup log shipping over TCP
-// using the internal/ship replication transport: the primary mode
-// executes a benchmark workload, batches it into epochs and streams
-// them with a bounded in-flight window, heartbeats and automatic
-// reconnect; the backup mode receives the stream, replays it with a
-// chosen algorithm, and periodically reports replay progress,
-// visibility and shipping metrics. A backup restarted with -resume
-// picks the stream up at its checkpoint's epoch cursor instead of
-// re-replaying from scratch. With -spool-dir and -ckpt-dir the backup
-// runs supervised (internal/recovery): epochs are spooled durably
-// before replay, checkpoints are written atomically on a schedule, a
-// hard-killed process restores from the newest valid checkpoint plus
-// the spool tail, and a poison epoch is quarantined instead of
-// crash-looping the replica.
+// using the internal/ship replication transport. There is one sender
+// path and one backup path.
 //
-//	replayd backup -listen :7070 -algo aets -workers 8 -checkpoint backup.ckpt
-//	replayd primary -connect localhost:7070 -workload tpcc -txns 50000 -window 32
-//	... crash ...
-//	replayd backup -listen :7070 -algo aets -resume backup.ckpt
+// The backup mode receives the stream under the recovery supervisor
+// (internal/recovery): epochs are spooled durably before they are
+// acknowledged and replayed with a chosen algorithm, checkpoints are
+// written atomically on a schedule, a hard-killed process restarted on
+// the same -spool-dir/-ckpt-dir restores from the newest valid
+// checkpoint plus the spool tail and resumes the stream at its cursor,
+// a replica too stale to resume is re-based by a wire snapshot, and a
+// poison epoch is quarantined instead of crash-looping the replica.
+// Given neither directory it runs the same path over a scratch
+// directory it removes on exit.
 //
-//	replayd backup -listen :7070 -algo aets \
+//	replayd backup -listen :7070 -algo aets -workers 8 \
 //	    -spool-dir spool/ -ckpt-dir ckpt/ -ckpt-every 64 -sync always
+//	replayd primary -connect localhost:7070 -workload tpcc -txns 50000 -window 32
+//	... kill -9 the backup, restart it with the same directories ...
 //
-// The cluster mode fans one epoch stream out to several backups at
-// once (internal/cluster), each over its own independent link; the
-// route mode runs a whole 1-primary/N-replica topology in one process
-// with skewed per-link delays and measures freshness-aware query
-// routing against it:
+// The cluster mode executes a benchmark workload, batches it into
+// epochs and fans the stream out to every -connect backup at once
+// (internal/cluster), each over its own independent link with a
+// bounded in-flight window, heartbeats and automatic reconnect;
+// primary is the same mode under its one-peer name. The route mode
+// runs a whole 1-primary/N-replica topology in one process with skewed
+// per-link delays and measures freshness-aware query routing against
+// it:
 //
 //	replayd backup -listen :7070 & replayd backup -listen :7071 &
 //	replayd cluster -connect localhost:7070,localhost:7071 -txns 50000
@@ -38,14 +38,17 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"os/signal"
+	"path/filepath"
 	"runtime"
+	"sync"
+	"syscall"
 	"time"
 
 	"aets/internal/grouping"
 	"aets/internal/htap"
 	"aets/internal/metrics"
 	"aets/internal/obsrv"
-	"aets/internal/primary"
 	"aets/internal/recovery"
 	"aets/internal/ship"
 	"aets/internal/workload"
@@ -92,12 +95,10 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "primary":
-		err = runPrimary(os.Args[2:])
+	case "primary", "cluster":
+		err = runCluster(os.Args[1], os.Args[2:])
 	case "backup":
 		err = runBackup(os.Args[2:])
-	case "cluster":
-		err = runCluster(os.Args[2:])
 	case "route":
 		err = runRoute(os.Args[2:])
 	default:
@@ -142,86 +143,12 @@ func workloadPlan(name string) (workload.Generator, *grouping.Plan, error) {
 	}
 }
 
-func runPrimary(args []string) error {
-	c, err := parsePrimaryFlags(args)
-	if err != nil {
-		return err
-	}
-	c.applyProfiles()
-
-	gen, _, err := workloadPlan(c.workload)
-	if err != nil {
-		return err
-	}
-
-	p := primary.New(gen, c.seed)
-	m := ship.NewMetrics(metrics.Default)
-	// No HeartbeatTS: the stream is pre-generated, so the primary's live
-	// commit clock runs ahead of what has been shipped; heartbeats fall
-	// back to the last enqueued epoch's timestamp, which is the honest
-	// "stream complete through here" value.
-	s, err := ship.NewSender(ship.SenderConfig{
-		Dial:           func() (net.Conn, error) { return net.Dial("tcp", c.connect) },
-		Schema:         ship.SchemaHash(c.workload, workload.TableIDs(gen.Tables())),
-		Window:         c.window,
-		HeartbeatEvery: c.hb,
-		MaxAttempts:    c.retries,
-		Metrics:        m,
-		Compress:       c.compress,
-	})
-	if err != nil {
-		return err
-	}
-	if err := s.Connect(); err != nil {
-		return err
-	}
-
-	closeHTTP, err := serveHTTP(c.httpAddr, obsrv.Options{
-		Health: func() obsrv.Health {
-			st := s.Stats()
-			h := obsrv.Health{Healthy: true, Status: "ok", ShipConnected: st.Connected}
-			if !st.Connected {
-				h.Healthy = false
-				h.Status = "backup disconnected"
-			}
-			return h
-		},
-	})
-	if err != nil {
-		return err
-	}
-	defer closeHTTP()
-
-	stopProgress := startProgress(func() {
-		st := s.Stats()
-		fmt.Printf("  sent %d  acked %d  inflight %d  lag %.2fs  reconnects %d\n",
-			st.Sent, st.Acked, st.Inflight, st.Lag.Seconds(), st.Reconnects)
-	})
-	defer stopProgress()
-
-	encs := p.GenerateEncoded(c.txns, c.epochSize)
-	start := time.Now()
-	for i := range encs {
-		if err := s.Send(&encs[i]); err != nil {
-			return err
-		}
-		if c.rate > 0 {
-			time.Sleep(time.Second / time.Duration(c.rate))
-		}
-	}
-	if err := s.Close(); err != nil {
-		return err
-	}
-	st := s.Stats()
-	fmt.Printf("shipped %d epochs (%d txns) in %v — acked %d, reconnects %d\n",
-		len(encs), c.txns, time.Since(start).Round(time.Millisecond), st.Acked, st.Reconnects)
-	if st.BytesRaw > 0 && st.BytesWire != st.BytesRaw {
-		fmt.Printf("  wire %d / raw %d bytes — ratio %.3f\n",
-			st.BytesWire, st.BytesRaw, float64(st.BytesWire)/float64(st.BytesRaw))
-	}
-	return nil
-}
-
+// runBackup is the crash-tolerant backup: every received epoch is
+// spooled durably before it is acknowledged, checkpoints are cut
+// atomically on a schedule, and the replay supervisor restores
+// checkpoint + spool tail on startup and rebuilds the node on fatal
+// replay errors instead of exiting. Without -spool-dir/-ckpt-dir the
+// same path runs over a scratch directory that is removed on exit.
 func runBackup(args []string) error {
 	c, err := parseBackupFlags(args)
 	if err != nil {
@@ -234,220 +161,32 @@ func runBackup(args []string) error {
 		return err
 	}
 
-	opts := htap.Options{Workers: c.workers, Pipeline: c.pipeline, Columnar: c.columnar}
-
 	// Columnar compaction rides the GC cadence unless given its own.
 	compactEvery := c.compactEvery
 	if c.columnar && compactEvery == 0 {
 		compactEvery = c.gcEvery
 	}
 
-	if c.supervised() {
-		return runSupervised(supervisedConfig{
-			listen: c.listen, algo: c.algo, name: c.workload,
-			gen: gen, plan: plan, opts: opts,
-			spoolDir: c.spoolDir, ckptDir: c.ckptDir,
-			ckptEvery: c.ckptEvery, ckptInterval: c.ckptInterval,
-			syncPolicy: c.syncPolicy, once: c.once, gcEvery: c.gcEvery,
-			compactEvery: compactEvery,
-			httpAddr:     c.httpAddr, compress: c.compress,
-		})
-	}
-	var node *htap.Node
-	if c.resume != "" {
-		f, err := os.Open(c.resume)
+	spoolDir, ckptDir, scratch := c.spoolDir, c.ckptDir, ""
+	if spoolDir == "" {
+		scratch, err = os.MkdirTemp("", "replayd-backup-")
 		if err != nil {
 			return err
 		}
-		n, m, err := htap.RestoreNode(f, htap.Kind(c.algo), plan, opts)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("resume from %s: %w", c.resume, err)
-		}
-		node = n
-		fmt.Printf("resumed from %s: next epoch %d, visible ts %d\n",
-			c.resume, m.NextEpochSeq(), m.LastCommitTS)
-	} else {
-		node, err = htap.NewNode(htap.Kind(c.algo), plan, opts)
-		if err != nil {
-			return err
-		}
+		spoolDir, ckptDir = filepath.Join(scratch, "spool"), filepath.Join(scratch, "ckpt")
 	}
-	// The host makes the bare backup snapshot-capable: a sender that
-	// cannot serve this cursor (spool compacted, backlog shed) streams a
-	// full checkpoint instead, and the host swaps in the rebuilt node
-	// without a restart. The old node keeps serving until the swap.
-	host := htap.HostNode(node, htap.Kind(c.algo), plan, opts)
-	defer host.Close()
-
-	if c.gcEvery > 0 {
-		stopGC := make(chan struct{})
-		defer close(stopGC)
-		go func() {
-			t := time.NewTicker(c.gcEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopGC:
-					return
-				case <-t.C:
-					// Re-resolve each tick: a snapshot restore swaps nodes.
-					if n := host.Node(); n != nil {
-						if ts := n.VisibleTS(); ts > 0 {
-							n.Vacuum(ts)
-						}
-					}
-				}
-			}
-		}()
-	}
-	if compactEvery > 0 {
-		stopCompact := make(chan struct{})
-		defer close(stopCompact)
-		go func() {
-			t := time.NewTicker(compactEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopCompact:
-					return
-				case <-t.C:
-					// Re-resolve each tick: a snapshot restore swaps nodes,
-					// and the replacement (built with the same Options) is
-					// columnar too.
-					if n := host.Node(); n != nil {
-						if ts := n.VisibleTS(); ts > 0 {
-							n.Compact(ts)
-						}
-					}
-				}
-			}
-		}()
-	}
-
-	m := ship.NewMetrics(metrics.Default)
-	rcv, err := host.ShipReceiver(ship.ReceiverConfig{
-		Schema:  ship.SchemaHash(c.workload, workload.TableIDs(gen.Tables())),
-		Metrics: m,
-		Drain: func() error {
-			n := host.Node()
-			n.Drain()
-			return n.Err()
-		},
-		Compress: c.compress,
-	})
+	spool, err := recovery.OpenSpool(recovery.SpoolConfig{Dir: spoolDir, Policy: c.syncPolicy})
 	if err != nil {
 		return err
 	}
-
-	closeHTTP, err := serveHTTP(c.httpAddr, obsrv.Options{
-		Health: func() obsrv.Health {
-			return host.Node().HealthSource(metrics.Default, func() bool {
-				return metrics.Default.Gauge("ship_connected").Load() != 0
-			})()
-		},
-	})
-	if err != nil {
-		return err
-	}
-	defer closeHTTP()
-
-	ln, err := net.Listen("tcp", c.listen)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	fmt.Printf("backup (%s, %d workers, pipeline %d) listening on %s, cursor %d\n",
-		c.algo, c.workers, c.pipeline, c.listen, rcv.Cursor())
-
-	stopProgress := startProgress(func() {
-		st := rcv.Stats()
-		fmt.Printf("  %8d txns received, cursor %d, visible ts %d | %s | %s\n",
-			st.Txns, st.Cursor, host.Node().VisibleTS(), metrics.Default.Line("ship_"),
-			metrics.Default.Line("replay_"))
-	})
-	defer stopProgress()
-
-	start := time.Now()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		done, err := rcv.Serve(conn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stream:", err)
-		}
-		if done && c.once {
-			break
-		}
-	}
-	final := host.Node()
-	final.Drain()
-	if err := final.Err(); err != nil {
-		return err
-	}
-	st := rcv.Stats()
-	elapsed := time.Since(start)
-	fmt.Printf("replayed %d txns (%d entries, %d duplicates dropped) in %v — %.0f txns/s, final visible ts %d\n",
-		st.Txns, st.Entries, st.Duplicates, elapsed.Round(time.Millisecond),
-		float64(st.Txns)/elapsed.Seconds(), final.VisibleTS())
-
-	if c.ckpt != "" {
-		f, err := os.Create(c.ckpt)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		meta, err := final.Checkpoint(f)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("checkpoint written to %s (epoch %d, ts %d)\n", c.ckpt, meta.LastEpochSeq, meta.LastCommitTS)
-	}
-	return nil
-}
-
-// supervisedConfig carries the backup flags into the recovery mode.
-type supervisedConfig struct {
-	listen, algo, name string
-	gen                workload.Generator
-	plan               *grouping.Plan
-	opts               htap.Options
-	spoolDir, ckptDir  string
-	ckptEvery          int
-	ckptInterval       time.Duration
-	syncPolicy         string
-	once               bool
-	gcEvery            time.Duration
-	compactEvery       time.Duration
-	httpAddr           string
-	compress           bool
-}
-
-// runSupervised is the crash-tolerant backup: every received epoch is
-// spooled durably before it is acknowledged, checkpoints are cut
-// atomically on a schedule, and the replay supervisor restores
-// checkpoint + spool tail on startup and rebuilds the node on fatal
-// replay errors instead of exiting.
-func runSupervised(c supervisedConfig) error {
-	policy, err := recovery.ParseSyncPolicy(c.syncPolicy)
-	if err != nil {
-		return err
-	}
-	spool, err := recovery.OpenSpool(recovery.SpoolConfig{Dir: c.spoolDir, Policy: policy})
-	if err != nil {
-		return err
-	}
-	defer spool.Close()
-	mgr, err := recovery.OpenManager(c.ckptDir, 0, nil)
+	mgr, err := recovery.OpenManager(ckptDir, 0, nil)
 	if err != nil {
 		return err
 	}
 	sup, err := recovery.NewSupervisor(recovery.Config{
 		Kind:                  htap.Kind(c.algo),
-		Plan:                  c.plan,
-		Node:                  c.opts,
+		Plan:                  plan,
+		Node:                  htap.Options{Workers: c.workers, Pipeline: c.pipeline, Columnar: c.columnar},
 		Spool:                 spool,
 		Checkpoints:           mgr,
 		CheckpointEveryEpochs: c.ckptEvery,
@@ -456,30 +195,45 @@ func runSupervised(c supervisedConfig) error {
 	if err != nil {
 		return err
 	}
+	// One teardown for a clean exit and for SIGINT/SIGTERM: nothing
+	// writes under the directories once supervisor and spool are closed,
+	// so the scratch directory can go. (kill -9 skips it by definition;
+	// that is what real directories are for.)
+	var once sync.Once
+	teardown := func() {
+		once.Do(func() {
+			sup.Close()
+			spool.Close()
+			if scratch != "" {
+				os.RemoveAll(scratch)
+			}
+		})
+	}
+	defer teardown()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() { // lives until the process exits
+		s := <-sig
+		teardown()
+		fmt.Fprintln(os.Stderr, "backup:", s)
+		os.Exit(1)
+	}()
 	if err := sup.Start(); err != nil {
 		return err
 	}
-	defer sup.Close()
 
 	if c.gcEvery > 0 {
-		if node := sup.Node(); node != nil {
-			stop := node.StartVacuumLoop(c.gcEvery, 0)
-			defer stop()
-		}
+		defer startMaintenance(c.gcEvery, sup.Node, func(n *htap.Node, ts int64) { n.Vacuum(ts) })()
 	}
-	if c.compactEvery > 0 {
-		if node := sup.Node(); node != nil {
-			stop := node.StartCompactLoop(c.compactEvery, 0)
-			defer stop()
-		}
+	if compactEvery > 0 {
+		defer startMaintenance(compactEvery, sup.Node, func(n *htap.Node, ts int64) { n.Compact(ts) })()
 	}
 
-	m := ship.NewMetrics(metrics.Default)
 	rcv, err := ship.NewReceiver(ship.ReceiverConfig{
-		Schema:  ship.SchemaHash(c.name, workload.TableIDs(c.gen.Tables())),
+		Schema:  ship.SchemaHash(c.workload, workload.TableIDs(gen.Tables())),
 		Resume:  sup.NextSeq(),
 		Applier: sup,
-		Metrics: m,
+		Metrics: ship.NewMetrics(metrics.Default),
 		Drain:   sup.Checkpoint,
 		// A digest mismatch survives link (and process) lifetimes: every
 		// handshake re-requests snapshot repair until one lands.
@@ -507,17 +261,16 @@ func runSupervised(c supervisedConfig) error {
 		return err
 	}
 	defer ln.Close()
-	fmt.Printf("supervised backup (%s) listening on %s, cursor %d, spool %s (sync=%s), checkpoints %s\n",
-		c.algo, c.listen, rcv.Cursor(), c.spoolDir, policy, c.ckptDir)
+	fmt.Printf("backup (%s, %d workers, pipeline %d) listening on %s, cursor %d, spool %s (sync=%s), checkpoints %s\n",
+		c.algo, c.workers, c.pipeline, c.listen, rcv.Cursor(), spoolDir, c.syncPolicy, ckptDir)
 
-	stopProgress := startProgress(func() {
+	defer startTicker(time.Second, func() {
 		st := rcv.Stats()
-		sst := sup.Stats()
-		fmt.Printf("  %8d txns received, cursor %d, state %s, restarts %d, quarantined %d | %s\n",
-			st.Txns, st.Cursor, sst.State, sst.Restarts, sst.Quarantined,
-			metrics.Default.Line("recovery_"))
-	})
-	defer stopProgress()
+		h := sup.Health()
+		fmt.Printf("  %8d txns received, cursor %d, visible ts %d, state %s, restarts %d, quarantined %d | %s | %s\n",
+			st.Txns, st.Cursor, h.VisibleTS, h.Supervisor, h.Restarts, h.Quarantined,
+			metrics.Default.Line("ship_"), metrics.Default.Line("recovery_"))
+	})()
 
 	start := time.Now()
 	for {
@@ -537,20 +290,35 @@ func runSupervised(c supervisedConfig) error {
 		}
 	}
 	st := rcv.Stats()
-	sst := sup.Stats()
+	h := sup.Health()
 	elapsed := time.Since(start)
-	fmt.Printf("replayed %d txns (%d entries, %d duplicates dropped) in %v — state %s, restarts %d, quarantined %d\n",
+	fmt.Printf("replayed %d txns (%d entries, %d duplicates dropped) in %v — %.0f txns/s, state %s, restarts %d, quarantined %d, final visible ts %d\n",
 		st.Txns, st.Entries, st.Duplicates, elapsed.Round(time.Millisecond),
-		sst.State, sst.Restarts, sst.Quarantined)
+		float64(st.Txns)/elapsed.Seconds(), h.Supervisor, h.Restarts, h.Quarantined, h.VisibleTS)
 	return nil
 }
 
-// startProgress runs fn once a second until the returned stop function
+// startMaintenance runs fn every interval against whatever node the
+// supervisor holds at that tick, at that node's visible timestamp: a
+// rebuild or a wire snapshot swaps the node, and a loop bound to one
+// node would keep ticking on the closed one. Ticks with no node
+// (mid-rebuild, fatal) or nothing visible yet are skipped.
+func startMaintenance(every time.Duration, node func() *htap.Node, fn func(n *htap.Node, visibleTS int64)) (stop func()) {
+	return startTicker(every, func() {
+		if n := node(); n != nil {
+			if ts := n.VisibleTS(); ts > 0 {
+				fn(n, ts)
+			}
+		}
+	})
+}
+
+// startTicker runs fn every interval until the returned stop function
 // is called.
-func startProgress(fn func()) (stop func()) {
+func startTicker(every time.Duration, fn func()) (stop func()) {
 	done := make(chan struct{})
 	go func() {
-		t := time.NewTicker(time.Second)
+		t := time.NewTicker(every)
 		defer t.Stop()
 		for {
 			select {

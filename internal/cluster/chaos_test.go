@@ -76,11 +76,8 @@ type chaosReplica struct {
 	reg      *metrics.Registry
 	rep      *cluster.SupervisorReplica
 
-	// Receiver capability knobs, fixed for all of the replica's lives:
-	// compress advertises CapFlate; maxVersion 1 emulates a legacy v1
-	// peer that rejects v2 HELLOs outright.
-	compress   bool
-	maxVersion byte
+	// compress advertises CapFlate, fixed for all of the replica's lives.
+	compress bool
 
 	addr atomic.Value // string: current listener address ("" while down)
 
@@ -90,15 +87,14 @@ type chaosReplica struct {
 	serveWG sync.WaitGroup
 }
 
-func newChaosReplica(t *testing.T, id string, compress bool, maxVersion byte) *chaosReplica {
+func newChaosReplica(t *testing.T, id string, compress bool) *chaosReplica {
 	t.Helper()
 	cr := &chaosReplica{
-		id:         id,
-		spoolDir:   filepath.Join(t.TempDir(), "spool"),
-		ckptDir:    filepath.Join(t.TempDir(), "ckpt"),
-		reg:        metrics.NewRegistry(),
-		compress:   compress,
-		maxVersion: maxVersion,
+		id:       id,
+		spoolDir: filepath.Join(t.TempDir(), "spool"),
+		ckptDir:  filepath.Join(t.TempDir(), "ckpt"),
+		reg:      metrics.NewRegistry(),
+		compress: compress,
 	}
 	if err := os.MkdirAll(cr.spoolDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -151,7 +147,6 @@ func (cr *chaosReplica) start(t *testing.T) {
 		NeedSnapshot: sup.NeedSnapshot,
 		Metrics:      ship.NewPeerMetrics(cr.reg, cr.id),
 		Compress:     cr.compress,
-		MaxVersion:   cr.maxVersion,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,23 +291,19 @@ func TestClusterChaosRoutedQueriesStayCorrect(t *testing.T) {
 
 	// The cluster: three crash-recovering replicas, one router. With
 	// AETS_CHAOS_COMPRESS set the fleet is capability-mixed: every sender
-	// offers flate, r0 is pinned to legacy v1 (it must keep receiving raw
-	// frames through the v1 fallback), r1/r2 negotiate compression —
-	// proving one stale peer cannot disable compression for its siblings.
+	// offers flate, r0 does not advertise CapFlate (it must keep receiving
+	// raw frames), r1/r2 negotiate compression — proving one peer without
+	// the capability cannot disable compression for its siblings.
 	mixed := os.Getenv("AETS_CHAOS_COMPRESS") != ""
 	if mixed {
-		t.Log("chaos leg: mixed-capability fleet (r0 legacy v1, r1/r2 flate)")
+		t.Log("chaos leg: mixed-capability fleet (r0 raw, r1/r2 flate)")
 	}
 	m := cluster.NewMetrics(metrics.NewRegistry())
 	members := cluster.NewMembership(m)
 	reps := make([]*chaosReplica, 3)
 	peers := make([]cluster.Peer, 3)
 	for i := range reps {
-		var maxVer byte
-		if mixed && i == 0 {
-			maxVer = 1
-		}
-		cr := newChaosReplica(t, fmt.Sprintf("r%d", i), mixed && i > 0, maxVer)
+		cr := newChaosReplica(t, fmt.Sprintf("r%d", i), mixed && i > 0)
 		reps[i] = cr
 		if err := members.Add(cr.rep); err != nil {
 			t.Fatal(err)
@@ -452,14 +443,15 @@ func TestClusterChaosRoutedQueriesStayCorrect(t *testing.T) {
 	verify(lastTS, 8)
 	assertZeroBlock()
 
-	// Per-peer byte accounting before Close tears the links down: the v1
-	// peer must have shipped raw, the flate peers measurably less.
+	// Per-peer byte accounting before Close tears the links down: the
+	// peer without CapFlate must have shipped raw, the flate peers
+	// measurably less.
 	if mixed {
 		for _, st := range fan.Stats() {
 			switch st.ID {
 			case "r0":
 				if st.BytesWire != st.BytesRaw {
-					t.Fatalf("v1 peer r0 wire %d ≠ raw %d", st.BytesWire, st.BytesRaw)
+					t.Fatalf("raw peer r0 wire %d ≠ raw %d", st.BytesWire, st.BytesRaw)
 				}
 			default:
 				if st.BytesWire >= st.BytesRaw {
@@ -564,7 +556,7 @@ func TestClusterChaosSnapshotCatchup(t *testing.T) {
 	reps := make([]*chaosReplica, 3)
 	peers := make([]cluster.Peer, 3)
 	for i := range reps {
-		cr := newChaosReplica(t, fmt.Sprintf("r%d", i), false, 0)
+		cr := newChaosReplica(t, fmt.Sprintf("r%d", i), false)
 		reps[i] = cr
 		if err := members.Add(cr.rep); err != nil {
 			t.Fatal(err)

@@ -71,8 +71,9 @@ func fanAssertSame(t *testing.T, got, want *htap.Node, who string) {
 	}
 }
 
-// fanReceiver stands up one backup node behind a real TCP listener,
-// serving connections until a clean end-of-stream.
+// fanReceiver is one backup behind a real TCP listener, serving
+// connections until a clean end-of-stream. node is set when the backup
+// is a fixed node (startFanReceiver).
 type fanReceiver struct {
 	node *htap.Node
 	addr string
@@ -91,11 +92,19 @@ func startFanReceiver(t *testing.T, node *htap.Node, reg *metrics.Registry, peer
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr := serveFan(t, rcv)
+	fr.node = node
+	return fr
+}
+
+// serveFan runs rcv's accept loop on a fresh loopback listener.
+func serveFan(t *testing.T, rcv *ship.Receiver) *fanReceiver {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := &fanReceiver{node: node, addr: ln.Addr().String(), done: make(chan struct{})}
+	fr := &fanReceiver{addr: ln.Addr().String(), done: make(chan struct{})}
 	go func() {
 		defer close(fr.done)
 		defer ln.Close()
@@ -123,7 +132,10 @@ func (fr *fanReceiver) wait(t *testing.T) {
 	select {
 	case <-fr.done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("receiver did not finish")
+		fr.mu.Lock()
+		errs := fr.errs
+		fr.mu.Unlock()
+		t.Fatalf("receiver did not finish (serve errors: %v)", errs)
 	}
 }
 

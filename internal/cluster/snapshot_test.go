@@ -7,7 +7,6 @@ package cluster_test
 import (
 	"errors"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,72 +14,60 @@ import (
 	"aets/internal/cluster"
 	"aets/internal/htap"
 	"aets/internal/metrics"
+	"aets/internal/recovery"
 	"aets/internal/ship"
 )
 
-// hostReceiver is a fanReceiver over a htap.NodeHost: the host is a
-// ship.SnapshotApplier and DigestApplier, so its receiver negotiates
-// CapSnapshot — the shape a rejoin-capable replica runs in production.
-type hostReceiver struct {
-	host *htap.NodeHost
-	addr string
-	done chan struct{}
-	errs []error
-	mu   sync.Mutex
+// supReceiver is a fanReceiver over a recovery.Supervisor in
+// t.TempDir(): the supervisor is a ship.SnapshotApplier and
+// DigestApplier, so its receiver negotiates CapSnapshot — the shape a
+// rejoin-capable replica runs in production.
+type supReceiver struct {
+	*fanReceiver
+	sup *recovery.Supervisor
 }
 
-func startHostReceiver(t *testing.T, reg *metrics.Registry, peer string) *hostReceiver {
+func startSupReceiver(t *testing.T, reg *metrics.Registry, peer string) *supReceiver {
 	t.Helper()
-	host, err := htap.NewNodeHost(htap.KindAETS, fanPlan(), htap.Options{Workers: 2})
+	spool, err := recovery.OpenSpool(recovery.SpoolConfig{
+		Dir: t.TempDir(), Policy: recovery.SyncNever, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { host.Close() })
-	rcv, err := host.ShipReceiver(ship.ReceiverConfig{
-		Schema:  fanSchema(),
-		Drain:   func() error { n := host.Node(); n.Drain(); return n.Err() },
-		Metrics: ship.NewPeerMetrics(reg, peer),
+	mgr, err := recovery.OpenManager(t.TempDir(), 0, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := recovery.NewSupervisor(recovery.Config{
+		Kind:        htap.KindAETS,
+		Plan:        fanPlan(),
+		Node:        htap.Options{Workers: 2},
+		Spool:       spool,
+		Checkpoints: mgr,
+		Metrics:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		sup.Close()
+		spool.Close()
+	})
+	rcv, err := ship.NewReceiver(ship.ReceiverConfig{
+		Schema:       fanSchema(),
+		Resume:       sup.NextSeq(),
+		Applier:      sup,
+		NeedSnapshot: sup.NeedSnapshot,
+		Drain:        sup.Checkpoint,
+		Metrics:      ship.NewPeerMetrics(reg, peer),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr := &hostReceiver{host: host, addr: ln.Addr().String(), done: make(chan struct{})}
-	go func() {
-		defer close(hr.done)
-		defer ln.Close()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			finished, err := rcv.Serve(conn)
-			if err != nil {
-				hr.mu.Lock()
-				hr.errs = append(hr.errs, err)
-				hr.mu.Unlock()
-			}
-			if finished {
-				return
-			}
-		}
-	}()
-	return hr
-}
-
-func (hr *hostReceiver) wait(t *testing.T) {
-	t.Helper()
-	select {
-	case <-hr.done:
-	case <-time.After(60 * time.Second):
-		hr.mu.Lock()
-		errs := hr.errs
-		hr.mu.Unlock()
-		t.Fatalf("receiver did not finish (serve errors: %v)", errs)
-	}
+	return &supReceiver{fanReceiver: serveFan(t, rcv), sup: sup}
 }
 
 // TestFanoutShedOverflowRejoinsViaSnapshot: one peer is unreachable
@@ -96,8 +83,8 @@ func TestFanoutShedOverflowRejoinsViaSnapshot(t *testing.T) {
 	mirror := fanNode(t)
 	defer mirror.Close()
 
-	healthy := startHostReceiver(t, reg, "healthy")
-	held := startHostReceiver(t, reg, "held")
+	healthy := startSupReceiver(t, reg, "healthy")
+	held := startSupReceiver(t, reg, "held")
 	var up atomic.Bool
 	heldDial := func() (net.Conn, error) {
 		if !up.Load() {
@@ -160,8 +147,8 @@ func TestFanoutShedOverflowRejoinsViaSnapshot(t *testing.T) {
 			t.Fatalf("peer %s terminal error: %v", st.ID, st.Err)
 		}
 	}
-	fanAssertSame(t, healthy.host.Node(), want, "healthy peer")
-	fanAssertSame(t, held.host.Node(), want, "held peer")
+	fanAssertSame(t, healthy.sup.Node(), want, "healthy peer")
+	fanAssertSame(t, held.sup.Node(), want, "held peer")
 
 	// Anti-entropy ran over healthy replicas: none of the digests that
 	// did land positionally may have mismatched.
@@ -184,7 +171,7 @@ func TestFanoutAntiEntropyDigests(t *testing.T) {
 
 	mirror := fanNode(t)
 	defer mirror.Close()
-	peer := startHostReceiver(t, reg, "r0")
+	peer := startSupReceiver(t, reg, "r0")
 
 	f, err := cluster.NewFanout(cluster.FanoutConfig{
 		Registry:    reg,
@@ -221,7 +208,7 @@ func TestFanoutAntiEntropyDigests(t *testing.T) {
 	if mm := reg.Counter(metrics.WithLabel("cluster_digest_mismatch_total", "peer", "r0")); mm.Load() != 0 {
 		t.Fatalf("cluster_digest_mismatch_total = %d on an uncorrupted replica", mm.Load())
 	}
-	fanAssertSame(t, peer.host.Node(), want, "replica")
+	fanAssertSame(t, peer.sup.Node(), want, "replica")
 }
 
 // TestMembershipLinkErr: SetLinkErr surfaces in Status and clears with

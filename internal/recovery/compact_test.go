@@ -41,7 +41,7 @@ func TestSpoolCompactMidSegment(t *testing.T) {
 	// 3 segments of ~4 epochs each.
 	segBytes := 0
 	for i := 0; i < 4; i++ {
-		segBytes += len(ship.AppendFrame(nil, ship.KindEpoch, ship.EncodeEpoch(&encs[i])))
+		segBytes += len(ship.AppendFrame(nil, ship.KindEpoch, 0, ship.EncodeEpoch(&encs[i])))
 	}
 	sp := openTestSpool(t, dir, SpoolConfig{MaxSegmentBytes: segBytes, Policy: SyncAlways, Metrics: reg})
 	appendAll(t, sp, encs)
@@ -178,7 +178,7 @@ func TestSpoolCompactStaleTmpDiscarded(t *testing.T) {
 func TestSpoolCompactAppendRace(t *testing.T) {
 	dir := t.TempDir()
 	encs := testEncs(t, 64)
-	segBytes := 4 * len(ship.AppendFrame(nil, ship.KindEpoch, ship.EncodeEpoch(&encs[0])))
+	segBytes := 4 * len(ship.AppendFrame(nil, ship.KindEpoch, 0, ship.EncodeEpoch(&encs[0])))
 	sp := openTestSpool(t, dir, SpoolConfig{MaxSegmentBytes: segBytes, Policy: SyncNever})
 	defer sp.Close()
 
@@ -222,7 +222,7 @@ func TestSpoolCompactAppendRace(t *testing.T) {
 	assertReplayFrom(t, sp, encs, first)
 }
 
-// TestSpoolAppendWireCompressed spools a compressed v2 frame exactly as
+// TestSpoolAppendWireCompressed spools a compressed frame exactly as
 // received and replays it: the epoch comes back inflated and
 // byte-identical, across a restart too.
 func TestSpoolAppendWireCompressed(t *testing.T) {
@@ -302,7 +302,7 @@ func TestSpoolCompactBelowFirstIsNoop(t *testing.T) {
 func TestSpoolCompactKeepsLowerBoundInvariant(t *testing.T) {
 	dir := t.TempDir()
 	encs := testEncs(t, 10)
-	segBytes := 3 * len(ship.AppendFrame(nil, ship.KindEpoch, ship.EncodeEpoch(&encs[0])))
+	segBytes := 3 * len(ship.AppendFrame(nil, ship.KindEpoch, 0, ship.EncodeEpoch(&encs[0])))
 	sp := openTestSpool(t, dir, SpoolConfig{MaxSegmentBytes: segBytes, Policy: SyncAlways})
 	defer sp.Close()
 	appendAll(t, sp, encs)

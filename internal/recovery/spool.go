@@ -105,7 +105,7 @@ type SpoolConfig struct {
 // Spool is an append-only, file-backed archive of CRC-framed encoded
 // epochs: the backup's local replication log. Each record is one ship
 // EPOCH frame (magic, version, length, CRC32C) stored exactly as it
-// arrived — a compressed v2 frame is spooled compressed (AppendWire)
+// arrived — a compressed frame is spooled compressed (AppendWire)
 // and only inflated when replayed. Frames are appended to segment
 // files named spool-<seq>.seg, where seq is a lower bound on the first
 // epoch the file contains: exact at creation, and raised in place by
@@ -263,7 +263,7 @@ func scanSegment(path string, nameSeq uint64, haveAny bool, expect uint64) (good
 	defer f.Close()
 	cr := &countingReader{r: f}
 	for {
-		_, kind, flags, payload, rerr := ship.ReadFrameFlags(cr)
+		kind, flags, payload, rerr := ship.ReadFrameFlags(cr)
 		if rerr == io.EOF {
 			return good, firstSeq, lastSeq, n, nil
 		}
@@ -330,10 +330,7 @@ func (sp *Spool) End() uint64 {
 // already durable), a seq above it is ErrSpoolGap. The configured sync
 // policy decides whether Append returns only after an fsync.
 func (sp *Spool) Append(enc *epoch.Encoded) error {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sp.buf = ship.AppendFrame(sp.buf[:0], ship.KindEpoch, ship.EncodeEpoch(enc))
-	return sp.appendFrameLocked(enc.Seq, sp.buf)
+	return sp.AppendWire(enc.Seq, 0, ship.EncodeEpoch(enc))
 }
 
 // AppendWire persists one epoch exactly as it crossed the wire: the
@@ -343,7 +340,7 @@ func (sp *Spool) Append(enc *epoch.Encoded) error {
 func (sp *Spool) AppendWire(seq uint64, flags byte, payload []byte) error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	sp.buf = ship.AppendFrameFlags(sp.buf[:0], ship.KindEpoch, flags, payload)
+	sp.buf = ship.AppendFrame(sp.buf[:0], ship.KindEpoch, flags, payload)
 	return sp.appendFrameLocked(seq, sp.buf)
 }
 
@@ -664,7 +661,7 @@ func (sp *Spool) rewriteSegment(nameSeq, keep uint64) (newSize, oldSize int64, e
 	}()
 	var frame []byte
 	for {
-		_, kind, flags, payload, rerr := ship.ReadFrameFlags(src)
+		kind, flags, payload, rerr := ship.ReadFrameFlags(src)
 		if rerr == io.EOF {
 			break
 		}
@@ -677,7 +674,7 @@ func (sp *Spool) rewriteSegment(nameSeq, keep uint64) (newSize, oldSize int64, e
 		if seq := binary.LittleEndian.Uint64(payload); seq < keep {
 			continue
 		}
-		frame = ship.AppendFrameFlags(frame[:0], kind, flags, payload)
+		frame = ship.AppendFrame(frame[:0], kind, flags, payload)
 		n, werr := tmp.Write(frame)
 		if werr != nil {
 			return 0, 0, werr
@@ -706,7 +703,7 @@ func segmentFirstSeq(path string) (uint64, error) {
 		return 0, err
 	}
 	defer f.Close()
-	_, kind, _, payload, err := ship.ReadFrameFlags(f)
+	kind, _, payload, err := ship.ReadFrameFlags(f)
 	if err == io.EOF {
 		return ^uint64(0), nil
 	}
@@ -760,7 +757,7 @@ func replaySegment(path string, from uint64, fn func(*epoch.Encoded) error) erro
 	}
 	defer f.Close()
 	for {
-		_, kind, flags, payload, err := ship.ReadFrameFlags(f)
+		kind, flags, payload, err := ship.ReadFrameFlags(f)
 		if err == io.EOF {
 			return nil
 		}

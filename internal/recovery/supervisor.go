@@ -622,7 +622,7 @@ func (s *Supervisor) skipEpoch(node *htap.Node, enc *epoch.Encoded) error {
 func (s *Supervisor) quarantineLocked(enc *epoch.Encoded) error {
 	path := filepath.Join(s.cfg.Spool.cfg.Dir,
 		fmt.Sprintf("%s%020d.epoch", quarantinePrefix, enc.Seq))
-	frame := ship.AppendFrame(nil, ship.KindEpoch, ship.EncodeEpoch(enc))
+	frame := ship.AppendFrame(nil, ship.KindEpoch, 0, ship.EncodeEpoch(enc))
 	if err := os.WriteFile(path, frame, 0o644); err != nil {
 		return err
 	}

@@ -265,10 +265,9 @@ func TestBreakdownAccumulates(t *testing.T) {
 	if diff := d + r + c; diff < 0.999 || diff > 1.001 {
 		t.Fatalf("shares sum to %v", diff)
 	}
-	// Replay dominates (Table II shows >98%).
-	if r < 0.5 {
-		t.Fatalf("replay share suspiciously low: %v", r)
-	}
+	// No threshold on the shares themselves: they are wall-clock ratios
+	// and move with host load (the bench's traced replay.share_* metrics
+	// carry that signal).
 }
 
 func TestUrgencyConfigRespected(t *testing.T) {

@@ -38,9 +38,9 @@ func BenchmarkShipCompress(b *testing.B) {
 				for i := range encs {
 					enc := &encs[i]
 					if payload := comp.payload(enc); payload != nil && len(enc.Buf) >= DefaultCompressThreshold {
-						frame = AppendFrameFlags(frame[:0], KindEpoch, FlagCompressed, payload)
+						frame = AppendFrame(frame[:0], KindEpoch, FlagCompressed, payload)
 					} else {
-						frame = AppendFrame(frame[:0], KindEpoch, EncodeEpoch(enc))
+						frame = AppendFrame(frame[:0], KindEpoch, 0, EncodeEpoch(enc))
 					}
 					wireBytes += int64(len(frame))
 				}
@@ -55,7 +55,7 @@ func BenchmarkShipCompress(b *testing.B) {
 
 // BenchmarkShipEncodeRaw is the uncompressed baseline over the same
 // TPC-C stream: header append + frame + CRC with no flate, i.e. what a
-// v1 peer costs per epoch. Diffing against BenchmarkShipCompress/tpcc
+// peer without CapFlate costs per epoch. Diffing against BenchmarkShipCompress/tpcc
 // shows the CPU price paid for the wire-byte win.
 func BenchmarkShipEncodeRaw(b *testing.B) {
 	encs := primary.New(workload.NewTPCC(2), 42).GenerateEncoded(4000, 128)
@@ -68,7 +68,7 @@ func BenchmarkShipEncodeRaw(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		for i := range encs {
-			frame = AppendFrame(frame[:0], KindEpoch, EncodeEpoch(&encs[i]))
+			frame = AppendFrame(frame[:0], KindEpoch, 0, EncodeEpoch(&encs[i]))
 		}
 	}
 	_ = frame

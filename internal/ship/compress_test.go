@@ -1,10 +1,9 @@
-// Mixed-version interop and compression end-to-end tests: every
-// pairing of v1/v2 peers must converge to reference-equal state, with
+// Mixed-capability interop and compression end-to-end tests: every
+// pairing of peers must converge to reference-equal state, with
 // compression engaged exactly when both ends negotiated it.
 package ship_test
 
 import (
-	"errors"
 	"testing"
 
 	"aets/internal/metrics"
@@ -15,9 +14,7 @@ import (
 type interopResult struct {
 	sender   ship.SenderStats
 	receiver ship.ReceiverStats
-	// handshake errors the serve loop saw before the stream settled
-	// (a v1 receiver rejecting a v2 HELLO, answered by the sender's
-	// fallback redial).
+	// errors the serve loop saw before the stream settled
 	connErrs []error
 }
 
@@ -77,13 +74,13 @@ func assertNoConnErrs(t *testing.T, res interopResult) {
 	}
 }
 
-func TestInteropBothV2Compressed(t *testing.T) {
+func TestInteropBothCompressed(t *testing.T) {
 	res := runShipInterop(t,
 		func(c *ship.SenderConfig) { c.Compress = true },
 		func(c *ship.ReceiverConfig) { c.Compress = true })
 	assertNoConnErrs(t, res)
 	if !res.sender.Compressing {
-		t.Fatal("both ends v2+compress but the link did not negotiate CapFlate")
+		t.Fatal("both ends compress but the link did not negotiate CapFlate")
 	}
 	if res.sender.BytesWire >= res.sender.BytesRaw {
 		t.Fatalf("compressed link did not shrink the stream: wire %d ≥ raw %d",
@@ -93,56 +90,25 @@ func TestInteropBothV2Compressed(t *testing.T) {
 	t.Logf("tpcc wire/raw ratio: %.3f (%d / %d bytes)", ratio, res.sender.BytesWire, res.sender.BytesRaw)
 }
 
-func TestInteropV2SenderV1Receiver(t *testing.T) {
-	res := runShipInterop(t,
-		func(c *ship.SenderConfig) { c.Compress = true },
-		func(c *ship.ReceiverConfig) { c.MaxVersion = 1 })
-	// The v1 receiver rejects the v2 HELLO once; the sender's fallback
-	// redial carries the stream uncompressed. Any other error is real.
-	sawVersionReject := false
-	for _, err := range res.connErrs {
-		if errors.Is(err, ship.ErrVersion) {
-			sawVersionReject = true
-			continue
-		}
-		t.Fatalf("unexpected connection error: %v", err)
-	}
-	if !sawVersionReject {
-		t.Fatal("v1 receiver never rejected the v2 HELLO — was the downgrade even exercised?")
-	}
-	if res.sender.Compressing {
-		t.Fatal("sender claims compression against a v1 receiver")
-	}
-	if res.sender.BytesWire != res.sender.BytesRaw {
-		t.Fatalf("v1 link must ship raw bytes: wire %d, raw %d", res.sender.BytesWire, res.sender.BytesRaw)
-	}
-}
-
-func TestInteropV1SenderV2Receiver(t *testing.T) {
-	res := runShipInterop(t,
-		func(c *ship.SenderConfig) { c.MaxVersion = 1; c.Compress = true },
-		func(c *ship.ReceiverConfig) { c.Compress = true })
-	assertNoConnErrs(t, res)
-	if res.sender.Compressing {
-		t.Fatal("v1-pinned sender claims compression")
-	}
-	if res.sender.BytesWire != res.sender.BytesRaw {
-		t.Fatalf("v1 link must ship raw bytes: wire %d, raw %d", res.sender.BytesWire, res.sender.BytesRaw)
-	}
-}
-
 func TestInteropCompressionRequiresBothEnds(t *testing.T) {
-	// Receiver is v2 but does not advertise CapFlate: a v2 handshake
-	// succeeds, yet the stream must stay uncompressed.
-	res := runShipInterop(t,
-		func(c *ship.SenderConfig) { c.Compress = true },
-		nil)
-	assertNoConnErrs(t, res)
-	if res.sender.Compressing {
-		t.Fatal("sender compressing without the receiver advertising CapFlate")
-	}
-	if res.sender.BytesWire != res.sender.BytesRaw {
-		t.Fatalf("unnegotiated link must ship raw bytes: wire %d, raw %d", res.sender.BytesWire, res.sender.BytesRaw)
+	// Only one end advertises CapFlate: the handshake succeeds, yet the
+	// stream must stay uncompressed — the mixed-fleet case, both ways.
+	for name, mut := range map[string]struct {
+		sender   func(*ship.SenderConfig)
+		receiver func(*ship.ReceiverConfig)
+	}{
+		"sender only":   {sender: func(c *ship.SenderConfig) { c.Compress = true }},
+		"receiver only": {receiver: func(c *ship.ReceiverConfig) { c.Compress = true }},
+	} {
+		res := runShipInterop(t, mut.sender, mut.receiver)
+		assertNoConnErrs(t, res)
+		if res.sender.Compressing {
+			t.Fatalf("%s: sender compressing without both ends advertising CapFlate", name)
+		}
+		if res.sender.BytesWire != res.sender.BytesRaw {
+			t.Fatalf("%s: unnegotiated link must ship raw bytes: wire %d, raw %d",
+				name, res.sender.BytesWire, res.sender.BytesRaw)
+		}
 	}
 }
 

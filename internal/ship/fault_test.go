@@ -197,7 +197,10 @@ func (c *rawClient) writeEpoch(enc *epoch.Encoded) {
 	c.write(ship.KindEpoch, ship.EncodeEpoch(enc))
 }
 
-func shipAppendHello(schema uint64) []byte { return shipAppendCursor(schema) }
+// shipAppendHello is a HELLO advertising no capabilities.
+func shipAppendHello(schema uint64) []byte {
+	return append(shipAppendCursor(schema), shipAppendCursor(0)...)
+}
 
 func shipAppendCursor(v uint64) []byte {
 	b := make([]byte, 8)

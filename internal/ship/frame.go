@@ -1,7 +1,7 @@
 // Package ship is the replication transport between a primary and a
-// backup: a versioned, CRC-framed epoch-shipping protocol with a
-// resume handshake, cumulative acknowledgements, a bounded in-flight
-// window (backpressure), idle-stream heartbeats and reconnect with
+// backup: a CRC-framed epoch-shipping protocol with a resume
+// handshake, cumulative acknowledgements, a bounded in-flight window
+// (backpressure), idle-stream heartbeats and reconnect with
 // exponential backoff. It replaces the hand-rolled socket framing the
 // demos used to carry and makes the stream survive faults: a dropped
 // connection resumes from the backup's cursor instead of gapping or
@@ -12,10 +12,25 @@
 //	magic 0xA7 | version u8 | kind u8 | flags u8 | payloadLen u32 |
 //	payload | crc32c(header‖payload) u32
 //
-// Frame kinds and payloads (version 1; flags must be 0):
+// There is one protocol version: every frame written carries Version,
+// and a frame with any other version byte is refused with ErrVersion,
+// which a Sender reports as terminal (redialing cannot change what the
+// peer speaks). Two peers differ only in the capabilities they
+// advertise in the handshake; a feature is used on a link exactly when
+// both ends advertise it.
 //
-//	HELLO     sender→receiver  schemaHash u64
-//	WELCOME   receiver→sender  schemaHash u64 | cursor u64
+// One exception, on the read side only: a frame whose version byte is
+// 1 and whose flags are zero is still accepted. Spool segments at rest
+// are ship frames, builds before the single version stamped raw EPOCH
+// frames with 1, and the spool truncates at its first unreadable frame
+// — refusing that byte would make a restart on this build destroy a
+// replayable spool.
+//
+// Frame kinds and payloads:
+//
+//	HELLO     sender→receiver  schemaHash u64 | caps u64
+//	WELCOME   receiver→sender  schemaHash u64 | cursor u64 | caps u64 |
+//	                           req u64
 //	EPOCH     sender→receiver  seq u64 | txnCount u32 | lastTxnID u64 |
 //	                           lastCommitTS i64 | entryCount u32 |
 //	                           bufLen u32 | buf
@@ -23,28 +38,18 @@
 //	HEARTBEAT sender→receiver  ts i64
 //	EOS       sender→receiver  cursor u64 (clean end of stream)
 //
-// Version 2 adds capability negotiation and per-frame compression.
-// A v2 HELLO/WELCOME carries a trailing caps u64 bitset:
-//
-//	HELLO     sender→receiver  schemaHash u64 | caps u64
-//	WELCOME   receiver→sender  schemaHash u64 | cursor u64 | caps u64
-//
 // When both ends advertise CapFlate, the sender may set FlagCompressed
 // (header flags bit 0) on EPOCH frames: the 36-byte epoch header stays
 // in the clear (bufLen holds the RAW buf length, so seq and the counts
 // are readable without inflating) and the buf bytes that follow are a
 // flate stream. All other frame kinds, and EPOCH frames below the
-// sender's size threshold or that flate fails to shrink, keep version
-// byte 1 with zero flags — so a v1 peer that never sees a v2 frame
-// interoperates untouched, and a v1 receiver that is offered a v2
-// HELLO rejects it with ErrVersion, which the sender answers by
-// redialing at version 1.
+// sender's size threshold or that flate fails to shrink, carry zero
+// flags.
 //
-// When both ends advertise CapSnapshot, the receiver answers a
-// snapshot-capable HELLO with an extended 32-byte WELCOME carrying a
-// trailing req u64 (request bits: bit 0 asks for an immediate
-// snapshot), and the sender may interpose a snapshot catch-up sequence
-// or anti-entropy digests into the epoch stream:
+// When both ends advertise CapSnapshot, the WELCOME's req bits may ask
+// for an immediate snapshot (bit 0), and the sender may interpose a
+// snapshot catch-up sequence or anti-entropy digests into the epoch
+// stream:
 //
 //	SNAPBEGIN sender→receiver  cursor u64 | totalBytes u64 (0 unknown)
 //	SNAPCHUNK sender→receiver  raw checkpoint bytes (≤ MaxSnapChunk)
@@ -77,26 +82,22 @@ import (
 	"aets/internal/wal"
 )
 
-// Version is the baseline protocol version; every frame that carries no
-// v2-only feature (nonzero flags, caps handshake) still uses it on the
-// wire so v1 peers can read it.
-const Version = 1
+// Version is the protocol version stamped on every frame written.
+const Version = 2
 
-// Version2 marks frames that use v2 features: the caps handshake and
-// compressed EPOCH payloads.
-const Version2 = 2
+// legacyVersion is the version byte older builds stamped on frames
+// with zero flags; it is accepted on read only (see the package
+// comment) so their spool segments stay replayable.
+const legacyVersion = 1
 
-// maxKnownVersion is the highest version this build speaks.
-const maxKnownVersion = Version2
-
-// Frame header flag bits (version 2; must be zero in version 1).
+// Frame header flag bits.
 const (
 	// FlagCompressed marks an EPOCH frame whose buf bytes (after the
 	// clear 36-byte epoch header) are a flate stream.
 	FlagCompressed byte = 1 << 0
 )
 
-// Capability bits exchanged in the v2 handshake.
+// Capability bits exchanged in the handshake.
 const (
 	// CapFlate advertises per-frame flate compression of EPOCH bufs.
 	CapFlate uint64 = 1 << 0
@@ -107,8 +108,7 @@ const (
 	CapSnapshot uint64 = 1 << 1
 )
 
-// WELCOME request bits (the trailing req u64 of a 32-byte WELCOME,
-// sent only to snapshot-capable senders).
+// WELCOME request bits (set only on links that negotiated CapSnapshot).
 const (
 	// ReqSnapshot asks the sender for an immediate snapshot regardless
 	// of cursor position — the receiver detected divergence (digest
@@ -142,8 +142,8 @@ const (
 	KindAck       byte = 4
 	KindHeartbeat byte = 5
 	KindEOS       byte = 6
-	// Snapshot catch-up and anti-entropy frames (version 2, sent only
-	// on links that negotiated CapSnapshot).
+	// Snapshot catch-up and anti-entropy frames (sent only on links
+	// that negotiated CapSnapshot).
 	KindSnapBegin byte = 7
 	KindSnapChunk byte = 8
 	KindSnapEnd   byte = 9
@@ -172,11 +172,11 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrameV appends one frame with an explicit version byte and
-// header flags.
-func appendFrameV(dst []byte, ver, kind, flags byte, payload []byte) []byte {
+// AppendFrame appends one encoded frame carrying the given header
+// flags to dst and returns the result.
+func AppendFrame(dst []byte, kind, flags byte, payload []byte) []byte {
 	off := len(dst)
-	dst = append(dst, frameMagic, ver, kind, flags)
+	dst = append(dst, frameMagic, Version, kind, flags)
 	var n [4]byte
 	binary.LittleEndian.PutUint32(n[:], uint32(len(payload)))
 	dst = append(dst, n[:]...)
@@ -186,79 +186,53 @@ func appendFrameV(dst []byte, ver, kind, flags byte, payload []byte) []byte {
 	return append(dst, crc[:]...)
 }
 
-// AppendFrame appends one encoded v1 frame to dst and returns the
-// result.
-func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
-	return appendFrameV(dst, Version, kind, 0, payload)
-}
-
-// AppendFrameFlags appends one encoded frame carrying the given header
-// flags. Zero flags produce a v1 frame (readable by any peer); nonzero
-// flags force the version byte to Version2.
-func AppendFrameFlags(dst []byte, kind, flags byte, payload []byte) []byte {
-	ver := byte(Version)
-	if flags != 0 {
-		ver = Version2
-	}
-	return appendFrameV(dst, ver, kind, flags, payload)
-}
-
-// WriteFrame writes one v1 frame to w as a single Write call, so
+// WriteFrame writes one flagless frame to w as a single Write call, so
 // conn-level fault injection (and packet captures) see whole frames.
 func WriteFrame(w io.Writer, kind byte, payload []byte) error {
-	_, err := w.Write(AppendFrame(nil, kind, payload))
-	return err
-}
-
-// writeFrameV writes one frame with an explicit version and flags as a
-// single Write call.
-func writeFrameV(w io.Writer, ver, kind, flags byte, payload []byte) error {
-	_, err := w.Write(appendFrameV(nil, ver, kind, flags, payload))
+	_, err := w.Write(AppendFrame(nil, kind, 0, payload))
 	return err
 }
 
 // ReadFrameFlags reads one frame from r and verifies its CRC,
-// returning the header's version and flags alongside kind and payload.
-// A clean EOF at a frame boundary is io.EOF; truncation inside a frame
-// is ErrShortFrame; structural damage is ErrCorrupt; an unknown version
-// is ErrVersion. It never panics on malformed input. The payload slice
-// is freshly allocated per call and never shares memory with a
-// previously returned one.
-func ReadFrameFlags(r io.Reader) (ver, kind, flags byte, payload []byte, err error) {
+// returning the header's flags alongside kind and payload. A clean EOF
+// at a frame boundary is io.EOF; truncation inside a frame is
+// ErrShortFrame; structural damage is ErrCorrupt; a version byte other
+// than Version (or legacyVersion with zero flags) is ErrVersion. It
+// never panics on malformed input. The payload slice is freshly
+// allocated per call and never shares memory with a previously
+// returned one.
+func ReadFrameFlags(r io.Reader) (kind, flags byte, payload []byte, err error) {
 	var hdr [frameHdrSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return 0, 0, 0, nil, io.EOF
+			return 0, 0, nil, io.EOF
 		}
-		return 0, 0, 0, nil, fmt.Errorf("%w: header: %v", ErrShortFrame, err)
+		return 0, 0, nil, fmt.Errorf("%w: header: %v", ErrShortFrame, err)
 	}
 	if hdr[0] != frameMagic {
-		return 0, 0, 0, nil, fmt.Errorf("%w: bad magic 0x%02x", ErrCorrupt, hdr[0])
+		return 0, 0, nil, fmt.Errorf("%w: bad magic 0x%02x", ErrCorrupt, hdr[0])
 	}
-	ver, flags = hdr[1], hdr[3]
-	if ver < Version || ver > maxKnownVersion {
-		return 0, 0, 0, nil, fmt.Errorf("%w: %d", ErrVersion, ver)
-	}
-	if ver == Version && flags != 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: nonzero flags on v1 frame", ErrCorrupt)
+	ver, flags := hdr[1], hdr[3]
+	if ver != Version && !(ver == legacyVersion && flags == 0) {
+		return 0, 0, nil, fmt.Errorf("%w: %d", ErrVersion, ver)
 	}
 	if flags&^FlagCompressed != 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: unknown frame flags 0x%02x", ErrCorrupt, flags)
+		return 0, 0, nil, fmt.Errorf("%w: unknown frame flags 0x%02x", ErrCorrupt, flags)
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:])
 	if n > MaxPayload {
-		return 0, 0, 0, nil, fmt.Errorf("%w: payload length %d", ErrCorrupt, n)
+		return 0, 0, nil, fmt.Errorf("%w: payload length %d", ErrCorrupt, n)
 	}
 	body, rerr := readFullCapped(r, int(n)+4)
 	if rerr != nil {
-		return 0, 0, 0, nil, fmt.Errorf("%w: body: %v", ErrShortFrame, rerr)
+		return 0, 0, nil, fmt.Errorf("%w: body: %v", ErrShortFrame, rerr)
 	}
 	payload = body[:n]
 	sum := crc32.Update(crc32.Checksum(hdr[:], castagnoli), castagnoli, payload)
 	if sum != binary.LittleEndian.Uint32(body[n:]) {
-		return 0, 0, 0, nil, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
+		return 0, 0, nil, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
-	return ver, hdr[2], flags, payload, nil
+	return hdr[2], flags, payload, nil
 }
 
 // readFullCapped reads exactly n bytes from r without trusting n for
@@ -289,12 +263,12 @@ func readFullCapped(r io.Reader, n int) ([]byte, error) {
 	}
 }
 
-// ReadFrame reads one frame from r and verifies its CRC. It accepts
-// both protocol versions but rejects frames with nonzero flags — use
-// ReadFrameFlags on paths (the receiver's epoch loop, the spool scan)
-// where compressed frames may appear.
+// ReadFrame reads one frame from r and verifies its CRC, rejecting
+// frames with nonzero flags — use ReadFrameFlags on paths (the
+// receiver's epoch loop, the spool scan) where compressed frames may
+// appear.
 func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
-	_, kind, flags, payload, err := ReadFrameFlags(r)
+	kind, flags, payload, err := ReadFrameFlags(r)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -432,21 +406,11 @@ func parseU64(p []byte, what string, n int) ([]uint64, error) {
 	return out, nil
 }
 
-func appendHello(dst []byte, schema uint64) []byte { return appendU64(dst, schema) }
-
-func parseHello(p []byte) (schema uint64, err error) {
-	v, err := parseU64(p, "HELLO", 1)
-	if err != nil {
-		return 0, err
-	}
-	return v[0], nil
-}
-
-func appendHello2(dst []byte, schema, caps uint64) []byte {
+func appendHello(dst []byte, schema, caps uint64) []byte {
 	return appendU64(dst, schema, caps)
 }
 
-func parseHello2(p []byte) (schema, caps uint64, err error) {
+func parseHello(p []byte) (schema, caps uint64, err error) {
 	v, err := parseU64(p, "HELLO", 2)
 	if err != nil {
 		return 0, 0, err
@@ -454,37 +418,11 @@ func parseHello2(p []byte) (schema, caps uint64, err error) {
 	return v[0], v[1], nil
 }
 
-func appendWelcome(dst []byte, schema, cursor uint64) []byte {
-	return appendU64(dst, schema, cursor)
-}
-
-func parseWelcome(p []byte) (schema, cursor uint64, err error) {
-	v, err := parseU64(p, "WELCOME", 2)
-	if err != nil {
-		return 0, 0, err
-	}
-	return v[0], v[1], nil
-}
-
-func appendWelcome2(dst []byte, schema, cursor, caps uint64) []byte {
-	return appendU64(dst, schema, cursor, caps)
-}
-
-func parseWelcome2(p []byte) (schema, cursor, caps uint64, err error) {
-	v, err := parseU64(p, "WELCOME", 3)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return v[0], v[1], v[2], nil
-}
-
-// appendWelcome3 is the 32-byte WELCOME sent to snapshot-capable
-// senders only: the v2 WELCOME plus a trailing request bitset.
-func appendWelcome3(dst []byte, schema, cursor, caps, req uint64) []byte {
+func appendWelcome(dst []byte, schema, cursor, caps, req uint64) []byte {
 	return appendU64(dst, schema, cursor, caps, req)
 }
 
-func parseWelcome3(p []byte) (schema, cursor, caps, req uint64, err error) {
+func parseWelcome(p []byte) (schema, cursor, caps, req uint64, err error) {
 	v, err := parseU64(p, "WELCOME", 4)
 	if err != nil {
 		return 0, 0, 0, 0, err

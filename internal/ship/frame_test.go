@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"testing"
@@ -32,8 +33,8 @@ func testEpoch(rng *rand.Rand, seq uint64) *epoch.Encoded {
 func TestFrameRoundtrip(t *testing.T) {
 	var b bytes.Buffer
 	payloads := map[byte][]byte{
-		KindHello:     appendHello(nil, 0xfeed),
-		KindWelcome:   appendWelcome(nil, 0xfeed, 42),
+		KindHello:     appendHello(nil, 0xfeed, CapFlate),
+		KindWelcome:   appendWelcome(nil, 0xfeed, 42, CapFlate|CapSnapshot, ReqSnapshot),
 		KindAck:       appendCursor(nil, 7),
 		KindHeartbeat: appendHeartbeat(nil, -1),
 		KindEOS:       appendCursor(nil, 99),
@@ -63,24 +64,27 @@ func TestFrameRoundtrip(t *testing.T) {
 }
 
 func TestHandshakePayloadParsers(t *testing.T) {
-	schema, err := parseHello(appendHello(nil, 123))
-	if err != nil || schema != 123 {
-		t.Fatalf("hello: %d, %v", schema, err)
+	schema, caps, err := parseHello(appendHello(nil, 123, CapFlate))
+	if err != nil || schema != 123 || caps != CapFlate {
+		t.Fatalf("hello: %d %d, %v", schema, caps, err)
 	}
-	s2, cur, err := parseWelcome(appendWelcome(nil, 5, 6))
-	if err != nil || s2 != 5 || cur != 6 {
-		t.Fatalf("welcome: %d %d %v", s2, cur, err)
+	s2, cur, c2, req, err := parseWelcome(appendWelcome(nil, 5, 6, CapFlate|CapSnapshot, ReqSnapshot))
+	if err != nil || s2 != 5 || cur != 6 || c2 != CapFlate|CapSnapshot || req != ReqSnapshot {
+		t.Fatalf("welcome: %d %d %d %d %v", s2, cur, c2, req, err)
 	}
 	ts, err := parseHeartbeat(appendHeartbeat(nil, -77))
 	if err != nil || ts != -77 {
 		t.Fatalf("heartbeat: %d %v", ts, err)
 	}
-	for _, bad := range [][]byte{nil, {1}, make([]byte, 7), make([]byte, 9), make([]byte, 17)} {
-		if _, err := parseHello(bad); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("hello accepted %d bytes", len(bad))
+	// Every other length is refused — including the 8-byte HELLO and the
+	// 16- and 24-byte WELCOMEs older builds sent.
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 17, 24, 31, 33} {
+		bad := make([]byte, n)
+		if _, _, err := parseHello(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("hello accepted %d bytes", n)
 		}
-		if _, _, err := parseWelcome(bad); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("welcome accepted %d bytes", len(bad))
+		if _, _, _, _, err := parseWelcome(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("welcome accepted %d bytes", n)
 		}
 	}
 }
@@ -102,7 +106,7 @@ func TestEpochPayloadRoundtrip(t *testing.T) {
 }
 
 func TestReadFrameRejectsDamage(t *testing.T) {
-	valid := AppendFrame(nil, KindEpoch, EncodeEpoch(testEpoch(rand.New(rand.NewSource(2)), 3)))
+	valid := AppendFrame(nil, KindEpoch, 0, EncodeEpoch(testEpoch(rand.New(rand.NewSource(2)), 3)))
 
 	for cut := 1; cut < len(valid); cut++ {
 		_, _, err := ReadFrame(bytes.NewReader(valid[:cut]))
@@ -117,15 +121,10 @@ func TestReadFrameRejectsDamage(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
-	// Version2 with zero flags is a valid header but a foreign CRC (the
-	// version byte is covered), so damage there still surfaces.
+	// The legacy byte is a readable header but a foreign CRC (the version
+	// byte is covered), so damage there still surfaces.
 	bad = append([]byte(nil), valid...)
-	bad[1] = maxKnownVersion + 1
-	if _, _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("bad version: %v", err)
-	}
-	bad = append([]byte(nil), valid...)
-	bad[1] = Version2
+	bad[1] = legacyVersion
 	if _, _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("version flip without CRC: %v", err)
 	}
@@ -137,10 +136,62 @@ func TestReadFrameRejectsDamage(t *testing.T) {
 	}
 
 	// An absurd length must be rejected before allocation.
-	huge := AppendFrame(nil, KindAck, appendCursor(nil, 1))
+	huge := AppendFrame(nil, KindAck, 0, appendCursor(nil, 1))
 	huge[4], huge[5], huge[6], huge[7] = 0xff, 0xff, 0xff, 0xff
 	if _, _, err := ReadFrame(bytes.NewReader(huge)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("huge length: %v", err)
+	}
+}
+
+// restamp rewrites a frame's version and flags bytes and recomputes its
+// CRC: the frame a build with that version would have written.
+func restamp(frame []byte, ver, flags byte) []byte {
+	out := append([]byte(nil), frame...)
+	out[1], out[3] = ver, flags
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.Checksum(out[:len(out)-4], castagnoli))
+	return out
+}
+
+// TestReadFrameVersionByte pins the one-version rule and its single
+// read-side exception: Version is accepted with any known flags, the
+// legacy byte 1 only with zero flags (older builds' raw spool frames),
+// and every other byte is ErrVersion whatever else the header says.
+func TestReadFrameVersionByte(t *testing.T) {
+	enc := testEpoch(rand.New(rand.NewSource(4)), 9)
+	raw := AppendFrame(nil, KindEpoch, 0, EncodeEpoch(enc))
+	var ec epochCompressor
+	comp := AppendFrame(nil, KindEpoch, FlagCompressed, ec.payload(&epoch.Encoded{Seq: 9, TxnCount: 1, EntryCount: 1, Buf: bytes.Repeat([]byte("abcd"), 256)}))
+	if raw[1] != Version || comp[1] != Version {
+		t.Fatalf("frames stamped %d/%d, want %d", raw[1], comp[1], Version)
+	}
+	cases := []struct {
+		name  string
+		frame []byte
+		want  error // nil = accepted
+	}{
+		{"current raw", raw, nil},
+		{"current compressed", comp, nil},
+		{"legacy raw", restamp(raw, legacyVersion, 0), nil},
+		{"legacy with flags", restamp(comp, legacyVersion, FlagCompressed), ErrVersion},
+		{"zero", restamp(raw, 0, 0), ErrVersion},
+		{"next", restamp(raw, Version+1, 0), ErrVersion},
+		{"next with flags", restamp(comp, Version+1, FlagCompressed), ErrVersion},
+		{"max", restamp(raw, 0xff, 0), ErrVersion},
+	}
+	for _, tc := range cases {
+		_, flags, payload, err := ReadFrameFlags(bytes.NewReader(tc.frame))
+		if tc.want != nil {
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := DecodeEpochFrame(flags, payload); err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
 	}
 }
 
@@ -248,9 +299,9 @@ func TestDecodeEpochAliasingContract(t *testing.T) {
 	// Two frames read from one stream must not share backing memory.
 	var stream bytes.Buffer
 	e0, e1 := testEpoch(rng, 0), testEpoch(rng, 1)
-	stream.Write(AppendFrame(nil, KindEpoch, EncodeEpoch(e0)))
-	stream.Write(AppendFrame(nil, KindEpoch, EncodeEpoch(e1)))
-	_, _, _, p0, err := ReadFrameFlags(&stream)
+	stream.Write(AppendFrame(nil, KindEpoch, 0, EncodeEpoch(e0)))
+	stream.Write(AppendFrame(nil, KindEpoch, 0, EncodeEpoch(e1)))
+	_, _, p0, err := ReadFrameFlags(&stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +310,7 @@ func TestDecodeEpochAliasingContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep := append([]byte(nil), d0.Buf...)
-	if _, _, _, _, err := ReadFrameFlags(&stream); err != nil {
+	if _, _, _, err := ReadFrameFlags(&stream); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(keep, d0.Buf) {

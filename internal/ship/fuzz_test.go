@@ -16,33 +16,36 @@ func fuzzSeeds() [][]byte {
 	seeds := [][]byte{
 		nil,
 		{frameMagic},
-		AppendFrame(nil, KindHello, appendHello(nil, 0xabc)),
-		AppendFrame(nil, KindWelcome, appendWelcome(nil, 0xabc, 17)),
-		AppendFrame(nil, KindEpoch, EncodeEpoch(enc)),
-		AppendFrame(nil, KindAck, appendCursor(nil, 9)),
-		AppendFrame(nil, KindHeartbeat, appendHeartbeat(nil, 123)),
-		AppendFrame(nil, KindEOS, appendCursor(nil, 8)),
+		AppendFrame(nil, KindHello, 0, appendHello(nil, 0xabc, CapFlate|CapSnapshot)),
+		AppendFrame(nil, KindWelcome, 0, appendWelcome(nil, 0xabc, 17, CapFlate|CapSnapshot, ReqSnapshot)),
+		AppendFrame(nil, KindEpoch, 0, EncodeEpoch(enc)),
+		AppendFrame(nil, KindAck, 0, appendCursor(nil, 9)),
+		AppendFrame(nil, KindHeartbeat, 0, appendHeartbeat(nil, 123)),
+		AppendFrame(nil, KindEOS, 0, appendCursor(nil, 8)),
 	}
 	// A truncated and a bit-flipped epoch frame.
-	full := AppendFrame(nil, KindEpoch, EncodeEpoch(enc))
+	full := AppendFrame(nil, KindEpoch, 0, EncodeEpoch(enc))
 	seeds = append(seeds, full[:len(full)/2])
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0x10
 	seeds = append(seeds, flipped)
 
-	// v2 frames: caps handshake, a compressed epoch, a compressed epoch
-	// with a mangled flate stream, and hostile count/length headers.
+	// The version byte: a raw epoch as older builds stamped it (the one
+	// legacy shape the reader accepts), and the refused neighbours.
 	seeds = append(seeds,
-		appendFrameV(nil, Version2, KindHello, 0, appendHello2(nil, 0xabc, CapFlate)),
-		appendFrameV(nil, Version2, KindWelcome, 0, appendWelcome2(nil, 0xabc, 17, CapFlate)),
+		restamp(full, legacyVersion, 0),
+		restamp(full, legacyVersion, FlagCompressed),
+		restamp(full, Version+1, 0),
 	)
+	// A compressed epoch, a compressed epoch with a mangled flate
+	// stream, and hostile count/length headers.
 	comp := &epochCompressor{}
 	cenc := testEpoch(rng, 6)
 	cenc.Buf = bytes.Repeat(cenc.Buf[:8], 64)
 	cenc.TxnCount, cenc.EntryCount = 3, 17
 	if cp := comp.payload(cenc); cp != nil {
-		seeds = append(seeds, AppendFrameFlags(nil, KindEpoch, FlagCompressed, cp))
-		mangled := AppendFrameFlags(nil, KindEpoch, FlagCompressed, cp)
+		seeds = append(seeds, AppendFrame(nil, KindEpoch, FlagCompressed, cp))
+		mangled := AppendFrame(nil, KindEpoch, FlagCompressed, cp)
 		mangled[frameHdrSize+epochHdrSize+2] ^= 0xff
 		seeds = append(seeds, mangled)
 	}
@@ -50,29 +53,28 @@ func fuzzSeeds() [][]byte {
 	hostile := EncodeEpoch(enc)
 	hostile[8], hostile[9], hostile[10], hostile[11] = 0xff, 0xff, 0xff, 0xff
 	hostile[28], hostile[29], hostile[30], hostile[31] = 0xff, 0xff, 0xff, 0xff
-	seeds = append(seeds, AppendFrame(nil, KindEpoch, hostile))
+	seeds = append(seeds, AppendFrame(nil, KindEpoch, 0, hostile))
 	// Compressed frame whose declared raw length is absurd.
 	if cp := comp.payload(cenc); cp != nil {
 		lied := append([]byte(nil), cp...)
 		lied[32], lied[33], lied[34], lied[35] = 0xff, 0xff, 0xff, 0x0f
-		seeds = append(seeds, AppendFrameFlags(nil, KindEpoch, FlagCompressed, lied))
+		seeds = append(seeds, AppendFrame(nil, KindEpoch, FlagCompressed, lied))
 	}
-	// Snapshot catch-up and anti-entropy frames (v2).
+	// Snapshot catch-up and anti-entropy frames.
 	seeds = append(seeds,
-		appendFrameV(nil, Version2, KindWelcome, 0, appendWelcome3(nil, 0xabc, 17, CapSnapshot, ReqSnapshot)),
-		appendFrameV(nil, Version2, KindSnapBegin, 0, appendSnapBegin(nil, 42, 1<<20)),
-		appendFrameV(nil, Version2, KindSnapChunk, 0, bytes.Repeat([]byte{0xee}, 512)),
-		appendFrameV(nil, Version2, KindSnapEnd, 0, appendSnapEnd(nil, 512, 0xdeadbeef)),
-		appendFrameV(nil, Version2, KindDigest, 0, appendDigest(nil, 42, 123, 0xfeed)),
+		AppendFrame(nil, KindSnapBegin, 0, appendSnapBegin(nil, 42, 1<<20)),
+		AppendFrame(nil, KindSnapChunk, 0, bytes.Repeat([]byte{0xee}, 512)),
+		AppendFrame(nil, KindSnapEnd, 0, appendSnapEnd(nil, 512, 0xdeadbeef)),
+		AppendFrame(nil, KindDigest, 0, appendDigest(nil, 42, 123, 0xfeed)),
 	)
 	// Hostile length prefixes: a header claiming a payload near
 	// MaxPayload over a tiny body (must die as a short frame without
 	// preallocating the claim), and a SNAPBEGIN claiming 2^64-1 bytes.
-	over := appendFrameV(nil, Version2, KindSnapChunk, 0, bytes.Repeat([]byte{1}, 64))
+	over := AppendFrame(nil, KindSnapChunk, 0, bytes.Repeat([]byte{1}, 64))
 	binary.LittleEndian.PutUint32(over[4:8], MaxPayload-1)
 	seeds = append(seeds, over)
 	seeds = append(seeds,
-		appendFrameV(nil, Version2, KindSnapBegin, 0, appendSnapBegin(nil, 1, ^uint64(0))))
+		AppendFrame(nil, KindSnapBegin, 0, appendSnapBegin(nil, 1, ^uint64(0))))
 	return seeds
 }
 
@@ -81,7 +83,7 @@ func fuzzSeeds() [][]byte {
 // no foreign errors.
 func checkReadFrame(t *testing.T, data []byte) {
 	t.Helper()
-	_, kind, flags, payload, err := ReadFrameFlags(bytes.NewReader(data))
+	kind, flags, payload, err := ReadFrameFlags(bytes.NewReader(data))
 	switch {
 	case err == nil:
 		if kind == KindEpoch {
@@ -132,7 +134,7 @@ func FuzzReadFrame(f *testing.F) {
 func TestReadFrameNeverPanicsOnMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 3000; trial++ {
-		buf := AppendFrame(nil, KindEpoch, EncodeEpoch(testEpoch(rng, uint64(trial))))
+		buf := AppendFrame(nil, KindEpoch, 0, EncodeEpoch(testEpoch(rng, uint64(trial))))
 		for m := 0; m < 1+rng.Intn(4); m++ {
 			buf[rng.Intn(len(buf))] ^= byte(1 + rng.Intn(255))
 		}

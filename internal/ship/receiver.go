@@ -59,14 +59,9 @@ type ReceiverConfig struct {
 	// Metrics receives the duplicate counter; nil registers the default
 	// names in metrics.Default.
 	Metrics *Metrics
-	// Compress advertises CapFlate in v2 WELCOMEs, permitting senders
+	// Compress advertises CapFlate in the WELCOME, permitting senders
 	// that also advertise it to ship compressed EPOCH frames.
 	Compress bool
-	// MaxVersion caps the protocol version accepted from senders;
-	// 0 means the highest this build speaks. Set 1 to emulate a legacy
-	// v1 receiver (mixed-version tests): v2 HELLOs are rejected with
-	// ErrVersion and the sender falls back to v1.
-	MaxVersion byte
 	// NeedSnapshot, when set, is consulted at every handshake alongside
 	// the receiver's own repair flag: returning true makes the WELCOME
 	// request an immediate snapshot. It lets a durable component (the
@@ -122,24 +117,21 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics(nil)
 	}
-	if cfg.MaxVersion == 0 {
-		cfg.MaxVersion = maxKnownVersion
-	}
 	return &Receiver{cfg: cfg, m: cfg.Metrics, cursor: cfg.Resume}, nil
 }
 
-// capsOffered is the capability bitset this receiver advertises in v2
-// WELCOMEs.
+// capsOffered is the capability bitset this receiver advertises in its
+// WELCOME.
 func (r *Receiver) capsOffered() uint64 {
 	var caps uint64
-	if r.cfg.Compress && r.cfg.MaxVersion >= Version2 {
+	if r.cfg.Compress {
 		caps |= CapFlate
 	}
 	// Snapshot catch-up is offered exactly when the applier can restore
 	// one; advertising it without the ability would strand the link
 	// mid-stream. Wrapping appliers refine the static check at runtime
 	// via SnapshotCapable.
-	if _, ok := r.cfg.Applier.(SnapshotApplier); ok && r.cfg.MaxVersion >= Version2 {
+	if _, ok := r.cfg.Applier.(SnapshotApplier); ok {
 		if c, ok := r.cfg.Applier.(SnapshotCapable); !ok || c.SnapshotCapable() {
 			caps |= CapSnapshot
 		}
@@ -177,37 +169,25 @@ func (r *Receiver) Serve(conn net.Conn) (done bool, err error) {
 	br := bufio.NewReaderSize(conn, 1<<20)
 	bw := bufio.NewWriterSize(conn, 1<<12)
 
-	ver, kind, _, payload, err := ReadFrameFlags(br)
+	kind, payload, err := ReadFrame(br)
 	if err != nil {
 		return false, fmt.Errorf("ship: handshake: %w", err)
-	}
-	if ver > r.cfg.MaxVersion {
-		// A v1-pinned receiver drops the link here; the sender's v1
-		// fallback redial carries the stream.
-		return false, fmt.Errorf("ship: handshake: %w: %d", ErrVersion, ver)
 	}
 	if kind != KindHello {
 		return false, fmt.Errorf("%w: expected HELLO, got kind %d", ErrCorrupt, kind)
 	}
-	var schema uint64
-	var senderCaps uint64
-	if ver >= Version2 {
-		schema, senderCaps, err = parseHello2(payload)
-	} else {
-		schema, err = parseHello(payload)
-	}
+	schema, senderCaps, err := parseHello(payload)
 	if err != nil {
 		return false, err
 	}
 	// Capabilities are the per-connection intersection of what both
-	// ends advertise; a v1 sender negotiates none.
-	negotiated := senderCaps & r.capsOffered()
+	// ends advertise.
+	caps := r.capsOffered()
+	negotiated := senderCaps & caps
 	// Always answer with our schema and cursor; on a mismatch the sender
 	// reads the WELCOME, sees the foreign schema, and aborts permanently
-	// instead of retrying a doomed link. The reply speaks the HELLO's
-	// version, so a v1 sender sees the 16-byte WELCOME it expects and a
-	// v2 sender without CapSnapshot the 24-byte one.
-	if err := r.welcome(bw, ver, senderCaps); err != nil {
+	// instead of retrying a doomed link.
+	if err := r.welcome(bw, caps, negotiated); err != nil {
 		return false, err
 	}
 	if schema != r.cfg.Schema {
@@ -228,7 +208,7 @@ func (r *Receiver) Serve(conn net.Conn) (done bool, err error) {
 
 	sinceAck := 0
 	for {
-		ver, kind, flags, payload, err := ReadFrameFlags(br)
+		kind, flags, payload, err := ReadFrameFlags(br)
 		if err == io.EOF {
 			// Dropped between frames; the sender may resume. Surface a
 			// parked ack failure so the caller logs why the link died.
@@ -236,9 +216,6 @@ func (r *Receiver) Serve(conn net.Conn) (done bool, err error) {
 		}
 		if err != nil {
 			return false, err
-		}
-		if ver > r.cfg.MaxVersion {
-			return false, fmt.Errorf("%w: %d", ErrVersion, ver)
 		}
 		switch kind {
 		case KindEpoch:
@@ -355,7 +332,7 @@ func (r *Receiver) Serve(conn net.Conn) (done bool, err error) {
 // drops and the sender's next handshake restarts the transfer from
 // scratch.
 func (r *Receiver) restoreSnapshot(br *bufio.Reader, snapCursor, claim uint64) error {
-	sr := newSnapReader(br, r.cfg.MaxVersion, claim)
+	sr := newSnapReader(br, claim)
 	r.mu.Lock()
 	cur, needSnap := r.cursor, r.needSnap
 	r.mu.Unlock()
@@ -434,13 +411,11 @@ func (r *Receiver) sendAck(bw *bufio.Writer) error {
 	return bw.Flush()
 }
 
-// welcome writes the WELCOME frame carrying schema and cursor, in the
-// protocol version of the sender's HELLO (a v2 WELCOME additionally
-// carries this receiver's capability bitset). A snapshot-capable
-// sender paired with a snapshot-capable applier gets the 32-byte form
-// whose request bits can ask for immediate repair; older senders never
-// see it.
-func (r *Receiver) welcome(bw *bufio.Writer, ver byte, senderCaps uint64) error {
+// welcome writes the WELCOME frame carrying schema, cursor and this
+// receiver's capability bitset caps. The request bits ask for immediate
+// repair only on a link that negotiated CapSnapshot: a sender that
+// cannot serve a snapshot treats the request as an unbridgeable gap.
+func (r *Receiver) welcome(bw *bufio.Writer, caps, negotiated uint64) error {
 	r.mu.Lock()
 	cur := r.cursor
 	need := r.needSnap
@@ -448,21 +423,11 @@ func (r *Receiver) welcome(bw *bufio.Writer, ver byte, senderCaps uint64) error 
 	if !need && r.cfg.NeedSnapshot != nil {
 		need = r.cfg.NeedSnapshot()
 	}
-	caps := r.capsOffered()
-	var err error
-	switch {
-	case ver >= Version2 && senderCaps&CapSnapshot != 0 && caps&CapSnapshot != 0:
-		var req uint64
-		if need {
-			req |= ReqSnapshot
-		}
-		err = writeFrameV(bw, Version2, KindWelcome, 0, appendWelcome3(nil, r.cfg.Schema, cur, caps, req))
-	case ver >= Version2:
-		err = writeFrameV(bw, Version2, KindWelcome, 0, appendWelcome2(nil, r.cfg.Schema, cur, caps))
-	default:
-		err = WriteFrame(bw, KindWelcome, appendWelcome(nil, r.cfg.Schema, cur))
+	var req uint64
+	if need && negotiated&CapSnapshot != 0 {
+		req |= ReqSnapshot
 	}
-	if err != nil {
+	if err := WriteFrame(bw, KindWelcome, appendWelcome(nil, r.cfg.Schema, cur, caps, req)); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -54,20 +54,15 @@ type SenderConfig struct {
 	// Metrics receives the shipping counters; nil registers the default
 	// names in metrics.Default.
 	Metrics *Metrics
-	// Compress advertises CapFlate in the v2 handshake and compresses
-	// EPOCH bufs of at least CompressThreshold bytes when the receiver
-	// advertises it back. A peer that speaks only v1, or one that does
-	// not advertise the capability, gets the uncompressed stream —
-	// negotiation is per connection, so a mixed fleet compresses on the
-	// links that can.
+	// Compress advertises CapFlate in the handshake and compresses EPOCH
+	// bufs of at least CompressThreshold bytes when the receiver
+	// advertises it back. A peer that does not advertise the capability
+	// gets the uncompressed stream — negotiation is per connection, so a
+	// mixed fleet compresses on the links that can.
 	Compress bool
 	// CompressThreshold is the smallest epoch buf compressed, in bytes.
 	// Default DefaultCompressThreshold.
 	CompressThreshold int
-	// MaxVersion caps the protocol version offered in the handshake;
-	// 0 means the highest this build speaks. Set 1 to emulate a legacy
-	// v1 sender (mixed-version tests).
-	MaxVersion byte
 	// Snapshot, when set, advertises CapSnapshot and enables wire-level
 	// catch-up: a receiver whose cursor this sender cannot serve (below
 	// the oldest retained epoch, regressed past the ack cursor, or
@@ -125,11 +120,8 @@ type Sender struct {
 	lastTS    int64 // commit ts of the last enqueued epoch
 
 	// negotiated is the capability intersection of the current
-	// connection's handshake (0 on a v1 link); peerV1 sticks once a
-	// peer has demonstrably rejected a v2 HELLO, so later reconnects
-	// skip the doomed attempt.
+	// connection's handshake.
 	negotiated uint64
-	peerV1     bool
 	comp       epochCompressor
 	frameBuf   []byte
 	bytesRaw   int64
@@ -187,9 +179,6 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 	}
 	if cfg.CompressThreshold <= 0 {
 		cfg.CompressThreshold = DefaultCompressThreshold
-	}
-	if cfg.MaxVersion == 0 {
-		cfg.MaxVersion = maxKnownVersion
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics(nil)
@@ -440,41 +429,15 @@ func (s *Sender) capsOffered() uint64 {
 	return caps
 }
 
-// dialAndShake runs without the lock: dial, HELLO, expect WELCOME.
-// It offers a v2 handshake first (unless configured or known to be
-// v1-only) and falls back to v1 on a peer that tears the link down at
-// the version byte — the downgrade sticks for later reconnects only
-// when the v1 retry actually succeeds, so a transient network failure
-// during the v2 attempt does not silently disable compression forever.
+// dialAndShake runs without the lock: dial, HELLO, expect WELCOME. It
+// returns the receiver's cursor, the capabilities both ends advertise
+// and the WELCOME's request bits.
 func (s *Sender) dialAndShake() (net.Conn, uint64, uint64, uint64, error) {
-	tryV2 := s.cfg.MaxVersion >= Version2 && !s.peerV1
-	conn, cursor, caps, req, err := s.shake(tryV2)
-	if err == nil || !tryV2 || errors.Is(err, ErrSchemaMismatch) {
-		return conn, cursor, caps, req, err
-	}
-	conn, cursor, caps, req, err = s.shake(false)
-	if err == nil {
-		s.peerV1 = true
-	}
-	return conn, cursor, caps, req, err
-}
-
-// shake dials and runs one handshake at the chosen version. The
-// returned req word carries the receiver's WELCOME request bits (only
-// a snapshot-capable receiver answering a snapshot-capable HELLO sends
-// the 32-byte WELCOME; otherwise req is 0).
-func (s *Sender) shake(v2 bool) (net.Conn, uint64, uint64, uint64, error) {
 	conn, err := s.cfg.Dial()
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
-	var hello []byte
-	if v2 {
-		hello = appendFrameV(nil, Version2, KindHello, 0, appendHello2(nil, s.cfg.Schema, s.capsOffered()))
-	} else {
-		hello = AppendFrame(nil, KindHello, appendHello(nil, s.cfg.Schema))
-	}
-	if _, err := conn.Write(hello); err != nil {
+	if err := WriteFrame(conn, KindHello, appendHello(nil, s.cfg.Schema, s.capsOffered())); err != nil {
 		conn.Close()
 		return nil, 0, 0, 0, err
 	}
@@ -489,15 +452,7 @@ func (s *Sender) shake(v2 bool) (net.Conn, uint64, uint64, uint64, error) {
 		conn.Close()
 		return nil, 0, 0, 0, fmt.Errorf("%w: expected WELCOME, got kind %d", ErrCorrupt, kind)
 	}
-	var schema, cursor, caps, req uint64
-	switch len(payload) {
-	case 32:
-		schema, cursor, caps, req, err = parseWelcome3(payload)
-	case 24:
-		schema, cursor, caps, err = parseWelcome2(payload)
-	default:
-		schema, cursor, err = parseWelcome(payload)
-	}
+	schema, cursor, caps, req, err := parseWelcome(payload)
 	if err != nil {
 		conn.Close()
 		return nil, 0, 0, 0, err
@@ -550,7 +505,7 @@ func (s *Sender) flushLocked() {
 		if payload == nil {
 			payload = EncodeEpoch(enc)
 		}
-		s.frameBuf = AppendFrameFlags(s.frameBuf[:0], KindEpoch, flags, payload)
+		s.frameBuf = AppendFrame(s.frameBuf[:0], KindEpoch, flags, payload)
 		if _, err := s.bw.Write(s.frameBuf); err != nil {
 			s.failLocked(err)
 			return
@@ -591,7 +546,7 @@ func (s *Sender) streamSnapshotLocked() {
 	if size > 0 {
 		claim = uint64(size)
 	}
-	if err := writeFrameV(s.bw, Version2, KindSnapBegin, 0, appendSnapBegin(nil, cursor, claim)); err != nil {
+	if err := WriteFrame(s.bw, KindSnapBegin, appendSnapBegin(nil, cursor, claim)); err != nil {
 		s.failLocked(err)
 		return
 	}
@@ -603,7 +558,7 @@ func (s *Sender) streamSnapshotLocked() {
 		if n > 0 {
 			crc = crc32.Update(crc, castagnoli, chunk[:n])
 			total += uint64(n)
-			if werr := writeFrameV(s.bw, Version2, KindSnapChunk, 0, chunk[:n]); werr != nil {
+			if werr := WriteFrame(s.bw, KindSnapChunk, chunk[:n]); werr != nil {
 				s.failLocked(werr)
 				return
 			}
@@ -616,7 +571,7 @@ func (s *Sender) streamSnapshotLocked() {
 			return
 		}
 	}
-	if err := writeFrameV(s.bw, Version2, KindSnapEnd, 0, appendSnapEnd(nil, total, crc)); err != nil {
+	if err := WriteFrame(s.bw, KindSnapEnd, appendSnapEnd(nil, total, crc)); err != nil {
 		s.failLocked(err)
 		return
 	}
@@ -647,7 +602,7 @@ func (s *Sender) SendDigest(seq uint64, ts int64, digest uint64) bool {
 	if s.snapNeeded || s.sentIdx != len(s.pending) || !s.haveSeq || s.lastSeq+1 != seq {
 		return false
 	}
-	if err := writeFrameV(s.bw, Version2, KindDigest, 0, appendDigest(nil, seq, ts, digest)); err != nil {
+	if err := WriteFrame(s.bw, KindDigest, appendDigest(nil, seq, ts, digest)); err != nil {
 		s.failLocked(err)
 		return false
 	}

@@ -5,7 +5,9 @@ package ship_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
 	"strings"
 	"sync"
@@ -470,6 +472,92 @@ func TestSchemaMismatchIsPermanent(t *testing.T) {
 		t.Fatal("receiver never finished")
 	}
 	s.Close()
+}
+
+// foreignFrame is the frame a build speaking another protocol version
+// would write: same layout, its own version byte, CRC over the result.
+func foreignFrame(kind byte, payload []byte) []byte {
+	f := ship.AppendFrame(nil, kind, 0, payload)
+	f[1] = ship.Version + 1
+	binary.LittleEndian.PutUint32(f[len(f)-4:],
+		crc32.Checksum(f[:len(f)-4], crc32.MakeTable(crc32.Castagnoli)))
+	return f
+}
+
+// TestForeignVersionIsTerminal: there is no version fallback. A
+// receiver refuses a HELLO with a foreign version byte with ErrVersion,
+// and a sender answered in a foreign version reports ErrVersion after
+// exactly one dial instead of spending its retry budget on redials.
+func TestForeignVersionIsTerminal(t *testing.T) {
+	ln := listen(t)
+	defer ln.Close()
+	node := newNode(t)
+	defer node.Close()
+	rcv := mustShipReceiver(t, node, ship.ReceiverConfig{
+		Schema:  tpccSchema(),
+		Metrics: ship.NewMetrics(metrics.NewRegistry()),
+	})
+	errCh := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			errCh <- err
+			return
+		}
+		_, err = rcv.Serve(conn)
+		errCh <- err
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(foreignFrame(ship.KindHello, shipAppendHello(tpccSchema()))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, ship.ErrVersion) {
+			t.Fatalf("receiver: got %v, want ErrVersion", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("receiver never refused the foreign HELLO")
+	}
+
+	// The other direction: a peer that answers every HELLO in a foreign
+	// version.
+	foreign := listen(t)
+	defer foreign.Close()
+	go func() {
+		for {
+			conn, err := foreign.Accept()
+			if err != nil {
+				return
+			}
+			if _, _, err := ship.ReadFrame(conn); err == nil {
+				_, _ = conn.Write(foreignFrame(ship.KindWelcome, make([]byte, 32)))
+			}
+			conn.Close()
+		}
+	}()
+	var dials atomic.Int32
+	s := mustSender(t, ship.SenderConfig{
+		Dial: func() (net.Conn, error) {
+			dials.Add(1)
+			return net.Dial("tcp", foreign.Addr().String())
+		},
+		Schema:      tpccSchema(),
+		RetryBase:   time.Millisecond,
+		MaxAttempts: 5,
+		Metrics:     ship.NewMetrics(metrics.NewRegistry()),
+	})
+	defer s.Close()
+	if err := s.Connect(); !errors.Is(err, ship.ErrVersion) {
+		t.Fatalf("sender: got %v, want ErrVersion", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("sender dialed %d times against a foreign-version peer, want 1", n)
+	}
 }
 
 func TestSenderGivesUpAfterMaxAttempts(t *testing.T) {

@@ -78,7 +78,6 @@ const snapChunkSize = 256 << 10
 // (Read through io.EOF, or drain) for the stream to count as complete.
 type snapReader struct {
 	br       *bufio.Reader
-	maxVer   byte
 	expected uint64 // SNAPBEGIN's total claim; 0 = unknown
 	buf      []byte
 	crc      uint32
@@ -87,8 +86,8 @@ type snapReader struct {
 	err      error
 }
 
-func newSnapReader(br *bufio.Reader, maxVer byte, expected uint64) *snapReader {
-	return &snapReader{br: br, maxVer: maxVer, expected: expected}
+func newSnapReader(br *bufio.Reader, expected uint64) *snapReader {
+	return &snapReader{br: br, expected: expected}
 }
 
 func (sr *snapReader) Read(p []byte) (int, error) {
@@ -111,18 +110,12 @@ func (sr *snapReader) Read(p []byte) (int, error) {
 
 // next consumes one frame of the snapshot stream.
 func (sr *snapReader) next() error {
-	ver, kind, flags, payload, err := ReadFrameFlags(sr.br)
+	kind, payload, err := ReadFrame(sr.br)
 	if err != nil {
 		if err == io.EOF {
 			return fmt.Errorf("%w: connection dropped mid-snapshot", ErrShortFrame)
 		}
 		return err
-	}
-	if ver > sr.maxVer {
-		return fmt.Errorf("%w: %d", ErrVersion, ver)
-	}
-	if flags != 0 {
-		return fmt.Errorf("%w: flags 0x%02x on snapshot frame", ErrCorrupt, flags)
 	}
 	switch kind {
 	case KindSnapChunk:

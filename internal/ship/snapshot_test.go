@@ -8,11 +8,61 @@ import (
 	"testing"
 	"time"
 
+	"aets/internal/epoch"
 	"aets/internal/htap"
 	"aets/internal/memtable"
 	"aets/internal/metrics"
+	"aets/internal/recovery"
 	"aets/internal/ship"
 )
+
+// supervisedReceiver is the snapshot-capable backup the catch-up tests
+// run against: a recovery.Supervisor over t.TempDir() — the applier
+// that can restore a wire snapshot — already holding the epochs in
+// held, behind a receiver resuming at its cursor and carrying its
+// repair latch.
+func supervisedReceiver(t *testing.T, reg *metrics.Registry, held []epoch.Encoded) (*recovery.Supervisor, *ship.Receiver) {
+	t.Helper()
+	spool, err := recovery.OpenSpool(recovery.SpoolConfig{
+		Dir: t.TempDir(), Policy: recovery.SyncNever, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := recovery.OpenManager(t.TempDir(), 0, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := recovery.NewSupervisor(recovery.Config{
+		Kind:        htap.KindAETS,
+		Plan:        tpccPlan(),
+		Node:        htap.Options{Workers: 2},
+		Spool:       spool,
+		Checkpoints: mgr,
+		Metrics:     reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		sup.Close()
+		spool.Close()
+	})
+	for i := range held {
+		if err := sup.Feed(&held[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sup, mustReceiver(t, ship.ReceiverConfig{
+		Schema:       tpccSchema(),
+		Resume:       sup.NextSeq(),
+		Applier:      sup,
+		NeedSnapshot: sup.NeedSnapshot,
+		Metrics:      ship.NewMetrics(reg),
+	})
+}
 
 // waitCounter polls a registry counter until it reaches want.
 func waitCounter(t *testing.T, reg *metrics.Registry, name string, want int64) {
@@ -38,16 +88,7 @@ func TestSnapshotCatchupColdGap(t *testing.T) {
 	defer mirror.Close()
 
 	reg := metrics.NewRegistry()
-	host, err := htap.NewNodeHost(htap.KindAETS, tpccPlan(), htap.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	rm := ship.NewMetrics(reg)
-	rcv, err := host.ShipReceiver(ship.ReceiverConfig{Schema: tpccSchema(), Metrics: rm})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup, rcv := supervisedReceiver(t, reg, nil)
 	ln := listen(t)
 	done, _ := serveLoop(ln, rcv)
 
@@ -81,7 +122,7 @@ func TestSnapshotCatchupColdGap(t *testing.T) {
 	if got := reg.Counter("cluster_snapshot_restored_total").Load(); got < 1 {
 		t.Fatalf("cluster_snapshot_restored_total = %d, want >= 1", got)
 	}
-	assertSameState(t, host.Node(), mirror)
+	assertSameState(t, sup.Node(), mirror)
 }
 
 // TestSnapshotRequiresNegotiation: the same cold gap against a
@@ -146,15 +187,7 @@ func TestDigestMismatchTriggersSnapshotRepair(t *testing.T) {
 	defer mirror.Close()
 
 	reg := metrics.NewRegistry()
-	host, err := htap.NewNodeHost(htap.KindAETS, tpccPlan(), htap.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
-	rcv, err := host.ShipReceiver(ship.ReceiverConfig{Schema: tpccSchema(), Metrics: ship.NewMetrics(reg)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup, rcv := supervisedReceiver(t, reg, nil)
 	ln := listen(t)
 	done, _ := serveLoop(ln, rcv)
 
@@ -188,9 +221,13 @@ func TestDigestMismatchTriggersSnapshotRepair(t *testing.T) {
 	}
 	waitCounter(t, reg, "ship_digests_verified_total", 1)
 
-	// Inject an at-rest bit flip into the replica's committed state.
-	host.Node().Drain()
-	flipRandomColumnByte(t, host.Node())
+	// Inject an at-rest bit flip into the replica's committed state, and
+	// publish it to the receiver goroutine: VerifyDigest takes the
+	// supervisor mutex before scanning, so one round-trip through it
+	// orders the corrupting write before the next digest scan.
+	sup.Node().Drain()
+	flipRandomColumnByte(t, sup.Node())
+	_ = sup.NeedSnapshot()
 
 	// The next digest catches it: the verify kills the connection and
 	// the receiver flags itself for repair.
@@ -213,7 +250,7 @@ func TestDigestMismatchTriggersSnapshotRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, done, "receiver")
-	assertSameState(t, host.Node(), mirror)
+	assertSameState(t, sup.Node(), mirror)
 	if got := sreg.Counter("ship_digests_sent_total").Load(); got < 2 {
 		t.Fatalf("ship_digests_sent_total = %d, want >= 2", got)
 	}

@@ -18,15 +18,6 @@ import (
 )
 
 func TestSnapshotPayloadCodecs(t *testing.T) {
-	schema, cursor, caps, req := uint64(0xabc), uint64(17), CapFlate|CapSnapshot, uint64(ReqSnapshot)
-	s2, c2, p2, r2, err := parseWelcome3(appendWelcome3(nil, schema, cursor, caps, req))
-	if err != nil || s2 != schema || c2 != cursor || p2 != caps || r2 != req {
-		t.Fatalf("welcome3 roundtrip: %x %d %x %x, %v", s2, c2, p2, r2, err)
-	}
-	if _, _, _, _, err := parseWelcome3(make([]byte, 31)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("short welcome3: %v", err)
-	}
-
 	sc, claim, err := parseSnapBegin(appendSnapBegin(nil, 99, 1<<30))
 	if err != nil || sc != 99 || claim != 1<<30 {
 		t.Fatalf("snapbegin roundtrip: %d %d, %v", sc, claim, err)
@@ -57,13 +48,13 @@ func TestSnapshotPayloadCodecs(t *testing.T) {
 // the reader must report a short frame quickly and must not allocate
 // anywhere near the claimed quarter-gigabyte up front.
 func TestHostileLengthPrefixFailsWithoutPrealloc(t *testing.T) {
-	frame := appendFrameV(nil, Version2, KindSnapChunk, 0, bytes.Repeat([]byte{1}, 16))
+	frame := AppendFrame(nil, KindSnapChunk, 0, bytes.Repeat([]byte{1}, 16))
 	binary.LittleEndian.PutUint32(frame[4:8], MaxPayload-1)
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, _, _, _, err := ReadFrameFlags(bytes.NewReader(frame))
+	_, _, _, err := ReadFrameFlags(bytes.NewReader(frame))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrShortFrame) {
 		t.Fatalf("want ErrShortFrame, got %v", err)
@@ -113,15 +104,15 @@ func snapStream(data []byte, chunk int) []byte {
 			end = len(data)
 		}
 		crc = crc32.Update(crc, castagnoli, data[off:end])
-		out = appendFrameV(out, Version2, KindSnapChunk, 0, data[off:end])
+		out = AppendFrame(out, KindSnapChunk, 0, data[off:end])
 	}
-	return appendFrameV(out, Version2, KindSnapEnd, 0, appendSnapEnd(nil, uint64(len(data)), crc))
+	return AppendFrame(out, KindSnapEnd, 0, appendSnapEnd(nil, uint64(len(data)), crc))
 }
 
 func TestSnapReaderValidStream(t *testing.T) {
 	data := bytes.Repeat([]byte("snapshot-bytes-"), 1000)
 	for _, claim := range []uint64{0, uint64(len(data))} {
-		sr := newSnapReader(bufio.NewReader(bytes.NewReader(snapStream(data, 700))), Version2, claim)
+		sr := newSnapReader(bufio.NewReader(bytes.NewReader(snapStream(data, 700))), claim)
 		got, err := io.ReadAll(sr)
 		if err != nil {
 			t.Fatalf("claim %d: %v", claim, err)
@@ -153,7 +144,7 @@ func TestSnapReaderRejectsTornAndCorrupt(t *testing.T) {
 		if tc.name == "claim mismatch" {
 			claim = uint64(len(data)) - 1
 		}
-		sr := newSnapReader(bufio.NewReader(bytes.NewReader(tc.stream)), Version2, claim)
+		sr := newSnapReader(bufio.NewReader(bytes.NewReader(tc.stream)), claim)
 		if _, err := io.ReadAll(sr); !errors.Is(err, tc.want) {
 			t.Fatalf("%s: want %v, got %v", tc.name, tc.want, err)
 		}
@@ -169,30 +160,30 @@ func TestSnapReaderRejectsTornAndCorrupt(t *testing.T) {
 	// corrupting frame bytes (that would fail the frame CRC first).
 	trailerStart := len(flipped) - (frameHdrSize + 12 + 4)
 	bad := append(flipped[:trailerStart:trailerStart],
-		appendFrameV(nil, Version2, KindSnapEnd, 0, appendSnapEnd(nil, uint64(len(data)), 0x1234))...)
-	sr := newSnapReader(bufio.NewReader(bytes.NewReader(bad)), Version2, 0)
+		AppendFrame(nil, KindSnapEnd, 0, appendSnapEnd(nil, uint64(len(data)), 0x1234))...)
+	sr := newSnapReader(bufio.NewReader(bytes.NewReader(bad)), 0)
 	if _, err := io.ReadAll(sr); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailer crc mismatch: want ErrCorrupt, got %v", err)
 	}
 
 	// A non-snapshot frame kind inside the stream.
-	mixed := appendFrameV(nil, Version2, KindSnapChunk, 0, data[:100])
-	mixed = appendFrameV(mixed, Version2, KindHeartbeat, 0, appendHeartbeat(nil, 5))
-	sr = newSnapReader(bufio.NewReader(bytes.NewReader(mixed)), Version2, 0)
+	mixed := AppendFrame(nil, KindSnapChunk, 0, data[:100])
+	mixed = AppendFrame(mixed, KindHeartbeat, 0, appendHeartbeat(nil, 5))
+	sr = newSnapReader(bufio.NewReader(bytes.NewReader(mixed)), 0)
 	if _, err := io.ReadAll(sr); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("foreign frame kind: want ErrCorrupt, got %v", err)
 	}
 
 	// An empty chunk is hostile (it can spin the stream forever).
-	empty := appendFrameV(nil, Version2, KindSnapChunk, 0, nil)
-	sr = newSnapReader(bufio.NewReader(bytes.NewReader(empty)), Version2, 0)
+	empty := AppendFrame(nil, KindSnapChunk, 0, nil)
+	sr = newSnapReader(bufio.NewReader(bytes.NewReader(empty)), 0)
 	if _, err := io.ReadAll(sr); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty chunk: want ErrCorrupt, got %v", err)
 	}
 
 	// A chunk overrunning the SNAPBEGIN claim dies at the overrun, not
 	// at the trailer.
-	sr = newSnapReader(bufio.NewReader(bytes.NewReader(good)), Version2, 100)
+	sr = newSnapReader(bufio.NewReader(bytes.NewReader(good)), 100)
 	if _, err := io.ReadAll(sr); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("claim overrun: want ErrCorrupt, got %v", err)
 	}

@@ -71,7 +71,7 @@ func TestTornSnapshotTransferNeverInstallsPartial(t *testing.T) {
 		blob[i] ^= byte(i) // no long runs, defeats any accidental dedup
 	}
 
-	// Wire byte offsets of interest. v2 HELLO is a 28-byte frame and is
+	// Wire byte offsets of interest. The HELLO is a 28-byte frame and is
 	// counted too — the fault conn cuts at absolute stream offsets.
 	const helloLen, beginLen, frameOverhead, trailerLen = 28, 28, 12, 24
 	off := int64(helloLen + beginLen)
@@ -145,8 +145,8 @@ func TestTornSnapshotTransferNeverInstallsPartial(t *testing.T) {
 	}
 }
 
-// TestTornSnapshotRestoreKeepsOldStateQueryable runs the same fault at
-// the htap layer: a replica holding committed state is offered an
+// TestTornSnapshotRestoreKeepsOldStateQueryable runs the same fault
+// against a supervised replica: a replica holding committed state is offered an
 // unservable tail, the first snapshot transfer is torn mid-stream, and
 // the replica's prior state must remain fully queryable until a
 // complete transfer installs — then the retry converges to the
@@ -159,23 +159,8 @@ func TestTornSnapshotRestoreKeepsOldStateQueryable(t *testing.T) {
 	oldRef := directNode(t, encs[:half])
 	defer oldRef.Close()
 
-	reg := metrics.NewRegistry()
-	host, err := htap.NewNodeHost(htap.KindAETS, tpccPlan(), htap.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
 	// The replica already holds the first half of the stream.
-	for i := range encs[:half] {
-		if err := host.Feed(&encs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	host.Node().Drain()
-	rcv, err := host.ShipReceiver(ship.ReceiverConfig{Schema: tpccSchema(), Metrics: ship.NewMetrics(reg)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup, rcv := supervisedReceiver(t, metrics.NewRegistry(), encs[:half])
 	ln := listen(t)
 	done, _ := serveLoop(ln, rcv)
 
@@ -213,13 +198,13 @@ func TestTornSnapshotRestoreKeepsOldStateQueryable(t *testing.T) {
 
 	// The torn transfer must leave the replica's prior state intact and
 	// queryable — same cursor, same contents.
-	if got := host.Node().NextSeq(); got != uint64(half) {
+	if got := sup.NextSeq(); got != uint64(half) {
 		t.Fatalf("replica cursor moved to %d after torn transfer, want %d", got, half)
 	}
 	if st := rcv.Stats(); st.SnapshotsRestored != 0 {
 		t.Fatalf("receiver counted %d restores after torn transfer", st.SnapshotsRestored)
 	}
-	assertSameState(t, host.Node(), oldRef)
+	assertSameState(t, sup.Node(), oldRef)
 
 	// The clean retry re-bases the replica and the remaining tail rides
 	// the normal stream (or is retired under the snapshot's cursor).
@@ -238,5 +223,5 @@ func TestTornSnapshotRestoreKeepsOldStateQueryable(t *testing.T) {
 	if st := rcv.Stats(); st.SnapshotsRestored != 1 {
 		t.Fatalf("receiver counted %d restores, want 1", st.SnapshotsRestored)
 	}
-	assertSameState(t, host.Node(), mirror)
+	assertSameState(t, sup.Node(), mirror)
 }

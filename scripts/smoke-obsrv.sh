@@ -2,7 +2,9 @@
 # Smoke test of the replayd observability endpoints: boot a backup with
 # -http, scrape /metrics and /healthz, and fail on any non-200 response
 # or a /metrics body with no replay_* series. No primary is involved —
-# an idle, listening backup must already serve everything.
+# an idle, listening backup must already serve everything. The backup
+# is given no directories, so it runs over a scratch directory; once it
+# is stopped that directory must be gone.
 set -eu
 
 BIN="${TMPDIR:-/tmp}/replayd-smoke-$$"
@@ -68,5 +70,20 @@ fetch http://127.0.0.1:19090/varz | grep -q '"health"' || {
     echo "/varz missing health document" >&2
     exit 1
 }
+
+# The startup line names the scratch spool; SIGTERM must take the whole
+# scratch directory with it.
+scratch=$(sed -n 's|.* spool \(.*\)/spool (sync=.*|\1|p' "$LOG" | head -n 1)
+if [ -z "$scratch" ] || [ ! -d "$scratch" ]; then
+    echo "backup did not report a live scratch directory:" >&2
+    cat "$LOG" >&2
+    exit 1
+fi
+kill "$PID"
+wait "$PID" 2>/dev/null || true
+if [ -e "$scratch" ]; then
+    echo "scratch directory $scratch outlived the backup" >&2
+    exit 1
+fi
 
 echo "obsrv smoke: ok"
