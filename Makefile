@@ -32,9 +32,12 @@ race:
 # (hostile length prefixes must fail cleanly), the read planner
 # differential (the columnar and both empty-base executors vs a
 # planner-free oracle across random freeze schedules), the checkpoint
-# reader (corrupt or truncated files must fail cleanly), and the spool
+# reader (corrupt or truncated files must fail cleanly), the spool
 # segment scan (arbitrary bytes as a segment must recover to a spool
-# that still appends and replays).
+# that still appends and replays), and the log-entry decoders (the
+# copying Decode, replay's aliasing DecodeInto and dispatch's header scan
+# must agree on arbitrary bytes, and the scan's column count must never
+# exceed what the bytes could hold).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/ship/
 	$(GO) test -run='^$$' -fuzz=FuzzScanVariants -fuzztime=10s ./internal/memtable/
@@ -42,6 +45,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzColumnarScan -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/checkpoint/
 	$(GO) test -run='^$$' -fuzz=FuzzScanSegment -fuzztime=10s ./internal/recovery/
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wal/
 
 # Chaos e2e in short mode under the race detector: repeated hard
 # restarts at random points under transport faults plus an injected

@@ -17,12 +17,15 @@ import (
 
 // Piece is one transaction's modifications restricted to one table group.
 // Frames holds the encoded DML frames (sub-slices of the epoch buffer);
-// replay workers decode them fully during the first TPLR phase.
+// replay workers decode them fully during the first TPLR phase. Columns is
+// the total column count the frames' headers declare: with len(Frames) it
+// is exactly the storage translate needs for the piece.
 type Piece struct {
 	TxnID    uint64
 	CommitTS int64
 	Frames   [][]byte
 	Bytes    int
+	Columns  int
 }
 
 // GroupBatch collects all pieces of one epoch routed to one group, plus the
@@ -36,6 +39,7 @@ type GroupBatch struct {
 	CommitOrder []uint64 // txn IDs in primary commit order
 	Bytes       int
 	Entries     int
+	Columns     int
 }
 
 // Result is the dispatch output for one epoch.
@@ -79,7 +83,7 @@ func (b *Buffers) reset(ngroups int) {
 		}
 		gb.Pieces = gb.Pieces[:0]
 		gb.CommitOrder = gb.CommitOrder[:0]
-		gb.Bytes, gb.Entries = 0, 0
+		gb.Bytes, gb.Entries, gb.Columns = 0, 0, 0
 	}
 	if cap(b.batches) < ngroups {
 		b.batches = make([]GroupBatch, ngroups)
@@ -94,7 +98,7 @@ func (b *Buffers) reset(ngroups int) {
 		// the piece untouched, so stale TxnIDs cannot collide with a new
 		// epoch's transactions.
 		b.pending[gi].TxnID = 0
-		b.pending[gi].Bytes = 0
+		b.pending[gi].Bytes, b.pending[gi].Columns = 0, 0
 		if f := b.pending[gi].Frames; f != nil {
 			b.frameFree = append(b.frameFree, f[:0])
 			b.pending[gi].Frames = nil
@@ -123,7 +127,9 @@ func (b *Buffers) takeFrames() [][]byte {
 
 // Dispatch routes one encoded epoch according to plan, reusing b's backing
 // arrays. It decodes only entry headers; frame payloads are passed through
-// untouched. The Result is valid until the next Dispatch on b.
+// untouched. The per-batch Entries and Columns it counts on the way are
+// what replay carves its arenas from. The Result is valid until the next
+// Dispatch on b.
 func (b *Buffers) Dispatch(enc *epoch.Encoded, plan *grouping.Plan) (*Result, error) {
 	b.reset(len(plan.Groups))
 	res := &b.res
@@ -172,8 +178,9 @@ func (b *Buffers) Dispatch(enc *epoch.Encoded, plan *grouping.Plan) (*Result, er
 				gb.CommitOrder = append(gb.CommitOrder, curID)
 				gb.Bytes += p.Bytes
 				gb.Entries += len(p.Frames)
+				gb.Columns += p.Columns
 				p.Frames = nil // hand ownership of the slice to the batch
-				p.Bytes = 0
+				p.Bytes, p.Columns = 0, 0
 			}
 			res.Txns++
 			if h.TxnID > res.LastTxnID {
@@ -199,11 +206,12 @@ func (b *Buffers) Dispatch(enc *epoch.Encoded, plan *grouping.Plan) (*Result, er
 					p.Frames = b.takeFrames()
 				}
 				p.Frames = p.Frames[:0]
-				p.Bytes = 0
+				p.Bytes, p.Columns = 0, 0
 				b.touched = append(b.touched, gi)
 			}
 			p.Frames = append(p.Frames, frame)
 			p.Bytes += sz
+			p.Columns += h.Columns
 			res.Entries++
 
 		default:

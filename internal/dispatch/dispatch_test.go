@@ -113,10 +113,17 @@ func TestDispatchPieceFramesDecode(t *testing.T) {
 	}
 }
 
-func TestDispatchByteAccounting(t *testing.T) {
+// TestDispatchByteAndColumnAccounting: a batch's Bytes is the sum of its
+// frames, and the Columns dispatch counts from frame headers — per piece
+// and per batch — is exactly what a full decode of those frames yields,
+// which is what lets replay carve its column slab before decoding.
+func TestDispatchByteAndColumnAccounting(t *testing.T) {
 	plan := twoGroupPlan()
+	wide := entry(1, 2)
+	wide.Columns = []wal.Column{{ID: 1, Value: []byte("a")}, {ID: 2, Value: nil}, {ID: 3, Value: []byte("ccc")}}
 	txns := []wal.Txn{
-		{ID: 1, CommitTS: 10, Entries: []wal.Entry{entry(1, 1), entry(1, 2)}},
+		{ID: 1, CommitTS: 10, Entries: []wal.Entry{entry(1, 1), wide, entry(2, 1)}},
+		{ID: 2, CommitTS: 20, Entries: []wal.Entry{{Type: wal.TypeDelete, Table: 1, RowKey: 1}, entry(1, 3)}},
 	}
 	enc := makeEncoded(t, txns)
 	res, err := Dispatch(enc, plan)
@@ -125,14 +132,27 @@ func TestDispatchByteAccounting(t *testing.T) {
 	}
 	g1, _ := plan.GroupOf(1)
 	gb := res.PerGroup[g1]
-	var frameBytes int
-	for _, p := range gb.Pieces {
+	var frameBytes, batchCols int
+	for i, p := range gb.Pieces {
+		pieceCols := 0
 		for _, f := range p.Frames {
 			frameBytes += len(f)
+			e, _, err := wal.Decode(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pieceCols += len(e.Columns)
 		}
+		if p.Columns != pieceCols {
+			t.Fatalf("piece %d: Columns=%d, frames decode to %d", i, p.Columns, pieceCols)
+		}
+		batchCols += pieceCols
 	}
 	if gb.Bytes != frameBytes {
 		t.Fatalf("Bytes=%d, frames sum to %d", gb.Bytes, frameBytes)
+	}
+	if gb.Entries != 4 || gb.Columns != batchCols || batchCols != 5 {
+		t.Fatalf("Entries=%d Columns=%d, frames decode to 4 entries and %d columns (want 5)", gb.Entries, gb.Columns, batchCols)
 	}
 }
 
@@ -253,7 +273,7 @@ func TestBuffersReuseMatchesFresh(t *testing.T) {
 			if wb == nil {
 				continue
 			}
-			if gb.Bytes != wb.Bytes || gb.Entries != wb.Entries ||
+			if gb.Bytes != wb.Bytes || gb.Entries != wb.Entries || gb.Columns != wb.Columns ||
 				len(gb.Pieces) != len(wb.Pieces) || len(gb.CommitOrder) != len(wb.CommitOrder) {
 				t.Fatalf("epoch %d group %d: batch mismatch: %+v vs %+v", ep, gi, gb, wb)
 			}
@@ -263,7 +283,7 @@ func TestBuffersReuseMatchesFresh(t *testing.T) {
 				}
 				gp, wp := &gb.Pieces[i], &wb.Pieces[i]
 				if gp.TxnID != wp.TxnID || gp.CommitTS != wp.CommitTS ||
-					gp.Bytes != wp.Bytes || len(gp.Frames) != len(wp.Frames) {
+					gp.Bytes != wp.Bytes || gp.Columns != wp.Columns || len(gp.Frames) != len(wp.Frames) {
 					t.Fatalf("epoch %d group %d piece %d: %+v vs %+v", ep, gi, i, gp, wp)
 				}
 			}

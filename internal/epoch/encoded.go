@@ -7,6 +7,16 @@ import "aets/internal/wal"
 // the primary replicates and what every replayer consumes — forcing each
 // replayer to pay its own, algorithm-specific parsing cost, as in the
 // paper's experimental setup.
+//
+// Ownership of Buf: a fed epoch's Buf is immutable from Feed on, and it
+// lives as long as any version decoded from it. AETS replay does not copy
+// log values — every column value it installs in the Memtable is a
+// sub-slice of Buf — so whoever feeds an epoch gives Buf up: never write
+// to it, never recycle it for the next frame. Lifetime needs no
+// cooperation: the version chains reference the buffer and the collector
+// keeps it until Vacuum has unlinked the last of them. Every ingest path
+// hands over a fresh allocation per epoch (ship.ReadFrameFlags, the
+// inflate in ship.DecodeEpochFrame, spool replay, Encode below).
 type Encoded struct {
 	Seq uint64
 	Buf []byte

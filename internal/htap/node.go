@@ -101,7 +101,8 @@ func newNodeWith(mt *memtable.Memtable, kind Kind, plan *grouping.Plan, opts Opt
 }
 
 // Feed enqueues one encoded epoch for replay. It fails only if the node
-// was already closed.
+// was already closed. The node keeps enc.Buf: see epoch.Encoded for the
+// ownership contract.
 func (n *Node) Feed(enc *epoch.Encoded) error {
 	n.cutMu.Lock()
 	defer n.cutMu.Unlock()

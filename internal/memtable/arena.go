@@ -1,71 +1,63 @@
 package memtable
 
-// arena.go implements epoch arenas for version chains. TPLR's translate
-// phase used to allocate one Version slab per group batch and fresh decode
-// chunks per worker, all of which the garbage collector then had to trace
-// for as long as the versions lived — the dominant share of replay's GC
-// pressure. A VersionArena bundles those allocations per batch and ties
-// their lifetime to the version chains themselves: Vacuum releases each
-// unlinked version back to its arena, and once every version an arena
-// issued is dead the arena retires itself to the pool, where its chunks
-// are reset and handed to the next epoch — a sync.Pool cycle instead of a
-// GC cycle.
+// arena.go implements epoch arenas for version chains. A group batch's
+// Versions and the Column headers they point at are the only replay
+// allocations that outlive the epoch; dispatch has counted both before
+// translate starts, so a VersionArena carves exactly that many — one slab
+// each, no floor, no growth — and ties the slabs' lifetime to the version
+// chains: Vacuum releases each unlinked version back to its arena, and
+// once every version an arena issued is dead the arena retires itself to
+// the pool, where the slabs are cleared and handed to the next batch they
+// are large enough for. Column values are not arena memory at all: they
+// alias the epoch buffer the frame was decoded from (wal.DecodeInto), so a
+// surviving version pins its epoch's buffer through the collector, not
+// through the pool.
 
 import (
 	"sync"
 	"sync/atomic"
 
-	"aets/internal/alloc"
-
 	"aets/internal/wal"
 )
 
-// VersionArena carves the Versions and decode storage (columns, value
-// bytes) of one replay batch. Carving is single-threaded per arena except
-// for the per-worker decoders, which partition the decode storage so
-// phase-1 workers never share a chunk.
+// VersionArena holds the Versions and Column headers of one replay batch.
 //
 // Lifetime: the replay engine obtains an arena with ArenaPool.Get (which
-// pins it), carves versions and decoders during the batch, and drops its
-// pin with Unpin when the batch has committed. From then on the arena
-// stays alive exactly as long as any of its versions is linked in a chain;
-// Record.Vacuum releases versions as it unlinks them, and the release that
-// drops the count to zero retires the arena for recycling.
+// pins it), carves once, and drops its pin with Unpin when the batch has
+// committed. From then on the arena stays alive exactly as long as any of
+// its versions is linked in a chain; Record.Vacuum releases versions as it
+// unlinks them, and the release that drops the count to zero retires the
+// arena for recycling.
 type VersionArena struct {
 	pool *ArenaPool
-	vers alloc.Slab[Version]
-	decs []*wal.DecodeArena
+	// vers and cols are the carved windows. Their backing arrays are zero
+	// beyond the windows: fresh from the runtime, or cleared by reset.
+	vers []Version
+	cols []wal.Column
 
 	// live counts issued versions not yet released, plus one pin bias
-	// while the replay engine still carves from the arena.
+	// while the replay engine still holds the arena.
 	live atomic.Int64
 }
 
-// Versions returns a zeroed slab of n versions, each tagged with the
-// arena so Vacuum can release it. The slice is contiguous: the engine
-// indexes it by precomputed per-piece offsets, exactly as it did with a
-// plain make.
-func (a *VersionArena) Versions(n int) []Version {
-	if n == 0 {
-		return nil
+// Carve returns exactly nvers zeroed versions, each tagged with the arena
+// so Vacuum can release it, and exactly ncols zeroed column headers: one
+// allocation each, or the recycled slab when it is large enough. Both
+// slices are contiguous, and phase-1 workers write disjoint windows of
+// them at precomputed per-piece offsets. Called once per Get.
+func (a *VersionArena) Carve(nvers, ncols int) ([]Version, []wal.Column) {
+	if cap(a.vers) < nvers {
+		a.vers = make([]Version, nvers)
 	}
-	s := a.vers.TakeZeroed(n)
-	for i := range s {
-		s[i].arena = a
+	if cap(a.cols) < ncols {
+		a.cols = make([]wal.Column, ncols)
 	}
-	a.live.Add(int64(n))
-	return s
-}
-
-// Decoders returns n decode arenas, one per phase-1 worker. Their chunks
-// are reset and reused when the arena is recycled. Must be called before
-// the workers spawn; the returned decoders are then used concurrently,
-// one per worker.
-func (a *VersionArena) Decoders(n int) []*wal.DecodeArena {
-	for len(a.decs) < n {
-		a.decs = append(a.decs, new(wal.DecodeArena))
+	a.vers, a.cols = a.vers[:nvers], a.cols[:ncols]
+	for i := range a.vers {
+		a.vers[i].arena = a
 	}
-	return a.decs[:n]
+	a.live.Add(int64(nvers))
+	return a.vers, a.cols
 }
 
 // Unpin drops the engine's carving pin. Once unpinned, the arena recycles
@@ -81,12 +73,13 @@ func (a *VersionArena) release(n int64) {
 	}
 }
 
-// reset prepares a retired arena for reuse.
+// reset prepares a retired arena for reuse. Clearing the column window
+// here, and not at the next Carve, is what stops a pooled arena from
+// pinning the epoch buffers its dead columns alias.
 func (a *VersionArena) reset() {
-	a.vers.Reset()
-	for _, d := range a.decs {
-		d.Reset()
-	}
+	clear(a.vers)
+	clear(a.cols)
+	a.vers, a.cols = a.vers[:0], a.cols[:0]
 }
 
 // ArenaPool recycles VersionArenas whose versions have all been vacuumed.
@@ -100,7 +93,9 @@ func (a *VersionArena) reset() {
 // free pool. Any reader that could see an arena's versions started before
 // the Vacuum that killed them, so by the time the next Vacuum begins
 // (one full GC interval later, chosen ≥ the longest query) it has
-// finished.
+// finished. The fence covers versions and column headers only; the value
+// bytes a straggler reads belong to the epoch buffer, which the collector
+// keeps alive for as long as anything points into it.
 type ArenaPool struct {
 	pool sync.Pool // *VersionArena, reset and ready to carve
 
@@ -130,7 +125,7 @@ func (p *ArenaPool) retire(a *VersionArena) {
 	p.mu.Unlock()
 }
 
-// Flush moves limbo arenas to the free pool, resetting their chunks.
+// Flush moves limbo arenas to the free pool, clearing their slabs.
 // Memtable.Vacuum calls it at the start of every cycle; see the fence
 // comment above for why recycling is deferred by one cycle.
 func (p *ArenaPool) Flush() {

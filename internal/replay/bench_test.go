@@ -14,27 +14,30 @@ import (
 )
 
 // BenchmarkReplayPipeline compares the serial scheduler (depth=0) against
-// pipelined depths on the two shapes that bracket the design space: the
-// paper's grouped TPC-C plan (many groups, two stages) and a single-group
-// plan (ungrouped TPLR, where epoch pipelining is the only available
-// overlap). Each op replays the full pre-encoded stream into a fresh
-// memtable; txns/s is the end-to-end replay throughput. allocs/op includes
-// the unavoidable version-slab and memtable allocations — the recycled
-// hand-off itself is pinned to zero by TestHandoffSteadyStateAllocs and
-// TestBuffersSteadyStateAllocs.
+// pipelined depths on three shapes: the paper's grouped TPC-C plan (many
+// groups, two stages), a single-group plan (ungrouped TPLR, where epoch
+// pipelining is the only available overlap), and BusTracker under the
+// end-to-end benchmark's plan (53 groups, ~15 entries per group batch —
+// the regime where per-batch fixed cost, not per-byte work, sets both
+// txns/s and B/op). Each op replays the full pre-encoded stream into a
+// fresh memtable; txns/s is the end-to-end replay throughput. allocs/op
+// includes the unavoidable version-slab and memtable allocations — the
+// recycled hand-off itself is pinned to zero by
+// TestHandoffSteadyStateAllocs and TestBuffersSteadyStateAllocs.
 func BenchmarkReplayPipeline(b *testing.B) {
 	gen := workload.NewTPCC(4)
-	p := primary.New(gen, 1)
-	txns := p.GenerateTxns(4000)
-	encs := epoch.EncodeAll(epoch.MustSplit(txns, 256))
+	tpcc := primary.New(gen, 1).GenerateEncoded(4000, 256)
+	busPlan, bus := busTrackerShape(16)
 
 	shapes := []struct {
 		name     string
 		plan     *grouping.Plan
+		encs     []epoch.Encoded
 		twoStage bool
 	}{
-		{"tpcc", buildTPCCPlan(gen, 1000), true},
-		{"single-group", grouping.SingleGroup(workload.TableIDs(gen.Tables())), false},
+		{"tpcc", buildTPCCPlan(gen, 1000), tpcc, true},
+		{"single-group", grouping.SingleGroup(workload.TableIDs(gen.Tables())), tpcc, false},
+		{"bustracker", busPlan, bus, true},
 	}
 	for _, sh := range shapes {
 		for _, depth := range []int{0, 2, 4} {
@@ -46,8 +49,8 @@ func BenchmarkReplayPipeline(b *testing.B) {
 						Workers: 4, TwoStage: sh.twoStage, Pipeline: depth,
 					})
 					e.Start()
-					for j := range encs {
-						if err := e.Feed(&encs[j]); err != nil {
+					for j := range sh.encs {
+						if err := e.Feed(&sh.encs[j]); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -57,7 +60,11 @@ func BenchmarkReplayPipeline(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(len(txns))*float64(b.N)/b.Elapsed().Seconds(), "txns/s")
+				txns := 0
+				for j := range sh.encs {
+					txns += sh.encs[j].TxnCount
+				}
+				b.ReportMetric(float64(txns)*float64(b.N)/b.Elapsed().Seconds(), "txns/s")
 			})
 		}
 	}

@@ -134,6 +134,8 @@ type Engine struct {
 	cHandoffAlloc  *metrics.Counter
 	cDispatchReuse *metrics.Counter
 	cDispatchAlloc *metrics.Counter
+	cArenaBytes    *metrics.Counter
+	gRecycled      *metrics.Gauge
 
 	// Stage latency histograms (paper Table II's dispatch/replay/commit
 	// breakdown, as live distributions): per-epoch dispatch time, per-piece
@@ -159,6 +161,11 @@ func New(name string, mt *memtable.Memtable, plan *grouping.Plan, cfg Config) *E
 	e.cHandoffAlloc = reg.Counter("replay_handoff_alloc_total")
 	e.cDispatchReuse = reg.Counter("replay_dispatch_reuse_total")
 	e.cDispatchAlloc = reg.Counter("replay_dispatch_alloc_total")
+	// Replay memory, visible on a running replica: the bytes of versions
+	// and column headers carved (one add per batch), and how many arenas
+	// Vacuum has handed back (mirrored from the pool once per epoch).
+	e.cArenaBytes = reg.Counter("replay_arena_bytes_total")
+	e.gRecycled = reg.Gauge("memtable_arenas_recycled_total")
 	e.hDispatch = reg.Histogram("replay_dispatch_seconds")
 	e.hCommit = reg.Histogram("replay_commit_seconds")
 	e.hWait = reg.Histogram("replay_wait_visible_seconds")
@@ -191,7 +198,8 @@ func (e *Engine) Start() {
 // Feed enqueues one encoded epoch for replay. Epochs must be fed in
 // sequence order. Blocks when the feed queue is full (replication
 // back-pressure). Returns ErrNotStarted before Start and ErrStopped after
-// Stop instead of blocking forever.
+// Stop instead of blocking forever. The engine keeps enc.Buf: see
+// epoch.Encoded for the ownership contract.
 func (e *Engine) Feed(enc *epoch.Encoded) error {
 	e.lifecycle.RLock()
 	defer e.lifecycle.RUnlock()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"aets/internal/dispatch"
 	"aets/internal/memtable"
@@ -34,12 +35,17 @@ import (
 // slot. There is no broadcast storm — a worker takes the wake-up lock only
 // when the committer has actually parked. All hand-off scaffolding (slots,
 // deliveries, cells, offsets) is recycled through a sync.Pool, so the
-// steady-state hand-off allocates nothing. The Versions and their decoded
-// columns — which live on in the Memtable's version chains after the
-// epoch is gone — are carved from a memtable.VersionArena per batch; the
-// arena's memory comes back through the Memtable's pool once Vacuum has
-// unlinked every version it issued, so under a running GC loop even the
-// long-lived side of the hand-off stops allocating.
+// steady-state hand-off allocates nothing.
+//
+// What outlives the epoch in the Memtable's version chains is a function
+// of the batch's entries and nothing else: dispatch counted the batch's
+// entries and columns on its header scan, and the batch carves exactly
+// that many Versions and Column headers from one memtable.VersionArena —
+// no floor, no growth — whose slabs come back through the Memtable's pool
+// once Vacuum has unlinked every version it issued. Values are not copied
+// at all: each Column.Value aliases the epoch buffer (wal.DecodeInto), so
+// a surviving version keeps its epoch's buffer alive, and that buffer must
+// not change after Feed (the contract is stated on epoch.Encoded).
 
 // cell is one uncommitted modification produced by phase 1: a pointer to
 // the Memtable record plus the fully built version to link at commit. The
@@ -61,14 +67,19 @@ type delivery struct {
 type errBox struct{ err error }
 
 // batchState is the recycled per-batch hand-off state: the slot ring, the
-// delivery and cell slabs, and the per-piece cell offsets. Acquired from
-// the engine's pool at the start of replayGroup and returned when the
-// batch is fully committed.
+// delivery and cell slabs, and the per-piece offsets at which phase 1
+// writes its disjoint windows of the cells and of the batch's arena (vers
+// and cols, borrowed for the batch). Acquired from the engine's pool at
+// the start of replayGroup and returned when the batch is fully committed.
 type batchState struct {
 	slots      []atomic.Pointer[delivery]
 	deliveries []delivery
 	cells      []cell
-	offsets    []int
+	offsets    []int // piece i's first cell and version
+	colOffsets []int // piece i's first column header
+
+	vers []memtable.Version
+	cols []wal.Column
 
 	errv   atomic.Pointer[errBox]
 	mu     sync.Mutex
@@ -87,6 +98,7 @@ func (bs *batchState) reset(npieces, nentries int) {
 		bs.slots = make([]atomic.Pointer[delivery], npieces)
 		bs.deliveries = make([]delivery, npieces)
 		bs.offsets = make([]int, npieces)
+		bs.colOffsets = make([]int, npieces)
 	} else {
 		bs.slots = bs.slots[:npieces]
 		for i := range bs.slots {
@@ -94,6 +106,7 @@ func (bs *batchState) reset(npieces, nentries int) {
 		}
 		bs.deliveries = bs.deliveries[:npieces]
 		bs.offsets = bs.offsets[:npieces]
+		bs.colOffsets = bs.colOffsets[:npieces]
 	}
 	if cap(bs.cells) < nentries {
 		bs.cells = make([]cell, nentries)
@@ -183,8 +196,15 @@ func (e *Engine) releaseBatch(bs *batchState) {
 	for i := range bs.cells {
 		bs.cells[i] = cell{}
 	}
+	bs.vers, bs.cols = nil, nil
 	e.batchPool.Put(bs)
 }
+
+// Sizes of what a batch carves, for replay_arena_bytes_total.
+const (
+	versionBytes = int64(unsafe.Sizeof(memtable.Version{}))
+	columnBytes  = int64(unsafe.Sizeof(wal.Column{}))
+)
 
 // replayGroup runs TPLR over one group batch with n phase-1 workers. The
 // calling goroutine acts as the group's single commit thread.
@@ -192,31 +212,49 @@ func (e *Engine) releaseBatch(bs *batchState) {
 // When the group received a single worker, both phases collapse onto the
 // committer goroutine: pieces arrive from dispatch already in commit order,
 // so translating and committing them in sequence preserves exactly the
-// two-phase semantics with none of the hand-off machinery. Workloads with
-// many small groups (BusTracker's 65 singleton tables) spend most of their
-// time on this path.
+// two-phase semantics with none of the hand-off. Workloads with many small
+// groups (BusTracker's 65 singleton tables) spend most of their time on
+// this path.
 func (e *Engine) replayGroup(vs *visState, gb *dispatch.GroupBatch, n int) error {
-	if n <= 1 {
-		return e.replayGroupSerial(vs, gb)
-	}
-	bs := e.acquireBatch(len(gb.Pieces), gb.Entries)
-	off := 0
-	for i := range gb.Pieces {
-		bs.offsets[i] = off
-		off += len(gb.Pieces[i].Frames)
-	}
-	// Versions are installed into the Memtable's chains and outlive the
-	// epoch, so they cannot ride the hand-off pool; they come from an
-	// epoch arena instead, whose memory Vacuum eventually recycles.
+	// Versions and column headers are installed into the Memtable's chains
+	// and outlive the epoch, so they cannot ride the hand-off pool; they
+	// come from an epoch arena instead, whose memory Vacuum recycles.
 	ar := e.mt.Arenas().Get()
-	vers := ar.Versions(gb.Entries)
-	decs := ar.Decoders(n)
+	defer ar.Unpin()
+	bs := e.acquireBatch(len(gb.Pieces), gb.Entries)
+	defer e.releaseBatch(bs)
+	bs.vers, bs.cols = ar.Carve(gb.Entries, gb.Columns)
+	e.cArenaBytes.Add(int64(gb.Entries)*versionBytes + int64(gb.Columns)*columnBytes)
+	off, coff := 0, 0
+	for i := range gb.Pieces {
+		bs.offsets[i], bs.colOffsets[i] = off, coff
+		off += len(gb.Pieces[i].Frames)
+		coff += gb.Pieces[i].Columns
+	}
+
+	if n <= 1 {
+		var tc tableCache
+		var commit time.Duration
+		t0 := time.Now()
+		for i := range gb.Pieces {
+			cells, err := e.translate(gb, bs, i, &tc)
+			if err != nil {
+				return err
+			}
+			commit += e.commitPiece(vs, gb.Group, cells, gb.Pieces[i].CommitTS)
+		}
+		if e.cfg.Breakdown != nil {
+			// Commit time is its own share; keep it out of replay's.
+			e.cfg.Breakdown.AddReplay(time.Since(t0) - commit)
+		}
+		return nil
+	}
 
 	var next atomic.Int64
 	var workers sync.WaitGroup
 	for k := 0; k < n; k++ {
 		workers.Add(1)
-		go func(arena *wal.DecodeArena) {
+		go func() {
 			defer workers.Done()
 			var tc tableCache
 			t0 := time.Now()
@@ -225,22 +263,20 @@ func (e *Engine) replayGroup(vs *visState, gb *dispatch.GroupBatch, n int) error
 				if i >= len(gb.Pieces) {
 					break
 				}
-				p := &gb.Pieces[i]
-				o := bs.offsets[i]
-				cells := bs.cells[o : o+len(p.Frames) : o+len(p.Frames)]
-				if err := e.translate(p, cells, vers[o:o+len(p.Frames)], arena, &tc); err != nil {
-					bs.fail(fmt.Errorf("group %d txn %d: %w", gb.Group, p.TxnID, err))
+				cells, err := e.translate(gb, bs, i, &tc)
+				if err != nil {
+					bs.fail(err)
 					return
 				}
 				d := &bs.deliveries[i]
 				d.cells = cells
-				d.commitTS = p.CommitTS
+				d.commitTS = gb.Pieces[i].CommitTS
 				bs.deliver(i, d)
 			}
 			if e.cfg.Breakdown != nil {
 				e.cfg.Breakdown.AddReplay(time.Since(t0))
 			}
-		}(decs[k])
+		}()
 	}
 
 	var commitErr error
@@ -250,66 +286,30 @@ func (e *Engine) replayGroup(vs *visState, gb *dispatch.GroupBatch, n int) error
 			commitErr = err
 			break
 		}
-		t0 := time.Now()
-		for j := range d.cells {
-			c := &d.cells[j]
-			c.ver.CommitTS = d.commitTS
-			c.rec.Append(c.ver)
-		}
-		e.publishGroup(vs, gb.Group, d.commitTS)
-		cd := time.Since(t0)
-		e.hCommit.Observe(cd)
-		if e.cfg.Breakdown != nil {
-			e.cfg.Breakdown.AddCommit(cd)
-		}
+		e.commitPiece(vs, gb.Group, d.cells, d.commitTS)
 	}
 
 	workers.Wait()
-	e.releaseBatch(bs)
-	ar.Unpin()
 	return commitErr
 }
 
-// replayGroupSerial is the single-worker fast path: translate and commit
-// piece by piece in commit order on one goroutine, straight from the
-// version slab with no hand-off at all.
-func (e *Engine) replayGroupSerial(vs *visState, gb *dispatch.GroupBatch) error {
-	ar := e.mt.Arenas().Get()
-	defer ar.Unpin()
-	vers := ar.Versions(gb.Entries)
-	arena := ar.Decoders(1)[0]
-	var tc tableCache
-	vi := 0
+// commitPiece is TPLR phase 2 for one transaction piece: stamp and link
+// every cell, then advance the group's tg_cmt_ts. It returns the time it
+// took, observed once per piece in replay_commit_seconds.
+func (e *Engine) commitPiece(vs *visState, group int, cells []cell, commitTS int64) time.Duration {
 	t0 := time.Now()
-	for i := range gb.Pieces {
-		p := &gb.Pieces[i]
-		for _, frame := range p.Frames {
-			entry, _, err := wal.DecodeTo(frame, arena)
-			if err != nil {
-				return fmt.Errorf("group %d txn %d: %w", gb.Group, p.TxnID, err)
-			}
-			rec := e.tableFor(&tc, entry.Table).GetOrCreate(entry.RowKey)
-			v := &vers[vi]
-			vi++
-			v.TxnID = entry.TxnID
-			v.Deleted = entry.Type == wal.TypeDelete
-			v.Columns = entry.Columns
-			tc := time.Now()
-			v.CommitTS = p.CommitTS
-			rec.Append(v)
-			cd := time.Since(tc)
-			e.hCommit.Observe(cd)
-			if e.cfg.Breakdown != nil {
-				e.cfg.Breakdown.AddCommit(cd)
-				t0 = t0.Add(cd) // keep commit time out of the replay share
-			}
-		}
-		e.publishGroup(vs, gb.Group, p.CommitTS)
+	for j := range cells {
+		c := &cells[j]
+		c.ver.CommitTS = commitTS
+		c.rec.Append(c.ver)
 	}
+	e.publishGroup(vs, group, commitTS)
+	cd := time.Since(t0)
+	e.hCommit.Observe(cd)
 	if e.cfg.Breakdown != nil {
-		e.cfg.Breakdown.AddReplay(time.Since(t0))
+		e.cfg.Breakdown.AddCommit(cd)
 	}
-	return nil
+	return cd
 }
 
 // tableCache is a per-worker one-entry table-handle cache: group batches
@@ -330,18 +330,25 @@ func (e *Engine) tableFor(c *tableCache, id wal.TableID) *memtable.Table {
 	return c.tab
 }
 
-// translate is TPLR phase 1 for one transaction piece: decode each frame
+// translate is TPLR phase 1 for piece i of the batch: decode each frame
 // and turn it into an uncommitted cell pointing at its Memtable record.
 // Records are created on first reference (inserts), but no version is
 // installed and no table-wide lock is taken — GetOrCreate synchronises
-// only on the key's shard. Versions come from the batch's epoch arena;
-// columns and value bytes from the worker's decode arena.
-func (e *Engine) translate(p *dispatch.Piece, cells []cell, vers []memtable.Version, arena *wal.DecodeArena, tc *tableCache) error {
+// only on the key's shard. The cells, versions and column headers are the
+// piece's own windows of the batch's slabs, sized by dispatch's header
+// scan; the decode after the CRC check must use the columns up exactly.
+func (e *Engine) translate(gb *dispatch.GroupBatch, bs *batchState, i int, tc *tableCache) ([]cell, error) {
+	p := &gb.Pieces[i]
+	o, co := bs.offsets[i], bs.colOffsets[i]
+	cells := bs.cells[o : o+len(p.Frames) : o+len(p.Frames)]
+	vers := bs.vers[o : o+len(p.Frames)]
+	cols := bs.cols[co : co+p.Columns]
 	for j, frame := range p.Frames {
-		entry, _, err := wal.DecodeTo(frame, arena)
+		entry, _, err := wal.DecodeInto(frame, cols)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("group %d txn %d: %w", gb.Group, p.TxnID, err)
 		}
+		cols = cols[len(entry.Columns):]
 		rec := e.tableFor(tc, entry.Table).GetOrCreate(entry.RowKey)
 		v := &vers[j]
 		v.TxnID = entry.TxnID
@@ -349,5 +356,9 @@ func (e *Engine) translate(p *dispatch.Piece, cells []cell, vers []memtable.Vers
 		v.Columns = entry.Columns
 		cells[j] = cell{rec: rec, ver: v}
 	}
-	return nil
+	if len(cols) != 0 {
+		return nil, fmt.Errorf("group %d txn %d: %w: frames hold %d columns fewer than their headers declared",
+			gb.Group, p.TxnID, wal.ErrCorrupt, len(cols))
+	}
+	return cells, nil
 }

@@ -30,6 +30,7 @@ func (e *Engine) publishAll(vs *visState, ts int64) {
 	}
 	advanceMax(&e.global, ts)
 	e.wake()
+	e.gRecycled.Set(float64(e.mt.Arenas().Recycled()))
 }
 
 func (e *Engine) wake() {

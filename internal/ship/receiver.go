@@ -16,7 +16,9 @@ import (
 type Applier interface {
 	// Feed applies one epoch; the receiver guarantees strictly
 	// sequential, gap-free, duplicate-free delivery. An error (the
-	// applier was stopped) terminates the connection.
+	// applier was stopped) terminates the connection. The applier keeps
+	// the epoch's Buf, which the receiver allocated for this frame alone
+	// and never touches again (the contract is on epoch.Encoded).
 	Feed(*epoch.Encoded) error
 	// Heartbeat advances visibility on an idle stream (the paper's
 	// dummy-log epoch) without consuming an epoch sequence number.
@@ -33,7 +35,8 @@ type FrameApplier interface {
 	// FeedFrame applies one epoch, also supplying the raw EPOCH frame
 	// payload and its header flags. payload is freshly allocated per
 	// frame and owned by the callee after the call; for uncompressed
-	// frames enc.Buf aliases payload.
+	// frames enc.Buf aliases payload, so the callee may read payload (to
+	// spool it) but, under epoch.Encoded's contract, never write to it.
 	FeedFrame(flags byte, payload []byte, enc *epoch.Encoded) error
 }
 

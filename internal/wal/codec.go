@@ -18,6 +18,8 @@ import (
 //	timestamp varint
 //	tableID   uvarint   (DML only)
 //	rowKey    uvarint   (DML only)
+//	prevTxn   uvarint   (DML only)
+//	writeSeq  uvarint   (DML only)
 //	ncols     uvarint   (DML only)
 //	cols      ncols × (uvarint id, uvarint len, bytes value)
 //
@@ -63,72 +65,33 @@ func Encode(e *Entry) []byte {
 	return AppendEncode(nil, e)
 }
 
-// DecodeArena amortises Decode's per-entry allocations (the Columns slice
-// and each column's value copy) across many entries: chunks are carved off
-// in order and a fresh chunk is allocated only when the current one is
-// exhausted. Chunk capacities double on exhaustion, so an arena that is
-// Reset and reused converges on one chunk sized for its steady-state
-// batch and stops allocating altogether. Decoded entries keep sub-slices
-// of the chunks, so an arena must never be Reset or reused while any
-// entry decoded through it is still referenced — replay draws its arenas
-// from the Memtable's epoch-arena pool, which defers the Reset until the
-// version chains holding the chunks have been vacuumed.
-type DecodeArena struct {
-	cols []Column
-	vals []byte
-}
-
-// Reset rewinds the arena so its current chunks are carved again. Earlier,
-// smaller chunks from the growth phase are already unreferenced by the
-// arena and fall to the collector with the entries that used them.
-func (a *DecodeArena) Reset() {
-	a.cols = a.cols[:0]
-	a.vals = a.vals[:0]
-}
-
-// arenaCols returns a length-n slice carved from the column chunk.
-func (a *DecodeArena) arenaCols(n int) []Column {
-	if cap(a.cols)-len(a.cols) < n {
-		c := 2 * cap(a.cols)
-		if c < 1024 {
-			c = 1024
-		}
-		if n > c {
-			c = n
-		}
-		a.cols = make([]Column, 0, c)
-	}
-	s := a.cols[len(a.cols) : len(a.cols)+n : len(a.cols)+n]
-	a.cols = a.cols[:len(a.cols)+n]
-	return s
-}
-
-// arenaBytes copies b into the value chunk and returns the stable copy.
-func (a *DecodeArena) arenaBytes(b []byte) []byte {
-	if cap(a.vals)-len(a.vals) < len(b) {
-		c := 2 * cap(a.vals)
-		if c < 64<<10 {
-			c = 64 << 10
-		}
-		if len(b) > c {
-			c = len(b)
-		}
-		a.vals = make([]byte, 0, c)
-	}
-	start := len(a.vals)
-	a.vals = append(a.vals, b...)
-	return a.vals[start:len(a.vals):len(a.vals)]
-}
+// maxColumns bounds a frame's column count by its payload size: a column
+// is at least two bytes on the wire (ID and length uvarints). Both the
+// header scan, which runs before the CRC check and whose count sizes
+// replay's column slab, and the full decode reject anything above it.
+func maxColumns(payloadLen int) uint64 { return uint64(payloadLen) / 2 }
 
 // Decode decodes one entry from the front of buf, returning the entry and
-// the number of bytes consumed.
+// the number of bytes consumed. The entry owns its memory — a fresh
+// Columns slice and a copy of every value — so it outlives buf. It is the
+// decode of the serial reference, the baselines, checkpoints and tools;
+// replay uses DecodeInto.
 func Decode(buf []byte) (Entry, int, error) {
-	return DecodeTo(buf, nil)
+	return decode(buf, nil, false)
 }
 
-// DecodeTo is Decode with the entry's Columns and value copies drawn from
-// arena. A nil arena falls back to exact per-entry allocations.
-func DecodeTo(buf []byte, arena *DecodeArena) (Entry, int, error) {
+// DecodeInto is the replay decode: it allocates nothing. The entry's
+// Columns are the leading headers of window, which the caller carved for
+// exactly the column counts DecodeHeader reported, and every Value is a
+// sub-slice of buf, taken after the CRC check. buf must therefore stay
+// immutable for as long as the entry's columns are referenced (see
+// epoch.Encoded for the contract replay's callers uphold). An entry with
+// more columns than window holds is ErrCorrupt.
+func DecodeInto(buf []byte, window []Column) (Entry, int, error) {
+	return decode(buf, window, true)
+}
+
+func decode(buf []byte, window []Column, alias bool) (Entry, int, error) {
 	var e Entry
 	if len(buf) < 8 {
 		return e, 0, fmt.Errorf("%w: short frame header (%d bytes)", ErrCorrupt, len(buf))
@@ -154,25 +117,24 @@ func DecodeTo(buf []byte, arena *DecodeArena) (Entry, int, error) {
 		e.PrevTxn = r.uvarint()
 		e.WriteSeq = r.uvarint()
 		ncols := r.uvarint()
-		if ncols > uint64(len(payload)) { // cheap sanity bound: ≥1 byte per column
+		if ncols > maxColumns(len(payload)) {
 			return e, 0, fmt.Errorf("%w: implausible column count %d", ErrCorrupt, ncols)
 		}
-		if ncols > 0 {
-			if arena != nil {
-				e.Columns = arena.arenaCols(int(ncols))
+		switch {
+		case ncols == 0:
+		case !alias:
+			e.Columns = make([]Column, ncols)
+		case ncols > uint64(len(window)):
+			return e, 0, fmt.Errorf("%w: %d columns, window holds %d", ErrCorrupt, ncols, len(window))
+		default:
+			e.Columns = window[:ncols:ncols]
+		}
+		for i := range e.Columns {
+			id, n := uint32(r.uvarint()), int(r.uvarint())
+			if alias {
+				e.Columns[i] = Column{ID: id, Value: r.view(n)}
 			} else {
-				e.Columns = make([]Column, ncols)
-			}
-			for i := range e.Columns {
-				e.Columns[i].ID = uint32(r.uvarint())
-				n := r.uvarint()
-				if arena != nil {
-					if v := r.view(int(n)); v != nil {
-						e.Columns[i].Value = arena.arenaBytes(v)
-					}
-				} else {
-					e.Columns[i].Value = r.bytes(int(n))
-				}
+				e.Columns[i] = Column{ID: id, Value: r.bytes(n)}
 			}
 		}
 	}
@@ -287,6 +249,28 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
+// skipUvarints advances past n uvarints without decoding them: dispatch's
+// header scan steps over three fields it does not route on, for every DML
+// entry of every epoch. It does not police over-long encodings; the full
+// decode of the same bytes does.
+func (r *reader) skipUvarints(n int) {
+	if r.err != nil {
+		return
+	}
+	p := r.pos
+	for ; n > 0; n-- {
+		for p < len(r.buf) && r.buf[p] >= 0x80 {
+			p++
+		}
+		p++
+	}
+	if p > len(r.buf) {
+		r.fail("truncated uvarint")
+		return
+	}
+	r.pos = p
+}
+
 func (r *reader) varint() int64 {
 	if r.err != nil {
 		return 0
@@ -310,8 +294,7 @@ func (r *reader) bytes(n int) []byte {
 	return b
 }
 
-// view returns n bytes as a sub-slice of the frame, without copying. The
-// caller must copy before the frame buffer is recycled.
+// view returns n bytes as a sub-slice of the frame, without copying.
 func (r *reader) view(n int) []byte {
 	if r.err != nil {
 		return nil

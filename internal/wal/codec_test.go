@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"reflect"
@@ -229,53 +231,38 @@ func TestReflectRoundTripColumns(t *testing.T) {
 	}
 }
 
-// TestDecodeToArenaMatchesDecode checks the arena decode path yields
-// byte-identical entries to the allocating path, that values survive the
-// source buffer being clobbered (the arena must copy), and that many
-// entries share few chunk allocations.
-func TestDecodeToArenaMatchesDecode(t *testing.T) {
+// TestDecodeIntoMatchesDecode runs the decode differential (see
+// checkDecodeInto) over a stream of random valid entries and pins the two
+// count-mismatch rejections: a window shorter than the entry's columns,
+// and a header whose column count its frame cannot hold.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	var entries []Entry
-	var buf []byte
 	for i := 0; i < 500; i++ {
 		e := genEntry(r)
-		entries = append(entries, e)
-		buf = AppendEncode(buf, &e)
-	}
-
-	var arena DecodeArena
-	rest := append([]byte(nil), buf...)
-	var got []Entry
-	for len(rest) > 0 {
-		e, n, err := DecodeTo(rest, &arena)
-		if err != nil {
-			t.Fatal(err)
+		buf := Encode(&e)
+		if !checkDecodeInto(t, buf) {
+			t.Fatalf("valid entry %d rejected", i)
 		}
-		got = append(got, e)
-		rest = rest[n:]
-	}
-	// Clobber the wire buffer: arena-decoded values must be copies.
-	for i := range buf {
-		buf[i] = 0xff
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("decoded %d entries, want %d", len(got), len(entries))
-	}
-	for i := range got {
-		if !entriesEqual(got[i], entries[i]) {
-			t.Fatalf("entry %d mismatch:\n got %+v\nwant %+v", i, got[i], entries[i])
+		if len(e.Columns) > 0 {
+			short := make([]Column, len(e.Columns)-1)
+			if _, _, err := DecodeInto(buf, short); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("entry %d: window one column short: err = %v, want ErrCorrupt", i, err)
+			}
 		}
 	}
-}
 
-// TestDecodeToNilArena pins Decode == DecodeTo(nil).
-func TestDecodeToNilArena(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	e := genEntry(r)
-	buf := AppendEncode(nil, &e)
-	d1, n1, err1 := Decode(buf)
-	d2, n2, err2 := DecodeTo(buf, nil)
-	if err1 != nil || err2 != nil || n1 != n2 || !entriesEqual(d1, d2) {
-		t.Fatalf("Decode/DecodeTo diverge: %v %v %d %d", err1, err2, n1, n2)
+	// An UPDATE claiming 2^40 columns over a payload of a few bytes: the
+	// header scan must refuse it (it never saw a CRC), and so must Decode
+	// even with the CRC made good.
+	over := []byte{byte(TypeUpdate), 1, 1, 2, 1, 1, 0, 0}
+	over = binary.AppendUvarint(over, 1<<40)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(over)+4))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(over))
+	frame = append(frame, over...)
+	if _, _, err := DecodeHeader(frame); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("over-claiming header: err = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := Decode(frame); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("over-claiming frame: err = %v, want ErrCorrupt", err)
 	}
 }

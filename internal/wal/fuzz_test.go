@@ -3,7 +3,74 @@ package wal
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
+
+// checkDecodeInto is the decode differential on arbitrary bytes: nothing
+// panics; the header scan, which sizes replay's column slab before any CRC
+// is checked, never reports more columns than the bytes could hold; when
+// Decode accepts, the header scan accepts with the same frame
+// length and reports exactly len(entry.Columns), and DecodeInto over a
+// window of that size accepts the same bytes, yields an equal entry and
+// allocates nothing of its own — its Columns are the window and every
+// Value lies inside buf. It reports whether Decode accepted.
+func checkDecodeInto(t *testing.T, buf []byte) bool {
+	t.Helper()
+	h, hn, herr := DecodeHeader(buf)
+	if herr == nil && h.Columns > len(buf)/2 {
+		t.Fatalf("header scan let %d columns through over %d bytes", h.Columns, len(buf))
+	}
+	want, n, err := Decode(buf)
+	if err != nil {
+		// Decode is the stricter of the two: DecodeInto must agree with it,
+		// whatever the header scan (which skips the CRC) thought.
+		if herr == nil {
+			if _, _, ierr := DecodeInto(buf, make([]Column, h.Columns)); ierr == nil {
+				t.Fatalf("DecodeInto accepted bytes Decode rejects (%v)", err)
+			}
+		}
+		return false
+	}
+	if herr != nil || hn != n {
+		t.Fatalf("Decode accepted %d bytes, header scan: n=%d err=%v", n, hn, herr)
+	}
+	if h.Columns != len(want.Columns) {
+		t.Fatalf("header scan counted %d columns, entry has %d", h.Columns, len(want.Columns))
+	}
+	window := make([]Column, h.Columns)
+	got, gn, err := DecodeInto(buf, window)
+	if err != nil || gn != n {
+		t.Fatalf("DecodeInto: n=%d err=%v, Decode consumed %d", gn, err, n)
+	}
+	if !entriesEqual(got, want) {
+		t.Fatalf("DecodeInto = %+v\nDecode     = %+v", got, want)
+	}
+	if len(got.Columns) > 0 && &got.Columns[0] != &window[0] {
+		t.Fatal("DecodeInto columns are not the caller's window")
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	for i, c := range got.Columns {
+		p := uintptr(unsafe.Pointer(unsafe.SliceData(c.Value)))
+		if p < lo || p+uintptr(len(c.Value)) > lo+uintptr(n) {
+			t.Fatalf("column %d value lies outside the frame", i)
+		}
+	}
+	return true
+}
+
+// FuzzDecode drives checkDecodeInto with arbitrary bytes, seeded with
+// valid frames of every entry type.
+func FuzzDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 16; i++ {
+		e := genEntry(rng)
+		f.Add(Encode(&e))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		checkDecodeInto(t, buf)
+	})
+}
 
 // TestDecodeNeverPanicsOnMutation flips random bytes in valid frames and
 // requires Decode/DecodeHeader to either reject or return a structurally
@@ -24,8 +91,8 @@ func TestDecodeNeverPanicsOnMutation(t *testing.T) {
 			}
 		}
 		// Header decode skips the CRC, so it must stay in bounds even on
-		// accepted garbage.
-		_, _, _ = DecodeHeader(buf)
+		// accepted garbage, and the windowed decode must agree with Decode.
+		checkDecodeInto(t, buf)
 	}
 }
 

@@ -6,16 +6,19 @@ import (
 )
 
 // Header is the metadata prefix of an entry: everything the AETS and ATR
-// dispatchers need for routing (type, txn framing, table). Decoding only the
-// header skips the CRC pass and the column-value copies, which is exactly
-// the cost asymmetry the paper describes between metadata-only dispatch
-// (AETS, ATR) and C5's full data-image parse (§VI-A5).
+// dispatchers need for routing (type, txn framing, table) plus the DML
+// column count, from which replay sizes its column slab before any frame
+// is decoded. Decoding only the header skips the CRC pass and the column
+// values, which is exactly the cost asymmetry the paper describes between
+// metadata-only dispatch (AETS, ATR) and C5's full data-image parse
+// (§VI-A5).
 type Header struct {
 	Type      LogType
 	LSN       uint64
 	TxnID     uint64
 	Timestamp int64
 	Table     TableID
+	Columns   int
 }
 
 // DecodeHeader decodes the header of the frame at the front of buf and
@@ -37,6 +40,13 @@ func DecodeHeader(buf []byte) (Header, int, error) {
 	h.Timestamp = r.varint()
 	if h.Type.IsDML() {
 		h.Table = TableID(r.uvarint())
+		r.skipUvarints(3) // RowKey, PrevTxn, WriteSeq
+		ncols := r.uvarint()
+		// Not yet CRC-checked, and about to size an allocation.
+		if ncols > maxColumns(len(r.buf)) {
+			return Header{}, 0, fmt.Errorf("%w: implausible column count %d", ErrCorrupt, ncols)
+		}
+		h.Columns = int(ncols)
 	}
 	if r.err != nil {
 		return Header{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, r.err)

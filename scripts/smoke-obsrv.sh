@@ -65,6 +65,12 @@ echo "$metrics" | grep -q '^# TYPE replay_commit_seconds histogram' || {
     echo "/metrics missing the commit latency histogram" >&2
     exit 1
 }
+for series in replay_arena_bytes_total memtable_arenas_recycled_total; do
+    echo "$metrics" | grep -q "^$series " || {
+        echo "/metrics missing the replay-memory series $series" >&2
+        exit 1
+    }
+done
 
 fetch http://127.0.0.1:19090/varz | grep -q '"health"' || {
     echo "/varz missing health document" >&2
