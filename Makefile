@@ -90,10 +90,11 @@ bench-smoke:
 # by bench-diff: the index scaling curve plus every scan variant.
 MEMTABLE_BENCH = BenchmarkGetOrCreateParallel|BenchmarkScanMerged|BenchmarkScanCascade|BenchmarkScanAny
 
-# The ship benchmark set archived in BENCH_ship.json: the compression
-# path per workload (with its wire/raw ratio metric) and the raw-encode
-# baseline it is diffed against.
-SHIP_BENCH = BenchmarkShipCompress|BenchmarkShipEncodeRaw
+# The ship benchmark set archived in BENCH_ship.json: the flate frame
+# build per workload (with its wire/raw ratio metric), the raw frame
+# build it is diffed against, and one shared frame written by 1 and 3
+# fan-out peers (per-epoch cost flat in the peer count).
+SHIP_BENCH = BenchmarkShipCompress|BenchmarkShipEncodeRaw|BenchmarkShipFanoutWrite
 
 # The query benchmark set archived in BENCH_query.json: scans and
 # aggregates through the one planner over a majority-frozen table

@@ -95,10 +95,11 @@ type Fanout struct {
 	sent        int
 }
 
-// fanItem is one queue entry: an epoch to ship, or (enc == nil) an
-// anti-entropy digest marker the worker forwards best-effort.
+// fanItem is one queue entry: an epoch frame to ship, shared with every
+// other peer's queue, or (fr == nil) an anti-entropy digest marker the
+// worker forwards best-effort.
 type fanItem struct {
-	enc    *epoch.Encoded
+	fr     *ship.Frame
 	seq    uint64
 	ts     int64
 	digest uint64
@@ -186,11 +187,13 @@ func NewFanout(cfg FanoutConfig) (*Fanout, error) {
 // Send enqueues one epoch to every live peer and returns immediately;
 // each peer's worker drains its queue through its sender (which blocks
 // on that link's window — per-link backpressure, invisible to siblings).
-// It fails only when every peer is already down.
+// Every peer shares one ship.Frame, so the epoch is deflated once for
+// the fan-out, not per peer. It fails only when every peer is down.
 func (f *Fanout) Send(enc *epoch.Encoded) error {
+	fr := ship.NewFrame(enc)
 	live := 0
 	for _, p := range f.peers {
-		if p.enqueue(fanItem{enc: enc}) {
+		if p.enqueue(fanItem{fr: fr}) {
 			live++
 		}
 	}
@@ -432,7 +435,7 @@ func (p *fanPeer) run() {
 		p.busy = true
 		p.mu.Unlock()
 
-		if it.enc == nil {
+		if it.fr == nil {
 			// Anti-entropy marker: forward best-effort. SendDigest only
 			// writes when the link is caught up and aligned at it.seq;
 			// a skipped digest is not an error — the next one guards.
@@ -442,7 +445,7 @@ func (p *fanPeer) run() {
 			p.mu.Unlock()
 			continue
 		}
-		err := p.s.Send(it.enc)
+		err := p.s.SendFrame(it.fr)
 
 		p.mu.Lock()
 		p.busy = false
@@ -457,8 +460,8 @@ func (p *fanPeer) run() {
 		}
 		// The epoch is handed off: the link's stream is complete through
 		// its commit timestamp, so heartbeats may advertise it.
-		if it.enc.LastCommitTS > p.hbTS.Load() {
-			p.hbTS.Store(it.enc.LastCommitTS)
+		if ts := it.fr.Epoch().LastCommitTS; ts > p.hbTS.Load() {
+			p.hbTS.Store(ts)
 		}
 		p.mu.Unlock()
 	}

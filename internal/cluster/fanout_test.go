@@ -82,12 +82,13 @@ type fanReceiver struct {
 	mu   sync.Mutex
 }
 
-func startFanReceiver(t *testing.T, node *htap.Node, reg *metrics.Registry, peer string) *fanReceiver {
+func startFanReceiver(t *testing.T, node *htap.Node, reg *metrics.Registry, peer string, compress bool) *fanReceiver {
 	t.Helper()
 	rcv, err := node.ShipReceiver(ship.ReceiverConfig{
-		Schema:  fanSchema(),
-		Drain:   func() error { node.Drain(); return node.Err() },
-		Metrics: ship.NewPeerMetrics(reg, peer),
+		Schema:   fanSchema(),
+		Drain:    func() error { node.Drain(); return node.Err() },
+		Metrics:  ship.NewPeerMetrics(reg, peer),
+		Compress: compress,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,52 +146,88 @@ func fanDialer(addr string) func() (net.Conn, error) {
 
 // TestFanoutThreeReceivers: one stream, three replicas, all byte-equal
 // to the reference, with per-peer labelled ship metrics kept apart in
-// one registry.
+// one registry. The fan-out builds each epoch's frame once per form for
+// all its peers: over raw links or three flate links the peers' builds
+// sum to one per epoch, and a fleet where one replica cannot inflate
+// needs at most a flate and a raw build per epoch.
 func TestFanoutThreeReceivers(t *testing.T) {
 	encs := fanEncoded(2048, 128)
 	want := fanDirect(t, encs)
-	reg := metrics.NewRegistry()
+	for _, tc := range []struct {
+		name      string
+		compress  [3]bool // per receiver; every sender offers flate when any does
+		maxBuilds int
+	}{
+		{"raw", [3]bool{}, len(encs)},
+		{"flate", [3]bool{true, true, true}, len(encs)},
+		{"mixed", [3]bool{false, true, true}, 2 * len(encs)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			var peers []cluster.Peer
+			var rcvs []*fanReceiver
+			for i := 0; i < 3; i++ {
+				id := fmt.Sprintf("replica-%d", i)
+				fr := startFanReceiver(t, fanNode(t), reg, id, tc.compress[i])
+				rcvs = append(rcvs, fr)
+				peers = append(peers, cluster.Peer{ID: id, Sender: ship.SenderConfig{
+					Dial:     fanDialer(fr.addr),
+					Schema:   fanSchema(),
+					Window:   8,
+					Compress: tc.compress != [3]bool{},
+				}})
+			}
 
-	var peers []cluster.Peer
-	var rcvs []*fanReceiver
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("replica-%d", i)
-		node := fanNode(t)
-		fr := startFanReceiver(t, node, reg, id)
-		rcvs = append(rcvs, fr)
-		peers = append(peers, cluster.Peer{ID: id, Sender: ship.SenderConfig{
-			Dial:   fanDialer(fr.addr),
-			Schema: fanSchema(),
-			Window: 8,
-		}})
-	}
+			f, err := cluster.NewFanout(cluster.FanoutConfig{Peers: peers, Registry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range encs {
+				if err := f.Send(&encs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := f.Live(); got != 3 {
+				t.Fatalf("live peers = %d, want 3", got)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatalf("fan-out close: %v", err)
+			}
+			for i, fr := range rcvs {
+				fr.wait(t)
+				fanAssertSame(t, fr.node, want, fmt.Sprintf("replica-%d", i))
+			}
 
-	f, err := cluster.NewFanout(cluster.FanoutConfig{Peers: peers, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range encs {
-		if err := f.Send(&encs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := f.Live(); got != 3 {
-		t.Fatalf("live peers = %d, want 3", got)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("fan-out close: %v", err)
-	}
-	for i, fr := range rcvs {
-		fr.wait(t)
-		fanAssertSame(t, fr.node, want, fmt.Sprintf("replica-%d", i))
-	}
-
-	// Per-peer series are distinct and each counted the full stream.
-	for i := 0; i < 3; i++ {
-		name := metrics.WithLabel("ship_epochs_sent", "peer", fmt.Sprintf("replica-%d", i))
-		if got := reg.Counter(name).Load(); got != int64(len(encs)) {
-			t.Fatalf("%s = %d, want %d", name, got, len(encs))
-		}
+			// Per-peer series are distinct and each counted the full stream.
+			counter := func(base string, i int) int64 {
+				return reg.Counter(metrics.WithLabel(base, "peer", fmt.Sprintf("replica-%d", i))).Load()
+			}
+			var builds int64
+			var flateWire []int64
+			for i := 0; i < 3; i++ {
+				if got := counter("ship_epochs_sent", i); got != int64(len(encs)) {
+					t.Fatalf("replica-%d ship_epochs_sent = %d, want %d", i, got, len(encs))
+				}
+				builds += counter("ship_frames_built_total", i)
+				wire, raw := counter("ship_bytes_wire_total", i), counter("ship_bytes_raw_total", i)
+				switch {
+				case !tc.compress[i] && wire != raw:
+					t.Fatalf("raw replica-%d wrote %d wire bytes for %d raw", i, wire, raw)
+				case tc.compress[i] && wire >= raw:
+					t.Fatalf("flate replica-%d wrote %d wire bytes for %d raw", i, wire, raw)
+				case tc.compress[i]:
+					flateWire = append(flateWire, wire)
+				}
+			}
+			for _, w := range flateWire {
+				if w != flateWire[0] {
+					t.Fatalf("flate peers wrote different byte counts: %v", flateWire)
+				}
+			}
+			if builds < int64(len(encs)) || builds > int64(tc.maxBuilds) {
+				t.Fatalf("peers built %d frames for %d epochs, want %d..%d", builds, len(encs), len(encs), tc.maxBuilds)
+			}
+		})
 	}
 }
 
@@ -202,8 +239,8 @@ func TestFanoutDeadPeerIsolation(t *testing.T) {
 	want := fanDirect(t, encs)
 	reg := metrics.NewRegistry()
 
-	liveA := startFanReceiver(t, fanNode(t), reg, "a")
-	liveB := startFanReceiver(t, fanNode(t), reg, "b")
+	liveA := startFanReceiver(t, fanNode(t), reg, "a", false)
+	liveB := startFanReceiver(t, fanNode(t), reg, "b", false)
 	deadDial := func() (net.Conn, error) { return nil, errors.New("link severed") }
 
 	f, err := cluster.NewFanout(cluster.FanoutConfig{
@@ -298,7 +335,7 @@ func TestFanoutRelayTree(t *testing.T) {
 	reg := metrics.NewRegistry()
 
 	// Leaf tier: an ordinary receiver node.
-	leaf := startFanReceiver(t, fanNode(t), reg, "leaf")
+	leaf := startFanReceiver(t, fanNode(t), reg, "leaf", false)
 
 	// Relay tier: applies locally, fans out to the leaf.
 	relayNode := fanNode(t)

@@ -49,8 +49,10 @@ func (r *Relay) Feed(enc *epoch.Encoded) error {
 // FeedFrame implements ship.FrameApplier: a frame-aware inner applier
 // (a recovery supervisor spooling wire frames) gets the frame as
 // received; downstream forwarding always uses the decoded epoch, since
-// each peer's sender negotiates its own capabilities and re-frames —
-// one stale downstream peer must not force the whole subtree raw.
+// each downstream peer negotiates its own capabilities — one stale
+// downstream peer must not force the whole subtree raw. The downstream
+// fan-out re-frames the epoch once per form its peers use, shared by
+// all of them, not once per peer.
 // Retaining enc is safe: the receiver allocates the frame payload (and
 // thus enc.Buf) fresh per frame.
 func (r *Relay) FeedFrame(flags byte, payload []byte, enc *epoch.Encoded) error {

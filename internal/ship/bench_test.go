@@ -1,19 +1,24 @@
 package ship
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"testing"
 
+	"aets/internal/metrics"
 	"aets/internal/primary"
 	"aets/internal/workload"
 )
 
 // BenchmarkShipCompress measures the sender-side compression path on
-// real workload epoch streams: per-epoch cost of building a compressed
-// EPOCH payload (clear 36-byte header + flate(buf)) plus framing it,
-// exactly as the hot loop in Sender.Send does once CapFlate is
-// negotiated. The wire/raw ratio is reported as ratio_wire/raw so
-// bench-json archives the compression win next to the throughput — the
-// numbers behind the EXPERIMENTS.md bytes-on-wire table.
+// real workload epoch streams: per-epoch cost of building an epoch's
+// complete wire frame in the form a CapFlate link writes (clear 36-byte
+// header + flate(buf), raw below DefaultCompressThreshold), exactly the
+// Frame build Sender.flushLocked triggers once per epoch. The wire/raw
+// ratio is reported as ratio_wire/raw so bench-json archives the
+// compression win next to the throughput — the numbers behind the
+// EXPERIMENTS.md bytes-on-wire table.
 func BenchmarkShipCompress(b *testing.B) {
 	workloads := []struct {
 		name string
@@ -29,19 +34,14 @@ func BenchmarkShipCompress(b *testing.B) {
 			for i := range encs {
 				rawBytes += int64(frameHdrSize + epochHdrSize + len(encs[i].Buf) + 4)
 			}
-			var comp epochCompressor
-			frame := make([]byte, 0, 64<<10)
+			var built metrics.Counter
 			b.SetBytes(rawBytes)
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				wireBytes = 0
 				for i := range encs {
 					enc := &encs[i]
-					if payload := comp.payload(enc); payload != nil && len(enc.Buf) >= DefaultCompressThreshold {
-						frame = AppendFrame(frame[:0], KindEpoch, FlagCompressed, payload)
-					} else {
-						frame = AppendFrame(frame[:0], KindEpoch, 0, EncodeEpoch(enc))
-					}
+					frame := NewFrame(enc).wire(len(enc.Buf) >= DefaultCompressThreshold, &built)
 					wireBytes += int64(len(frame))
 				}
 			}
@@ -54,22 +54,56 @@ func BenchmarkShipCompress(b *testing.B) {
 }
 
 // BenchmarkShipEncodeRaw is the uncompressed baseline over the same
-// TPC-C stream: header append + frame + CRC with no flate, i.e. what a
-// peer without CapFlate costs per epoch. Diffing against BenchmarkShipCompress/tpcc
-// shows the CPU price paid for the wire-byte win.
+// TPC-C stream: the raw Frame build (header + payload + CRC in one
+// allocation, no flate), i.e. what a peer without CapFlate costs per
+// epoch. Diffing against BenchmarkShipCompress/tpcc shows the CPU price
+// paid for the wire-byte win.
 func BenchmarkShipEncodeRaw(b *testing.B) {
 	encs := primary.New(workload.NewTPCC(2), 42).GenerateEncoded(4000, 128)
 	var rawBytes int64
 	for i := range encs {
 		rawBytes += int64(frameHdrSize + epochHdrSize + len(encs[i].Buf) + 4)
 	}
-	frame := make([]byte, 0, 64<<10)
+	var built metrics.Counter
 	b.SetBytes(rawBytes)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		for i := range encs {
-			frame = AppendFrame(frame[:0], KindEpoch, 0, EncodeEpoch(&encs[i]))
+			_ = NewFrame(&encs[i]).wire(false, &built)
 		}
 	}
-	_ = frame
+}
+
+// BenchmarkShipFanoutWrite is what a fan-out's senders spend per epoch
+// (one op) on the same TPC-C stream: the epoch is wrapped once, and each
+// of N peers writes its flate form into its own buffered writer over a
+// discard sink and flushes, as flushLocked does. The first peer builds
+// the form; the rest write the shared bytes, so ns/op should be nearly
+// flat in N.
+func BenchmarkShipFanoutWrite(b *testing.B) {
+	encs := primary.New(workload.NewTPCC(2), 42).GenerateEncoded(4000, 128)
+	for _, peers := range []int{1, 3} {
+		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
+			sinks := make([]*bufio.Writer, peers)
+			for i := range sinks {
+				sinks[i] = bufio.NewWriterSize(io.Discard, 1<<20)
+			}
+			var built metrics.Counter
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				fr := NewFrame(&encs[n%len(encs)])
+				for _, w := range sinks {
+					if _, err := w.Write(fr.wire(true, &built)); err != nil {
+						b.Fatal(err)
+					}
+					if err := w.Flush(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if built.Load() != int64(b.N) {
+				b.Fatalf("%d builds for %d epochs", built.Load(), b.N)
+			}
+		})
+	}
 }

@@ -1,8 +1,10 @@
 package ship
 
 import (
+	"bytes"
 	"compress/flate"
 	"math/bits"
+	"sync"
 	"time"
 
 	"aets/internal/epoch"
@@ -13,47 +15,47 @@ import (
 // CPU outweigh the savings.
 const DefaultCompressThreshold = 512
 
-// epochCompressor builds compressed EPOCH payloads, reusing one flate
-// writer and one output buffer across frames. Not safe for concurrent
-// use; the Sender guards it with its mutex.
-type epochCompressor struct {
-	fw *flate.Writer
-	sw sliceWriter
+// deflater is one pooled flate writer and the scratch buffer it writes
+// a frame into.
+type deflater struct {
+	fw  *flate.Writer
+	out bytes.Buffer
 }
 
-type sliceWriter struct{ b []byte }
+// deflaters pools flate writers across frame builds, mirroring
+// flateReaders on the inflate side: a build happens once per epoch,
+// whichever sender runs it, so no sender owns a writer.
+var deflaters = sync.Pool{New: func() any {
+	d := new(deflater)
+	d.fw, _ = flate.NewWriter(&d.out, flate.BestSpeed)
+	return d
+}}
 
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
-// payload returns the compressed EPOCH payload for enc — the clear
-// 36-byte epoch header followed by flate(enc.Buf) — or nil when
+// flateEpochFrame returns enc's complete compressed EPOCH frame — the
+// clear 36-byte epoch header followed by flate(enc.Buf) — or nil when
 // compression fails to shrink the payload (incompressible buf), in
-// which case the caller ships the raw encoding. The returned slice is
-// reused by the next call: frame-encode it before calling again.
+// which case the caller ships the raw form. The frame is an exact-size
+// copy out of the pooled scratch buffer, so it can be retained.
 //
 // flate.BestSpeed is deliberate: WAL entry streams are highly
 // repetitive (shared key prefixes, monotone LSNs), so the fast level
 // already captures most of the win at a fraction of the CPU.
-func (c *epochCompressor) payload(enc *epoch.Encoded) []byte {
-	c.sw.b = appendEpochHdr(c.sw.b[:0], enc)
-	if c.fw == nil {
-		c.fw, _ = flate.NewWriter(&c.sw, flate.BestSpeed)
-	} else {
-		c.fw.Reset(&c.sw)
-	}
-	if _, err := c.fw.Write(enc.Buf); err != nil {
+func flateEpochFrame(enc *epoch.Encoded) []byte {
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	d.out.Reset()
+	d.out.Write(appendEpochHdr(appendFrameHdr(d.out.AvailableBuffer(), KindEpoch, FlagCompressed), enc))
+	d.fw.Reset(&d.out)
+	if _, err := d.fw.Write(enc.Buf); err != nil {
 		return nil
 	}
-	if err := c.fw.Close(); err != nil {
+	if err := d.fw.Close(); err != nil {
 		return nil
 	}
-	if len(c.sw.b) >= epochHdrSize+len(enc.Buf) {
+	if d.out.Len()-frameHdrSize >= epochHdrSize+len(enc.Buf) {
 		return nil
 	}
-	return c.sw.b
+	return sealFrame(append(make([]byte, 0, d.out.Len()+4), d.out.Bytes()...), 0)
 }
 
 // Backoff returns the exponential reconnect delay base<<retry clamped

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aets/internal/epoch"
+	"aets/internal/htap"
 	"aets/internal/metrics"
 	"aets/internal/ship"
 )
@@ -95,6 +96,96 @@ func TestReconnectResumeAfterMidEpochCut(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gatedApplier holds every Feed until open is closed, so no ack leaves
+// the receiver while the sender's window fills.
+type gatedApplier struct {
+	node *htap.Node
+	open chan struct{}
+}
+
+func (a *gatedApplier) Feed(enc *epoch.Encoded) error {
+	<-a.open
+	return a.node.Feed(enc)
+}
+
+func (a *gatedApplier) Heartbeat(ts int64) error { return a.node.Heartbeat(ts) }
+
+// TestReconnectRetransmitsBuiltFrames cuts a compressed link inside the
+// last frame of a full, unacknowledged window. The resumed stream
+// retransmits from the frames the sender already built: more epoch
+// frames are sent than there are epochs, yet each epoch is deflated
+// exactly once, and the backup converges to the reference.
+func TestReconnectRetransmitsBuiltFrames(t *testing.T) {
+	const window = 4
+	encs := tpccEncoded(1024, 128) // 8 epochs, all above the compress threshold
+	want := directNode(t, encs)
+	defer want.Close()
+
+	// The HELLO, the window's first frames, and half of its last one.
+	cut := int64(len(ship.AppendFrame(nil, ship.KindHello, 0, make([]byte, 16))))
+	for i := 0; i < window-1; i++ {
+		cut += int64(ship.WireLen(&encs[i], true))
+	}
+	cut += int64(ship.WireLen(&encs[window-1], true) / 2)
+
+	ln := listen(t)
+	defer ln.Close()
+	node := newNode(t)
+	defer node.Close()
+	app := &gatedApplier{node: node, open: make(chan struct{})}
+	rcv := mustReceiver(t, ship.ReceiverConfig{
+		Schema:   tpccSchema(),
+		Applier:  app,
+		Compress: true,
+		Metrics:  ship.NewMetrics(metrics.NewRegistry()),
+		Drain:    func() error { node.Drain(); return node.Err() },
+	})
+	done, _ := serveLoop(ln, rcv)
+
+	reg := metrics.NewRegistry()
+	s := mustSender(t, ship.SenderConfig{
+		Dial: ship.FaultDialer(dialer(ln.Addr().String()), func(i int) ship.FaultOpts {
+			if i == 0 {
+				return ship.FaultOpts{CutWriteAfter: cut}
+			}
+			return ship.FaultOpts{}
+		}),
+		Schema:    tpccSchema(),
+		Window:    window,
+		Compress:  true,
+		RetryBase: time.Millisecond,
+		RetryMax:  10 * time.Millisecond,
+		Metrics:   ship.NewMetrics(reg),
+	})
+	for i := 0; i < window; i++ {
+		if err := s.Send(&encs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Connected || st.Inflight != window || st.Acked != 0 {
+		t.Fatalf("after the cut: %+v, want a dead link with a full unacked window", st)
+	}
+	close(app.open)
+	for i := window; i < len(encs); i++ {
+		if err := s.Send(&encs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, done, "serve loop")
+
+	st := s.Stats()
+	if st.Reconnects != 1 || st.Sent <= int64(len(encs)) {
+		t.Fatalf("reconnects %d, sent %d: want 1 and more than %d epochs", st.Reconnects, st.Sent, len(encs))
+	}
+	if got := reg.Counter("ship_frames_built_total").Load(); got != int64(len(encs)) {
+		t.Fatalf("ship_frames_built_total = %d after %d sends, want one build per epoch (%d)", got, st.Sent, len(encs))
+	}
+	assertSameState(t, node, want)
 }
 
 // TestDuplicateFramesDeduped delivers every frame twice (and fragments

@@ -79,6 +79,7 @@ import (
 	"sync"
 
 	"aets/internal/epoch"
+	"aets/internal/metrics"
 	"aets/internal/wal"
 )
 
@@ -176,11 +177,19 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // flags to dst and returns the result.
 func AppendFrame(dst []byte, kind, flags byte, payload []byte) []byte {
 	off := len(dst)
-	dst = append(dst, frameMagic, Version, kind, flags)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(payload)))
-	dst = append(dst, n[:]...)
-	dst = append(dst, payload...)
+	return sealFrame(append(appendFrameHdr(dst, kind, flags), payload...), off)
+}
+
+// appendFrameHdr appends a frame header whose payload length is left
+// for sealFrame to stamp once the payload has been appended.
+func appendFrameHdr(dst []byte, kind, flags byte) []byte {
+	return append(dst, frameMagic, Version, kind, flags, 0, 0, 0, 0)
+}
+
+// sealFrame completes the frame at dst[off:], whose payload runs to the
+// end of dst: it stamps the payload length and appends the CRC.
+func sealFrame(dst []byte, off int) []byte {
+	binary.LittleEndian.PutUint32(dst[off+4:], uint32(len(dst)-off-frameHdrSize))
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(dst[off:], castagnoli))
 	return append(dst, crc[:]...)
@@ -299,6 +308,47 @@ func appendEpochHdr(dst []byte, enc *epoch.Encoded) []byte {
 func EncodeEpoch(enc *epoch.Encoded) []byte {
 	p := appendEpochHdr(make([]byte, 0, epochHdrSize+len(enc.Buf)), enc)
 	return append(p, enc.Buf...)
+}
+
+// Frame is one epoch's outgoing EPOCH frame, shared by every sender
+// that ships the epoch (a fan-out wraps each epoch once for all peers).
+// Its wire bytes are built lazily, at most once per form — flate and
+// raw — by whichever sender first needs that form; every other sender,
+// and every retransmission after a reconnect, writes exactly those
+// bytes. A built form is immutable and never recycled: it lives while
+// any sender holds the frame queued or in flight, so a dead peer's
+// unbounded backlog pins built bytes as well as the epoch buffers
+// (epoch.Encoded) it pins anyway.
+type Frame struct {
+	enc                *epoch.Encoded
+	rawOnce, flateOnce sync.Once
+	raw, flated        []byte // flated stays nil when flate does not shrink enc
+}
+
+// NewFrame wraps enc for shipping; nothing is built until a sender
+// writes the frame.
+func NewFrame(enc *epoch.Encoded) *Frame { return &Frame{enc: enc} }
+
+// Epoch returns the epoch the frame carries.
+func (f *Frame) Epoch() *epoch.Encoded { return f.enc }
+
+// wire returns the frame's flate form (raw when flate cannot shrink the
+// epoch) or raw form, building it on first use; a build adds one to built.
+func (f *Frame) wire(compressed bool, built *metrics.Counter) []byte {
+	if compressed {
+		f.flateOnce.Do(func() { f.flated = flateEpochFrame(f.enc); built.Inc() })
+		if f.flated != nil {
+			return f.flated
+		}
+	}
+	// One allocation: AppendFrame over EncodeEpoch without the payload copy.
+	f.rawOnce.Do(func() {
+		b := make([]byte, 0, frameHdrSize+epochHdrSize+len(f.enc.Buf)+4)
+		b = appendEpochHdr(appendFrameHdr(b, KindEpoch, 0), f.enc)
+		f.raw = sealFrame(append(b, f.enc.Buf...), 0)
+		built.Inc()
+	})
+	return f.raw
 }
 
 // DecodeEpoch parses an uncompressed EPOCH frame payload. Malformed

@@ -2,15 +2,18 @@ package ship
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"aets/internal/epoch"
+	"aets/internal/metrics"
 	"aets/internal/wal"
 )
 
@@ -105,6 +108,89 @@ func TestEpochPayloadRoundtrip(t *testing.T) {
 	}
 }
 
+// flatePayload returns the EPOCH payload enc's frame carries in its
+// flate form, or nil when that form fell back to the raw bytes.
+func flatePayload(enc *epoch.Encoded) []byte {
+	b := NewFrame(enc).wire(true, new(metrics.Counter))
+	if b[3]&FlagCompressed == 0 {
+		return nil
+	}
+	return b[frameHdrSize : len(b)-4]
+}
+
+// TestFrameFormsBuiltOnceAndByteStable pins what a link writes: the raw
+// form is AppendFrame over EncodeEpoch, the flate form is AppendFrame
+// over the clear epoch header and a BestSpeed deflate of the buf, each
+// form is built once however often it is written, and the flate form of
+// an epoch flate cannot shrink is the raw form's bytes.
+func TestFrameFormsBuiltOnceAndByteStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	enc := testEpoch(rng, 4)
+	enc.Buf = bytes.Repeat(enc.Buf[:10], 100)
+	enc.TxnCount, enc.EntryCount = 3, 9
+
+	var z bytes.Buffer
+	fw, _ := flate.NewWriter(&z, flate.BestSpeed)
+	fw.Write(enc.Buf)
+	fw.Close()
+	wantFlate := AppendFrame(nil, KindEpoch, FlagCompressed, append(appendEpochHdr(nil, enc), z.Bytes()...))
+	wantRaw := AppendFrame(nil, KindEpoch, 0, EncodeEpoch(enc))
+
+	var built metrics.Counter
+	fr := NewFrame(enc)
+	for i := 0; i < 3; i++ {
+		if got := fr.wire(true, &built); !bytes.Equal(got, wantFlate) {
+			t.Fatalf("write %d: flate form differs from the reference frame", i)
+		}
+		if got := fr.wire(false, &built); !bytes.Equal(got, wantRaw) {
+			t.Fatalf("write %d: raw form differs from the reference frame", i)
+		}
+	}
+	if got := built.Load(); got != 2 {
+		t.Fatalf("%d builds for two forms written three times each, want 2", got)
+	}
+
+	inc := testEpoch(rng, 5)
+	inc.Buf = make([]byte, 4096)
+	rng.Read(inc.Buf)
+	var incBuilt metrics.Counter
+	fr = NewFrame(inc)
+	flated, raw := fr.wire(true, &incBuilt), fr.wire(false, &incBuilt)
+	if &flated[0] != &raw[0] || !bytes.Equal(raw, AppendFrame(nil, KindEpoch, 0, EncodeEpoch(inc))) {
+		t.Fatal("incompressible epoch: flate form is not the raw form's bytes")
+	}
+	if got := incBuilt.Load(); got != 2 {
+		t.Fatalf("incompressible epoch: %d builds, want 2 (the deflate attempt and the raw form)", got)
+	}
+}
+
+// TestFrameConcurrentWritersBuildOnce: senders racing for the same form
+// of a shared frame get one build and the same bytes.
+func TestFrameConcurrentWritersBuildOnce(t *testing.T) {
+	enc := testEpoch(rand.New(rand.NewSource(32)), 1)
+	enc.Buf = bytes.Repeat(enc.Buf[:10], 500)
+	fr := NewFrame(enc)
+	var built metrics.Counter
+	got := make([][]byte, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = fr.wire(true, &built)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("writer %d got its own bytes", i)
+		}
+	}
+	if n := built.Load(); n != 1 {
+		t.Fatalf("%d builds, want 1", n)
+	}
+}
+
 func TestReadFrameRejectsDamage(t *testing.T) {
 	valid := AppendFrame(nil, KindEpoch, 0, EncodeEpoch(testEpoch(rand.New(rand.NewSource(2)), 3)))
 
@@ -159,8 +245,7 @@ func restamp(frame []byte, ver, flags byte) []byte {
 func TestReadFrameVersionByte(t *testing.T) {
 	enc := testEpoch(rand.New(rand.NewSource(4)), 9)
 	raw := AppendFrame(nil, KindEpoch, 0, EncodeEpoch(enc))
-	var ec epochCompressor
-	comp := AppendFrame(nil, KindEpoch, FlagCompressed, ec.payload(&epoch.Encoded{Seq: 9, TxnCount: 1, EntryCount: 1, Buf: bytes.Repeat([]byte("abcd"), 256)}))
+	comp := AppendFrame(nil, KindEpoch, FlagCompressed, flatePayload(&epoch.Encoded{Seq: 9, TxnCount: 1, EntryCount: 1, Buf: bytes.Repeat([]byte("abcd"), 256)}))
 	if raw[1] != Version || comp[1] != Version {
 		t.Fatalf("frames stamped %d/%d, want %d", raw[1], comp[1], Version)
 	}
@@ -320,8 +405,7 @@ func TestDecodeEpochAliasingContract(t *testing.T) {
 	// The compressed path inflates into fresh memory: never aliases.
 	big := testEpoch(rng, 2)
 	big.Buf = bytes.Repeat([]byte("aliascheck"), 200)
-	var comp epochCompressor
-	cp := append([]byte(nil), comp.payload(big)...)
+	cp := append([]byte(nil), flatePayload(big)...)
 	dc, err := DecodeEpochFrame(FlagCompressed, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +420,6 @@ func TestDecodeEpochAliasingContract(t *testing.T) {
 
 func TestCompressedEpochRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	var comp epochCompressor
 	for i := 0; i < 20; i++ {
 		want := testEpoch(rng, uint64(i))
 		// Make it compressible: repeat a motif (and rebound the counts to
@@ -344,7 +427,7 @@ func TestCompressedEpochRoundtrip(t *testing.T) {
 		motif := append([]byte(nil), want.Buf[:10]...)
 		want.Buf = bytes.Repeat(motif, 8+rng.Intn(64))
 		want.TxnCount, want.EntryCount = 1+rng.Intn(8), 1+rng.Intn(64)
-		p := comp.payload(want)
+		p := flatePayload(want)
 		if p == nil {
 			t.Fatalf("epoch %d: repetitive buf did not compress", i)
 		}
@@ -361,12 +444,12 @@ func TestCompressedEpochRoundtrip(t *testing.T) {
 			t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, want)
 		}
 	}
-	// Incompressible input (random bytes): payload reports nil and the
-	// caller ships raw.
+	// Incompressible input (random bytes): the flate form falls back to
+	// the raw frame.
 	inc := testEpoch(rng, 100)
 	inc.Buf = make([]byte, 4096)
 	rng.Read(inc.Buf)
-	if p := comp.payload(inc); p != nil {
+	if p := flatePayload(inc); p != nil {
 		t.Fatalf("random buf claimed compressible: %d vs %d", len(p), epochHdrSize+len(inc.Buf))
 	}
 }
@@ -375,8 +458,7 @@ func TestCorruptCompressedEpochIsErrCorruptNotPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	enc := testEpoch(rng, 7)
 	enc.Buf = bytes.Repeat([]byte("payload"), 300)
-	var comp epochCompressor
-	good := append([]byte(nil), comp.payload(enc)...)
+	good := append([]byte(nil), flatePayload(enc)...)
 
 	// Every single-byte corruption of the flate stream must surface as
 	// ErrCorrupt (or, rarely, decode to different bytes of the correct

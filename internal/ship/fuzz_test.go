@@ -39,11 +39,10 @@ func fuzzSeeds() [][]byte {
 	)
 	// A compressed epoch, a compressed epoch with a mangled flate
 	// stream, and hostile count/length headers.
-	comp := &epochCompressor{}
 	cenc := testEpoch(rng, 6)
 	cenc.Buf = bytes.Repeat(cenc.Buf[:8], 64)
 	cenc.TxnCount, cenc.EntryCount = 3, 17
-	if cp := comp.payload(cenc); cp != nil {
+	if cp := flatePayload(cenc); cp != nil {
 		seeds = append(seeds, AppendFrame(nil, KindEpoch, FlagCompressed, cp))
 		mangled := AppendFrame(nil, KindEpoch, FlagCompressed, cp)
 		mangled[frameHdrSize+epochHdrSize+2] ^= 0xff
@@ -55,7 +54,7 @@ func fuzzSeeds() [][]byte {
 	hostile[28], hostile[29], hostile[30], hostile[31] = 0xff, 0xff, 0xff, 0xff
 	seeds = append(seeds, AppendFrame(nil, KindEpoch, 0, hostile))
 	// Compressed frame whose declared raw length is absurd.
-	if cp := comp.payload(cenc); cp != nil {
+	if cp := flatePayload(cenc); cp != nil {
 		lied := append([]byte(nil), cp...)
 		lied[32], lied[33], lied[34], lied[35] = 0xff, 0xff, 0xff, 0x0f
 		seeds = append(seeds, AppendFrame(nil, KindEpoch, FlagCompressed, lied))

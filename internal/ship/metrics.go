@@ -35,6 +35,11 @@ type Metrics struct {
 	// CompressionRatio is the cumulative wire/raw byte ratio for epoch
 	// frames (1.0 = uncompressed, lower is better).
 	CompressionRatio *metrics.Gauge
+	// FramesBuilt counts the epoch frame forms (flate or raw) this
+	// sender built. Senders sharing a Frame build each form at most once
+	// between them, so summed over a fan-out's peers it grows per epoch
+	// and form used, not per peer; retransmissions never add to it.
+	FramesBuilt *metrics.Counter
 	// SnapshotsSent counts catch-up snapshots the sender streamed to a
 	// receiver whose cursor it could not serve; SnapshotsRestored counts
 	// snapshots the receiver validated and installed. Named cluster_*
@@ -79,6 +84,7 @@ func NewPeerMetrics(r *metrics.Registry, peer string) *Metrics {
 		BytesRaw:         r.Counter(name("ship_bytes_raw_total")),
 		BytesWire:        r.Counter(name("ship_bytes_wire_total")),
 		CompressionRatio: r.Gauge(name("ship_compression_ratio")),
+		FramesBuilt:      r.Counter(name("ship_frames_built_total")),
 
 		SnapshotsSent:     r.Counter(name("cluster_snapshot_sent_total")),
 		SnapshotsRestored: r.Counter(name("cluster_snapshot_restored_total")),

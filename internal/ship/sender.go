@@ -92,10 +92,10 @@ type SenderStats struct {
 // lazily on the first Send (or explicitly via Connect); a broken
 // connection is re-dialed with jittered exponential backoff and the
 // stream resumes from the cursor the backup reports in its WELCOME, so
-// unacked epochs are retransmitted and nothing gaps.
+// unacked epochs are retransmitted (as built, never rebuilt) and nothing gaps.
 //
-// Send may be called from one producer goroutine; Stats and Close are
-// safe from any goroutine.
+// Send and SendFrame may be called from one producer goroutine; Stats
+// and Close are safe from any goroutine.
 type Sender struct {
 	cfg SenderConfig
 	m   *Metrics
@@ -111,7 +111,7 @@ type Sender struct {
 	dialing bool
 	everUp  bool
 
-	pending   []*epoch.Encoded // sent or to-send, not yet acked
+	pending   []*Frame // sent or to-send, not yet acked
 	pendingAt []time.Time
 	sentIdx   int // pending[:sentIdx] written on the current conn
 	ackCursor uint64
@@ -122,8 +122,6 @@ type Sender struct {
 	// negotiated is the capability intersection of the current
 	// connection's handshake.
 	negotiated uint64
-	comp       epochCompressor
-	frameBuf   []byte
 	bytesRaw   int64
 	bytesWire  int64
 
@@ -216,7 +214,12 @@ func (s *Sender) Connect() error {
 // is being re-established. A nil return means the epoch is queued and
 // will be retransmitted across reconnects until the backup acknowledges
 // it; durability is confirmed by acks, observable via Stats.
-func (s *Sender) Send(enc *epoch.Encoded) error {
+func (s *Sender) Send(enc *epoch.Encoded) error { return s.SendFrame(NewFrame(enc)) }
+
+// SendFrame is Send for a frame other senders may share (a fan-out's
+// peers); whichever sender first writes a form of it builds that form.
+func (s *Sender) SendFrame(fr *Frame) error {
+	enc := fr.enc
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -248,7 +251,7 @@ func (s *Sender) Send(enc *epoch.Encoded) error {
 		// bridge.
 		s.snapNeeded = true
 	}
-	s.pending = append(s.pending, enc)
+	s.pending = append(s.pending, fr)
 	s.pendingAt = append(s.pendingAt, time.Now())
 	s.lastSeq, s.haveSeq = enc.Seq, true
 	if enc.LastCommitTS > s.lastTS {
@@ -476,7 +479,7 @@ func (s *Sender) flushLocked() {
 	// and this link can snapshot, replace its state first — the retire
 	// at the snapshot cursor then drops every pending epoch the
 	// snapshot already covers.
-	if s.snapNeeded || (len(s.pending) > 0 && s.pending[0].Seq > s.ackCursor) {
+	if s.snapNeeded || (len(s.pending) > 0 && s.pending[0].enc.Seq > s.ackCursor) {
 		if s.cfg.Snapshot != nil && s.negotiated&CapSnapshot != 0 {
 			s.streamSnapshotLocked()
 			if s.connErr != nil {
@@ -494,28 +497,19 @@ func (s *Sender) flushLocked() {
 		}
 	}
 	for s.sentIdx < len(s.pending) {
-		enc := s.pending[s.sentIdx]
-		var payload []byte
-		var flags byte
-		if s.negotiated&CapFlate != 0 && len(enc.Buf) >= s.cfg.CompressThreshold {
-			if p := s.comp.payload(enc); p != nil {
-				payload, flags = p, FlagCompressed
-			}
-		}
-		if payload == nil {
-			payload = EncodeEpoch(enc)
-		}
-		s.frameBuf = AppendFrame(s.frameBuf[:0], KindEpoch, flags, payload)
-		if _, err := s.bw.Write(s.frameBuf); err != nil {
+		fr := s.pending[s.sentIdx]
+		compressed := s.negotiated&CapFlate != 0 && len(fr.enc.Buf) >= s.cfg.CompressThreshold
+		b := fr.wire(compressed, s.m.FramesBuilt)
+		if _, err := s.bw.Write(b); err != nil {
 			s.failLocked(err)
 			return
 		}
 		// raw = the frame as it would ship uncompressed; wire = as sent.
-		raw := int64(frameHdrSize + epochHdrSize + len(enc.Buf) + 4)
+		raw := int64(frameHdrSize + epochHdrSize + len(fr.enc.Buf) + 4)
 		s.bytesRaw += raw
-		s.bytesWire += int64(len(s.frameBuf))
+		s.bytesWire += int64(len(b))
 		s.m.BytesRaw.Add(raw)
-		s.m.BytesWire.Add(int64(len(s.frameBuf)))
+		s.m.BytesWire.Add(int64(len(b)))
 		s.sentIdx++
 		s.sent++
 		s.m.EpochsSent.Inc()
@@ -617,7 +611,7 @@ func (s *Sender) SendDigest(seq uint64, ts int64, digest uint64) bool {
 // pendingFirstSeqLocked is the first unretired sequence (error text).
 func (s *Sender) pendingFirstSeqLocked() uint64 {
 	if len(s.pending) > 0 {
-		return s.pending[0].Seq
+		return s.pending[0].enc.Seq
 	}
 	return s.ackCursor
 }
@@ -626,7 +620,7 @@ func (s *Sender) pendingFirstSeqLocked() uint64 {
 // (acknowledged, or already applied per a resume handshake).
 func (s *Sender) retireLocked(cursor uint64) {
 	n := 0
-	for n < len(s.pending) && s.pending[n].Seq < cursor {
+	for n < len(s.pending) && s.pending[n].enc.Seq < cursor {
 		n++
 	}
 	if n > 0 {

@@ -775,9 +775,13 @@ func TestPeerMetricsDistinctSeries(t *testing.T) {
 	a.EpochsSent.Add(3)
 	b.EpochsSent.Add(5)
 	a.Connected.Set(1)
+	b.FramesBuilt.Inc()
 	snap := reg.Snapshot()
 	if snap[`ship_epochs_sent{peer="r1"}`] != 3 || snap[`ship_epochs_sent{peer="r2"}`] != 5 {
 		t.Fatalf("per-peer counters collided: %v", snap)
+	}
+	if snap[`ship_frames_built_total{peer="r1"}`] != 0 || snap[`ship_frames_built_total{peer="r2"}`] != 1 {
+		t.Fatalf("per-peer build counters collided: %v", snap)
 	}
 	if snap[`ship_connected{peer="r1"}`] != 1 || snap[`ship_connected{peer="r2"}`] != 0 {
 		t.Fatalf("per-peer gauges collided: %v", snap)
