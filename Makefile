@@ -109,8 +109,6 @@ bench-json:
 		| $(GO) run ./tools/benchjson > BENCH_replay.json
 	$(GO) test -run='^$$' -bench='$(MEMTABLE_BENCH)' -benchmem ./internal/memtable/ \
 		| $(GO) run ./tools/benchjson > BENCH_memtable.json
-	$(GO) test -run='^$$' -bench=BenchmarkRouteQuery -benchmem ./internal/cluster/ \
-		| $(GO) run ./tools/benchjson > BENCH_cluster.json
 	$(GO) test -run='^$$' -bench='$(SHIP_BENCH)' -benchmem ./internal/ship/ \
 		| $(GO) run ./tools/benchjson > BENCH_ship.json
 	$(GO) test -run='^$$' -bench='$(QUERY_BENCH)' -benchmem ./internal/query/ \
@@ -125,8 +123,6 @@ bench-diff:
 		| $(GO) run ./tools/benchjson -diff BENCH_replay.json
 	$(GO) test -run='^$$' -bench='$(MEMTABLE_BENCH)' -benchmem ./internal/memtable/ \
 		| $(GO) run ./tools/benchjson -diff BENCH_memtable.json
-	$(GO) test -run='^$$' -bench=BenchmarkRouteQuery -benchmem ./internal/cluster/ \
-		| $(GO) run ./tools/benchjson -diff BENCH_cluster.json
 	$(GO) test -run='^$$' -bench='$(SHIP_BENCH)' -benchmem ./internal/ship/ \
 		| $(GO) run ./tools/benchjson -diff BENCH_ship.json
 	$(GO) test -run='^$$' -bench='$(QUERY_BENCH)' -benchmem ./internal/query/ \

@@ -10,7 +10,7 @@ import (
 	"aets/internal/recovery"
 )
 
-// All four modes parse with ContinueOnError and validate every flag
+// All three modes parse with ContinueOnError and validate every flag
 // combination up front, so a bad invocation dies with a usage error
 // before any socket is opened or epoch generated — never as a mid-run
 // panic. The parse functions are separated from the run functions so
@@ -199,64 +199,6 @@ func parseClusterFlags(mode string, args []string) (*clusterFlags, error) {
 	}
 	if c.compactEvery > 0 && !c.columnar {
 		return nil, usagef("%s: -compact-every requires -columnar", mode)
-	}
-	return c, nil
-}
-
-type routeFlags struct {
-	replicas        int
-	algo, workload  string
-	txns, epochSize int
-	seed            int64
-	workers, rate   int
-	queries         int
-	concurrency     int
-	delay           time.Duration
-	stale           int64
-	compress        bool
-	applyProfiles   func()
-}
-
-func parseRouteFlags(args []string) (*routeFlags, error) {
-	fs := flag.NewFlagSet("route", flag.ContinueOnError)
-	c := &routeFlags{}
-	fs.IntVar(&c.replicas, "replicas", 3, "replica count (1-64)")
-	fs.StringVar(&c.algo, "algo", "aets", "replay algorithm: aets, tplr, atr, c5")
-	fs.StringVar(&c.workload, "workload", "tpcc", "workload: tpcc, chbench, seats, bustracker")
-	fs.IntVar(&c.txns, "txns", 20000, "transactions to ship")
-	fs.IntVar(&c.epochSize, "epoch", 256, "epoch size")
-	fs.Int64Var(&c.seed, "seed", 1, "seed")
-	fs.IntVar(&c.workers, "workers", 2, "replay workers per replica")
-	fs.IntVar(&c.rate, "rate", 200, "epochs per second pacing (0 = as fast as possible)")
-	fs.IntVar(&c.queries, "queries", 2000, "routed queries to issue while the stream ships")
-	fs.IntVar(&c.concurrency, "concurrency", 8, "concurrent query workers")
-	fs.DurationVar(&c.delay, "delay", 0, "per-link replication delay: link i gets i×delay (ship.FaultConn latency)")
-	fs.Int64Var(&c.stale, "stale", 1_000_000, "query timestamps trail the shipped watermark by up to this many commit-ts units (0 = always query the head)")
-	fs.BoolVar(&c.compress, "compress", false, "negotiate flate frame compression on every replication link")
-	c.applyProfiles = contentionProfileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	if c.replicas < 1 || c.replicas > 64 {
-		return nil, usagef("route: -replicas must be in 1..64 (got %d)", c.replicas)
-	}
-	if !knownAlgo(c.algo) {
-		return nil, usagef("route: unknown algo %q (aets, tplr, atr, c5)", c.algo)
-	}
-	if !knownWorkload(c.workload) {
-		return nil, usagef("route: unknown workload %q (tpcc, chbench, seats, bustracker)", c.workload)
-	}
-	if c.txns <= 0 || c.epochSize <= 0 {
-		return nil, usagef("route: -txns and -epoch must be positive (got %d, %d)", c.txns, c.epochSize)
-	}
-	if c.workers <= 0 {
-		return nil, usagef("route: -workers must be positive (got %d)", c.workers)
-	}
-	if c.queries < 0 || c.rate < 0 || c.delay < 0 || c.stale < 0 {
-		return nil, usagef("route: -queries, -rate, -delay and -stale must not be negative")
-	}
-	if c.concurrency <= 0 {
-		return nil, usagef("route: -concurrency must be positive (got %d)", c.concurrency)
 	}
 	return c, nil
 }

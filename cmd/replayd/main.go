@@ -22,14 +22,10 @@
 // epochs and fans the stream out to every -connect backup at once
 // (internal/cluster), each over its own independent link with a
 // bounded in-flight window, heartbeats and automatic reconnect;
-// primary is the same mode under its one-peer name. The route mode
-// runs a whole 1-primary/N-replica topology in one process with skewed
-// per-link delays and measures freshness-aware query routing against
-// it:
+// primary is the same mode under its one-peer name:
 //
 //	replayd backup -listen :7070 & replayd backup -listen :7071 &
 //	replayd cluster -connect localhost:7070,localhost:7071 -txns 50000
-//	replayd route -replicas 3 -delay 5ms -queries 2000
 package main
 
 import (
@@ -90,7 +86,7 @@ func serveHTTP(addr string, opts obsrv.Options) (func(), error) {
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: replayd primary|backup|cluster|route [flags]")
+		fmt.Fprintln(os.Stderr, "usage: replayd primary|backup|cluster [flags]")
 		os.Exit(2)
 	}
 	var err error
@@ -99,10 +95,8 @@ func main() {
 		err = runCluster(os.Args[1], os.Args[2:])
 	case "backup":
 		err = runBackup(os.Args[2:])
-	case "route":
-		err = runRoute(os.Args[2:])
 	default:
-		err = &usageError{msg: fmt.Sprintf("unknown mode %q (primary, backup, cluster, route)", os.Args[1])}
+		err = &usageError{msg: fmt.Sprintf("unknown mode %q (primary, backup, cluster)", os.Args[1])}
 	}
 	switch {
 	case err == nil:

@@ -22,7 +22,6 @@ func TestFlagValidation(t *testing.T) {
 		"primary": func(a []string) error { _, err := parseClusterFlags("primary", a); return err },
 		"backup":  func(a []string) error { _, err := parseBackupFlags(a); return err },
 		"cluster": func(a []string) error { _, err := parseClusterFlags("cluster", a); return err },
-		"route":   func(a []string) error { _, err := parseRouteFlags(a); return err },
 	}
 
 	cases := []struct {
@@ -71,18 +70,6 @@ func TestFlagValidation(t *testing.T) {
 		{"cluster zero window", "cluster", []string{"-connect", "a:1", "-window", "0"}, "-window and -retries must be positive"},
 		{"cluster negative max-queue", "cluster", []string{"-connect", "a:1", "-max-queue", "-1"}, "must not be negative"},
 		{"cluster compress", "cluster", []string{"-connect", "a:1,b:2", "-compress"}, ""},
-
-		// route
-		{"route defaults", "route", nil, ""},
-		{"route zero replicas", "route", []string{"-replicas", "0"}, "-replicas must be in 1..64"},
-		{"route too many replicas", "route", []string{"-replicas", "65"}, "-replicas must be in 1..64"},
-		{"route unknown algo", "route", []string{"-algo", "nope"}, `unknown algo "nope"`},
-		{"route zero txns", "route", []string{"-txns", "0"}, "-txns and -epoch must be positive"},
-		{"route zero workers", "route", []string{"-workers", "0"}, "-workers must be positive"},
-		{"route negative delay", "route", []string{"-delay", "-1ms"}, "must not be negative"},
-		{"route negative stale", "route", []string{"-stale", "-1"}, "must not be negative"},
-		{"route zero concurrency", "route", []string{"-concurrency", "0"}, "-concurrency must be positive"},
-		{"route compress", "route", []string{"-compress"}, ""},
 	}
 
 	for _, tc := range cases {

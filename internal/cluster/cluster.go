@@ -27,15 +27,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aets/internal/htap"
 	"aets/internal/query"
 	"aets/internal/recovery"
 	"aets/internal/wal"
 )
 
 // Replica is the routing view of one cluster member: identity, freshness
-// watermarks, liveness, and bounded visibility waiting. *NodeReplica,
-// *SupervisorReplica and *SimReplica satisfy it.
+// watermarks, liveness, and bounded visibility waiting. *SupervisorReplica
+// (a live, crash-recovering replica) and *SimReplica (the simulator's)
+// satisfy it.
 type Replica interface {
 	// ID names the replica; unique within a Membership.
 	ID() string
@@ -57,13 +57,13 @@ type Replica interface {
 }
 
 // Snapshotter is the query surface of a replica that can actually serve
-// reads (real nodes; the simulator's replicas cannot). The router's
+// reads (*SupervisorReplica; the simulator's replicas cannot). The router's
 // Query path requires it.
 type Snapshotter interface {
 	Query(qts int64, tables ...wal.TableID) *query.Snapshot
 }
 
-// pollWait is the shared bounded-visibility wait: spin briefly, then back
+// pollWait is the bounded-visibility wait: spin briefly, then back
 // off exponentially to a 500µs cadence, rechecking liveness each round so
 // a replica that dies mid-wait releases the waiter instead of hanging it.
 // Conservative by design: it admits on the global watermark; the node's
@@ -82,44 +82,6 @@ func pollWait(qts int64, visible func() int64, healthy func() bool) bool {
 		}
 		time.Sleep(delay)
 	}
-}
-
-// NodeReplica adapts an htap.Node to the Replica interface.
-type NodeReplica struct {
-	id string
-	n  *htap.Node
-}
-
-// NewNodeReplica wraps a node under the given replica ID.
-func NewNodeReplica(id string, n *htap.Node) *NodeReplica {
-	return &NodeReplica{id: id, n: n}
-}
-
-// ID implements Replica.
-func (r *NodeReplica) ID() string { return r.id }
-
-// Node returns the wrapped node.
-func (r *NodeReplica) Node() *htap.Node { return r.n }
-
-// VisibleTS implements Replica.
-func (r *NodeReplica) VisibleTS() int64 { return r.n.VisibleTS() }
-
-// PrimaryTS implements Replica.
-func (r *NodeReplica) PrimaryTS() int64 { return r.n.PrimaryTS() }
-
-// Healthy implements Replica: a node is routable until replay fails
-// fatally.
-func (r *NodeReplica) Healthy() bool { return r.n.Err() == nil }
-
-// WaitVisible implements Replica with a bounded poll over the node's
-// global watermark.
-func (r *NodeReplica) WaitVisible(qts int64, tables []wal.TableID) bool {
-	return pollWait(qts, r.n.VisibleTS, r.Healthy)
-}
-
-// Query implements Snapshotter.
-func (r *NodeReplica) Query(qts int64, tables ...wal.TableID) *query.Snapshot {
-	return r.n.Query(qts, tables...)
 }
 
 // SupervisorReplica adapts a recovery.Supervisor — a crash-recovering

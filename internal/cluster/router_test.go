@@ -10,6 +10,8 @@ import (
 	"aets/internal/grouping"
 	"aets/internal/htap"
 	"aets/internal/metrics"
+	"aets/internal/query"
+	"aets/internal/recovery"
 	"aets/internal/wal"
 )
 
@@ -235,9 +237,11 @@ func TestMembershipSnapshotLag(t *testing.T) {
 	}
 }
 
-// TestRouterQueryEndToEnd routes real snapshot reads over two live
-// htap.Nodes at different replay points and checks the rows come from a
-// replica that satisfies the snapshot.
+// TestRouterQueryEndToEnd routes real snapshot reads over two supervised
+// replicas at different replay points and checks the rows come from a
+// replica that satisfies the snapshot — and that a replica whose
+// supervisor has closed never serves one, even at a timestamp only it
+// ever covered.
 func TestRouterQueryEndToEnd(t *testing.T) {
 	mk := func(id uint64, ts int64, key uint64, val byte) wal.Txn {
 		return wal.Txn{ID: id, CommitTS: ts, Entries: []wal.Entry{{
@@ -245,72 +249,143 @@ func TestRouterQueryEndToEnd(t *testing.T) {
 			Columns: []wal.Column{{ID: 1, Value: []byte{val}}},
 		}}}
 	}
-	txns := []wal.Txn{mk(1, 10, 1, 'x'), mk(2, 20, 2, 'y'), mk(3, 30, 1, 'z')}
+	txns := []wal.Txn{mk(1, 10, 1, 'x'), mk(2, 20, 2, 'y'), mk(3, 30, 1, 'z'), mk(4, 40, 1, 'w')}
 	encs := epoch.EncodeAll(epoch.MustSplit(txns, 1))
 
-	newNode := func(upTo int) *htap.Node {
-		n, err := htap.NewNode(htap.KindAETS, grouping.SingleGroup([]wal.TableID{1}),
-			htap.Options{Workers: 2, Metrics: metrics.NewRegistry()})
+	newSup := func() *recovery.Supervisor {
+		reg := metrics.NewRegistry()
+		spool, err := recovery.OpenSpool(recovery.SpoolConfig{
+			Dir: t.TempDir(), Policy: recovery.SyncNever, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { n.Close() })
-		for i := 0; i < upTo; i++ {
-			enc := encs[i]
-			if err := n.Feed(&enc); err != nil {
+		mgr, err := recovery.OpenManager(t.TempDir(), 0, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup, err := recovery.NewSupervisor(recovery.Config{
+			Kind:        htap.KindAETS,
+			Plan:        grouping.SingleGroup([]wal.TableID{1}),
+			Node:        htap.Options{Workers: 2, Metrics: reg},
+			Spool:       spool,
+			Checkpoints: mgr,
+			Metrics:     reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sup.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			sup.Close()
+			spool.Close()
+		})
+		return sup
+	}
+	feed := func(sup *recovery.Supervisor, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := sup.Feed(&encs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		n.Drain()
-		return n
+		sup.Node().Drain()
 	}
-	// fresh has the whole history, stale only the first epoch.
-	fresh := newNode(len(encs))
-	stale := newNode(1)
+	// fresh has the first three epochs, stale only the first.
+	freshSup, staleSup := newSup(), newSup()
+	feed(freshSup, 0, 3)
+	feed(staleSup, 0, 1)
 
 	m := NewMetrics(metrics.NewRegistry())
 	members := NewMembership(m)
-	if err := members.Add(NewNodeReplica("fresh", fresh)); err != nil {
+	fresh := NewSupervisorReplica("fresh", freshSup)
+	stale := NewSupervisorReplica("stale", staleSup)
+	if err := members.Add(fresh); err != nil {
 		t.Fatal(err)
 	}
-	if err := members.Add(NewNodeReplica("stale", stale)); err != nil {
+	if err := members.Add(stale); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewRouter(RouterConfig{Members: members, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
+	type routed struct {
+		s   *query.Snapshot
+		adm *Admission
+		err error
+	}
+	read := func(qts int64) routed {
+		s, adm, err := r.Query(qts, 1)
+		return routed{s, adm, err}
+	}
+	// check asserts a routed read of row 1 landed on wantID ("" = any)
+	// and saw the value want, then releases its admission.
+	check := func(qts int64, got routed, wantID string, want byte) {
+		t.Helper()
+		if got.err != nil {
+			t.Fatalf("qts=%d: %v", qts, got.err)
+		}
+		defer got.adm.Done()
+		if wantID != "" && got.adm.Replica.ID() != wantID {
+			t.Fatalf("qts=%d routed to %s, want %s", qts, got.adm.Replica.ID(), wantID)
+		}
+		row, ok, err := got.s.Get(1, 1)
+		if err != nil || !ok || row.Columns[1][0] != want {
+			t.Fatalf("qts=%d: row %+v ok=%v err=%v, want %c", qts, row, ok, err, want)
+		}
+	}
 
 	// qts=30 is only visible on fresh: the router must not pick stale.
-	s, adm, err := r.Query(30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adm.Replica.ID() != "fresh" {
-		t.Fatalf("routed to %s, want fresh", adm.Replica.ID())
-	}
-	row, ok, err := s.Get(1, 1)
-	if err != nil || !ok || row.Columns[1][0] != 'z' {
-		t.Fatalf("row %+v ok=%v err=%v, want z", row, ok, err)
-	}
-	adm.Done()
-
+	check(30, read(30), "fresh", 'z')
 	// qts=10 is visible on both: load spreading may pick either, but the
 	// snapshot must read the ts-10 version wherever it lands.
-	s2, adm2, err := r.Query(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, ok, err = s2.Get(1, 1)
-	if err != nil || !ok || row.Columns[1][0] != 'x' {
-		t.Fatalf("row %+v ok=%v err=%v, want x at ts 10", row, ok, err)
-	}
-	adm2.Done()
+	check(10, read(10), "", 'x')
 	if m.RouteHits.Load() != 2 || m.RouteWaits.Load() != 0 {
 		t.Fatalf("hits=%d waits=%d, want 2/0", m.RouteHits.Load(), m.RouteWaits.Load())
 	}
+
+	// stale overtakes fresh: ts 40 is one only it has ever covered.
+	feed(staleSup, 1, 4)
+	check(40, read(40), "stale", 'w')
+
+	// Once its supervisor closes, stale reports no node: unhealthy, and
+	// no watermark for the router to mistake for coverage.
+	if err := staleSup.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if stale.Healthy() || stale.VisibleTS() != 0 {
+		t.Fatalf("closed replica: healthy=%v visible=%d, want false/0", stale.Healthy(), stale.VisibleTS())
+	}
+	// With fresh marked down, the closed replica is no fallback: the
+	// admission errors instead of reading from it.
+	members.SetDown("fresh", true)
+	if _, _, err := r.Query(40, 1); !errors.Is(err, ErrNoReplicas) {
+		t.Fatalf("qts=40 with only a closed replica: err %v, want ErrNoReplicas", err)
+	}
+	members.SetDown("fresh", false)
+	// With fresh back, the read parks on it until it covers ts 40 itself.
+	done := make(chan routed, 1)
+	go func() { done <- read(40) }()
+	select {
+	case got := <-done:
+		t.Fatalf("qts=40 returned before any live replica covered it: %+v", got)
+	case <-time.After(20 * time.Millisecond):
+	}
+	feed(freshSup, 3, 4)
+	select {
+	case got := <-done:
+		check(40, got, "fresh", 'w')
+	case <-time.After(5 * time.Second):
+		t.Fatal("admission never woke after fresh covered ts 40")
+	}
+	if m.RouteWaits.Load() != 1 {
+		t.Fatalf("waits=%d, want 1 (the parked qts=40 read)", m.RouteWaits.Load())
+	}
+
 	// SimReplicas cannot serve snapshots: Query must reject, not panic.
-	// The sim is advanced past both real nodes, so a qts only it
+	// The sim is advanced past both real replicas, so a qts only it
 	// satisfies routes there regardless of the load-tie rotation.
 	if err := members.Add(NewSimReplica("0sim")); err != nil {
 		t.Fatal(err)

@@ -215,9 +215,7 @@ func TestFanoutAntiEntropyDigests(t *testing.T) {
 // nil; unknown IDs are rejected.
 func TestMembershipLinkErr(t *testing.T) {
 	members := cluster.NewMembership(cluster.NewMetrics(metrics.NewRegistry()))
-	n := fanNode(t)
-	defer n.Close()
-	if err := members.Add(cluster.NewNodeReplica("r0", n)); err != nil {
+	if err := members.Add(cluster.NewSimReplica("r0")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -243,9 +241,7 @@ func TestMembershipLinkErr(t *testing.T) {
 // no snapshot source) is published into membership by SyncLinkErrs.
 func TestFanoutSyncLinkErrs(t *testing.T) {
 	members := cluster.NewMembership(cluster.NewMetrics(metrics.NewRegistry()))
-	n := fanNode(t)
-	defer n.Close()
-	if err := members.Add(cluster.NewNodeReplica("stuck", n)); err != nil {
+	if err := members.Add(cluster.NewSimReplica("stuck")); err != nil {
 		t.Fatal(err)
 	}
 
