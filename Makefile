@@ -27,8 +27,11 @@ race:
 	$(GO) test -race -skip 'TestClusterChaos' ./internal/cluster/
 	$(GO) test -race -skip 'TestChaos' ./internal/recovery/...
 
-# Short fuzz smoke: the wire-format decoder, the memtable scan variants
-# (Scan/ScanAny vs a flat-map reference), the columnar segment decoder
+# Short fuzz smoke: the wire-format decoder, the in-tree DEFLATE decoder
+# (differential against compress/flate: same accept/reject, same bytes,
+# no allocation ahead of the output a length claim is backed by), the
+# memtable scan variants (Scan/ScanAny vs a flat-map reference), the
+# columnar segment decoder
 # (hostile length prefixes must fail cleanly), the read planner
 # differential (the columnar and both empty-base executors vs a
 # planner-free oracle across random freeze schedules), the checkpoint
@@ -40,6 +43,7 @@ race:
 # exceed what the bytes could hold).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/ship/
+	$(GO) test -run='^$$' -fuzz=FuzzInflate -fuzztime=10s ./internal/ship/
 	$(GO) test -run='^$$' -fuzz=FuzzScanVariants -fuzztime=10s ./internal/memtable/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzColumnarScan -fuzztime=10s ./internal/query/
@@ -92,9 +96,10 @@ MEMTABLE_BENCH = BenchmarkGetOrCreateParallel|BenchmarkScanMerged|BenchmarkScanC
 
 # The ship benchmark set archived in BENCH_ship.json: the flate frame
 # build per workload (with its wire/raw ratio metric), the raw frame
-# build it is diffed against, and one shared frame written by 1 and 3
-# fan-out peers (per-epoch cost flat in the peer count).
-SHIP_BENCH = BenchmarkShipCompress|BenchmarkShipEncodeRaw|BenchmarkShipFanoutWrite
+# build it is diffed against, one shared frame written by 1 and 3
+# fan-out peers (per-epoch cost flat in the peer count), and the
+# receive-side inflate of compressed frames per workload.
+SHIP_BENCH = BenchmarkShipCompress|BenchmarkShipEncodeRaw|BenchmarkShipFanoutWrite|BenchmarkShipInflate
 
 # The query benchmark set archived in BENCH_query.json: scans and
 # aggregates through the one planner over a majority-frozen table

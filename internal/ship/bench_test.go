@@ -36,8 +36,7 @@ func BenchmarkShipCompress(b *testing.B) {
 			}
 			var built metrics.Counter
 			b.SetBytes(rawBytes)
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
+			for b.Loop() {
 				wireBytes = 0
 				for i := range encs {
 					enc := &encs[i]
@@ -66,11 +65,46 @@ func BenchmarkShipEncodeRaw(b *testing.B) {
 	}
 	var built metrics.Counter
 	b.SetBytes(rawBytes)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
+	for b.Loop() {
 		for i := range encs {
 			_ = NewFrame(&encs[i]).wire(false, &built)
 		}
+	}
+}
+
+// BenchmarkShipInflate is the receive side of BenchmarkShipCompress:
+// DecodeEpochFrame over compressed EPOCH payloads, one op per pass over
+// the epochs, MB/s counted in inflated bytes. TPC-C ships 2048-txn
+// epochs (the catch-up fan-out's size), BusTracker 128-txn ones.
+func BenchmarkShipInflate(b *testing.B) {
+	workloads := []struct {
+		name       string
+		gen        workload.Generator
+		txns, size int
+	}{
+		{"tpcc", workload.NewTPCC(2), 8192, 2048},
+		{"bustracker", workload.NewBusTracker(), 4096, 128},
+	}
+	for _, w := range workloads {
+		b.Run(w.name, func(b *testing.B) {
+			encs := primary.New(w.gen, 42).GenerateEncoded(w.txns, w.size)
+			payloads := make([][]byte, len(encs))
+			var rawBytes int64
+			for i := range encs {
+				if payloads[i] = flatePayload(&encs[i]); payloads[i] == nil {
+					b.Fatalf("%s epoch %d did not compress", w.name, i)
+				}
+				rawBytes += int64(len(encs[i].Buf))
+			}
+			b.SetBytes(rawBytes)
+			for b.Loop() {
+				for _, p := range payloads {
+					if _, err := DecodeEpochFrame(FlagCompressed, p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

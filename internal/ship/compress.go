@@ -22,9 +22,10 @@ type deflater struct {
 	out bytes.Buffer
 }
 
-// deflaters pools flate writers across frame builds, mirroring
-// flateReaders on the inflate side: a build happens once per epoch,
-// whichever sender runs it, so no sender owns a writer.
+// deflaters pools flate writers across frame builds: a build happens
+// once per epoch, whichever sender runs it, so no sender owns a writer.
+// compress/flate is the deflate side only; receivers inflate with the
+// in-tree decoder (inflate.go).
 var deflaters = sync.Pool{New: func() any {
 	d := new(deflater)
 	d.fw, _ = flate.NewWriter(&d.out, flate.BestSpeed)

@@ -68,8 +68,6 @@
 package ship
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -362,16 +360,12 @@ func DecodeEpoch(p []byte) (*epoch.Encoded, error) {
 	return DecodeEpochFrame(0, p)
 }
 
-// flateReaders pools flate decompressors across frames; inflating
-// allocates ~45KB of window state otherwise.
-var flateReaders sync.Pool
-
 // DecodeEpochFrame parses an EPOCH frame payload under the frame's
 // header flags. With FlagCompressed set, the buf bytes after the clear
-// epoch header are inflated into a freshly allocated buffer (which
-// therefore never aliases p); the bufLen header field must match the
-// inflated size exactly. Malformed or truncated compressed payloads
-// return ErrCorrupt, never panic.
+// epoch header are inflated into a freshly allocated buffer of exactly
+// bufLen bytes (which therefore never aliases p); the stream must
+// inflate to exactly that size. Malformed or truncated compressed
+// payloads return ErrCorrupt, never panic.
 func DecodeEpochFrame(flags byte, p []byte) (*epoch.Encoded, error) {
 	if flags&^FlagCompressed != 0 {
 		return nil, fmt.Errorf("%w: unknown frame flags 0x%02x", ErrCorrupt, flags)
@@ -413,25 +407,13 @@ func DecodeEpochFrame(flags byte, p []byte) (*epoch.Encoded, error) {
 	if n == 0 || len(p) == epochHdrSize {
 		return nil, fmt.Errorf("%w: empty compressed epoch buf", ErrCorrupt)
 	}
-	fr, _ := flateReaders.Get().(io.ReadCloser)
-	src := bytes.NewReader(p[epochHdrSize:])
-	if fr == nil {
-		fr = flate.NewReader(src)
-	} else if err := fr.(flate.Resetter).Reset(src, nil); err != nil {
-		return nil, fmt.Errorf("%w: flate reset: %v", ErrCorrupt, err)
-	}
 	// The claimed raw length drives allocation only as far as the flate
 	// stream actually delivers: a hostile bufLen over a tiny compressed
 	// body fails after one bounded buffer.
-	buf, err := readFullCapped(fr, int(n))
+	buf, err := inflate(p[epochHdrSize:], int(n))
 	if err != nil {
 		return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
 	}
-	var extra [1]byte
-	if m, err := fr.Read(extra[:]); m != 0 || (err != nil && err != io.EOF) {
-		return nil, fmt.Errorf("%w: compressed epoch buf longer than header claims", ErrCorrupt)
-	}
-	flateReaders.Put(fr)
 	enc.Buf = buf
 	return enc, nil
 }

@@ -2,6 +2,7 @@ package ship
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -225,13 +226,15 @@ func (r *Receiver) Serve(conn net.Conn) (done bool, err error) {
 			if flags&FlagCompressed != 0 && negotiated&CapFlate == 0 {
 				return false, fmt.Errorf("%w: compressed epoch without negotiated capability", ErrCorrupt)
 			}
-			enc, err := DecodeEpochFrame(flags, payload)
-			if err != nil {
-				return false, err
+			// seq sits in the clear epoch header, so a redelivered or
+			// out-of-order epoch is settled before its buf is inflated.
+			if len(payload) < epochHdrSize {
+				return false, fmt.Errorf("%w: epoch payload %d bytes", ErrCorrupt, len(payload))
 			}
+			seq := binary.LittleEndian.Uint64(payload)
 			r.mu.Lock()
 			switch {
-			case enc.Seq < r.cursor:
+			case seq < r.cursor:
 				// Redelivered after a mid-window reconnect: drop, but ack so
 				// the sender retires it.
 				r.dups++
@@ -239,12 +242,16 @@ func (r *Receiver) Serve(conn net.Conn) (done bool, err error) {
 				r.mu.Unlock()
 				ack()
 				continue
-			case enc.Seq > r.cursor:
+			case seq > r.cursor:
 				want := r.cursor
 				r.mu.Unlock()
-				return false, fmt.Errorf("%w: got epoch %d, want %d", ErrGap, enc.Seq, want)
+				return false, fmt.Errorf("%w: got epoch %d, want %d", ErrGap, seq, want)
 			}
 			r.mu.Unlock()
+			enc, err := DecodeEpochFrame(flags, payload)
+			if err != nil {
+				return false, err
+			}
 			// Apply before advancing: a failed Feed must leave the cursor
 			// pointing at this epoch, so the next handshake redelivers it
 			// instead of telling the sender to skip an epoch that was never

@@ -66,8 +66,8 @@ func TestHostileLengthPrefixFailsWithoutPrealloc(t *testing.T) {
 }
 
 // TestHostileEpochRawLengthCapped: a compressed epoch frame whose
-// declared raw size is huge must not preallocate it either — flate
-// inflation is read in capped steps and dies when the stream ends.
+// declared raw size is huge must not preallocate it either — inflate
+// starts from a bounded buffer and dies when the stream ends.
 func TestHostileEpochRawLengthCapped(t *testing.T) {
 	enc := testEpoch(rand.New(rand.NewSource(3)), 3)
 	enc.Buf = bytes.Repeat(enc.Buf[:8], 64)
