@@ -27,7 +27,9 @@ race:
 	$(GO) test -race -skip 'TestClusterChaos' ./internal/cluster/
 	$(GO) test -race -skip 'TestChaos' ./internal/recovery/...
 
-# Short fuzz smoke: the wire-format decoder, the in-tree DEFLATE decoder
+# Short fuzz smoke: the wire-format decoder (typed errors only, and a
+# compressed epoch decodes only to bytes matching its bufCRC — the one
+# checksum an epoch's log entries have), the in-tree DEFLATE decoder
 # (differential against compress/flate: same accept/reject, same bytes,
 # no allocation ahead of the output a length claim is backed by), the
 # memtable scan variants (Scan/ScanAny vs a flat-map reference), the

@@ -18,8 +18,8 @@ import (
 //     queue of its row (hashed onto workers), in transaction order, so each
 //     row's versions are applied in primary order by construction with no
 //     runtime ordering checks;
-//   - the dispatcher must parse the *entire log data image* (full decode,
-//     CRC and value copies) to learn the row key — the parsing-cost
+//   - the dispatcher must parse the *entire log data image* (full decode
+//     and value copies) to learn the row key — the parsing-cost
 //     asymmetry versus AETS/ATR the paper calls out;
 //   - a periodic snapshot thread (default every 5 ms) advances the visible
 //     snapshot to the timestamp below which all queues are fully applied.

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"bytes"
-	"compress/flate"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -231,23 +230,10 @@ func TestSpoolAppendWireCompressed(t *testing.T) {
 	sp := openTestSpool(t, dir, SpoolConfig{Policy: SyncAlways})
 	appendAll(t, sp, encs[:2])
 
-	// Hand-build the compressed EPOCH payload: the 36-byte header stays
-	// clear (bufLen = raw length), the buf bytes become a flate stream.
+	// The compressed EPOCH payload: the epoch header stays clear (bufLen
+	// = raw length), the buf bytes become a flate stream.
 	for i := 2; i < 4; i++ {
-		raw := ship.EncodeEpoch(&encs[i])
-		var cb bytes.Buffer
-		fw, err := flate.NewWriter(&cb, flate.BestSpeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fw.Write(encs[i].Buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		payload := append(raw[:36:36], cb.Bytes()...)
-		if err := sp.AppendWire(encs[i].Seq, ship.FlagCompressed, payload); err != nil {
+		if err := sp.AppendWire(encs[i].Seq, ship.FlagCompressed, compressedPayload(&encs[i])); err != nil {
 			t.Fatalf("AppendWire %d: %v", i, err)
 		}
 	}

@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -37,6 +39,28 @@ func segmentImage(encs []epoch.Encoded) []byte {
 	var seg []byte
 	for i := range encs {
 		seg = ship.AppendFrame(seg, ship.KindEpoch, 0, ship.EncodeEpoch(&encs[i]))
+	}
+	return seg
+}
+
+// compressedPayload is enc's EPOCH payload as a CapFlate link ships it:
+// the clear epoch header EncodeEpoch writes, then flate(enc.Buf).
+func compressedPayload(enc *epoch.Encoded) []byte {
+	raw := ship.EncodeEpoch(enc)
+	hdr := len(raw) - len(enc.Buf)
+	var z bytes.Buffer
+	fw, _ := flate.NewWriter(&z, flate.BestSpeed)
+	fw.Write(enc.Buf)
+	fw.Close()
+	return append(raw[:hdr:hdr], z.Bytes()...)
+}
+
+// compressedImage frames encs the way a CapFlate link's receiver spools
+// them: every frame compressed, as AppendWire stores it.
+func compressedImage(encs []epoch.Encoded) []byte {
+	var seg []byte
+	for i := range encs {
+		seg = ship.AppendFrame(seg, ship.KindEpoch, ship.FlagCompressed, compressedPayload(&encs[i]))
 	}
 	return seg
 }
@@ -80,9 +104,9 @@ func FuzzScanSegment(f *testing.F) {
 	seg := segmentImage(encs)
 	f.Add(seg)
 	f.Add(seg[:len(seg)-7])
-	f.Add(restampFrames(f, seg, 1, 0)) // raw frames as older builds stamped them
-	f.Add(restampFrames(f, seg, 1, ship.FlagCompressed))
+	f.Add(restampFrames(f, seg, ship.Version-1, 0)) // the previous version's spool
 	f.Add(restampFrames(f, seg, ship.Version+1, 0))
+	f.Add(compressedImage(encs))
 	flipped := append([]byte(nil), seg...)
 	flipped[len(flipped)/2] ^= 0x20
 	f.Add(flipped)

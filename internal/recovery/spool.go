@@ -78,8 +78,7 @@ var ErrSpoolClosed = errors.New("recovery: spool closed")
 const (
 	spoolPrefix = "spool-"
 	spoolSuffix = ".seg"
-	// DefaultSegmentBytes caps one spool segment file (same default as
-	// wal.SegmentStore).
+	// DefaultSegmentBytes caps one spool segment file.
 	DefaultSegmentBytes = 16 << 20
 	// DefaultSyncInterval is the SyncInterval flush cadence.
 	DefaultSyncInterval = 100 * time.Millisecond
@@ -112,7 +111,10 @@ type SpoolConfig struct {
 // Compact, which rewrites the oldest segment dropping epochs below the
 // checkpoint cursor without renaming it. On open the spool scans its
 // segments, truncates a torn or corrupt tail at the last valid frame
-// boundary, and exposes the replayable range [First, End).
+// boundary, and exposes the replayable range [First, End). A frame of
+// another ship.Version ends the valid prefix like any corrupt frame: a
+// segment an older build wrote truncates to nothing, and the replica
+// resumes from its checkpoint.
 //
 // Append, AppendWire, TruncateBefore and Compact are safe for
 // concurrent use; Replay must not run concurrently with Append or

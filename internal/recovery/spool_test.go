@@ -82,67 +82,29 @@ func TestSpoolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpoolReplaysLegacyVersionByte: spool segments at rest are ship
-// frames, and builds before the single wire version stamped raw EPOCH
-// frames with version byte 1. Recovery truncates at the first
-// unreadable frame, so a restart on this build over such a spool must
-// open, scan and replay it whole — not destroy it. The exception is
-// exactly that shape: byte 1 with flags, or any later byte, still ends
-// the replayable range there.
-func TestSpoolReplaysLegacyVersionByte(t *testing.T) {
+// TestSpoolTruncatesOlderVersion pins the upgrade rule: spool segments
+// at rest are ship frames, so a segment an older build wrote (stamped
+// ship.Version-1, whose epoch buffers still carry per-entry CRCs) fails
+// ErrVersion at its first frame. Open truncates it to an empty range and
+// counts one truncation; the spool then takes new epochs as usual.
+func TestSpoolTruncatesOlderVersion(t *testing.T) {
 	encs := testEncs(t, 6)
-	segName := fmt.Sprintf("%s%020d%s", spoolPrefix, 0, spoolSuffix)
-	open := func(seg []byte) (*Spool, *metrics.Registry) {
-		dir, reg := t.TempDir(), metrics.NewRegistry()
-		if err := os.WriteFile(filepath.Join(dir, segName), seg, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		sp := openTestSpool(t, dir, SpoolConfig{Metrics: reg})
-		t.Cleanup(func() { sp.Close() })
-		return sp, reg
-	}
-
-	legacy := restampFrames(t, segmentImage(encs), 1, 0)
-	sp, reg := open(legacy)
-	if first, next, ok := sp.Range(); !ok || first != 0 || next != uint64(len(encs)) {
-		t.Fatalf("legacy spool range [%d,%d) ok=%v, want [0,%d)", first, next, ok, len(encs))
-	}
-	if got := reg.Counter("recovery_spool_truncated_total").Load(); got != 0 {
-		t.Fatalf("recovery_spool_truncated_total = %d opening a legacy spool, want 0", got)
-	}
-	got := collect(t, sp, 0)
-	if len(got) != len(encs) {
-		t.Fatalf("replayed %d legacy epochs, want %d", len(got), len(encs))
-	}
-	for i, enc := range got {
-		if enc.Seq != encs[i].Seq || !bytes.Equal(enc.Buf, encs[i].Buf) {
-			t.Fatalf("legacy epoch %d did not round-trip", i)
-		}
-	}
-	// New appends land behind the legacy frames in the same segment.
-	next := encs[0]
-	next.Seq = sp.End()
-	if err := sp.Append(&next); err != nil {
+	dir, reg := t.TempDir(), metrics.NewRegistry()
+	seg := filepath.Join(dir, fmt.Sprintf("%s%020d%s", spoolPrefix, 0, spoolSuffix))
+	if err := os.WriteFile(seg, restampFrames(t, segmentImage(encs), ship.Version-1, 0), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, sp, 0); len(got) != len(encs)+1 {
-		t.Fatalf("replayed %d epochs from the mixed segment, want %d", len(got), len(encs)+1)
+	sp := openTestSpool(t, dir, SpoolConfig{Metrics: reg})
+	defer sp.Close()
+	if _, _, ok := sp.Range(); ok {
+		t.Fatal("a segment of the previous version opened to a non-empty range")
 	}
-
-	// Three good legacy frames, then a frame no build ever wrote.
-	good := segmentImage(encs[:3])
-	for name, bad := range map[string][]byte{
-		"legacy byte with flags": restampFrames(t, segmentImage(encs[3:4]), 1, ship.FlagCompressed),
-		"future byte":            restampFrames(t, segmentImage(encs[3:4]), ship.Version+1, 0),
-	} {
-		seg := append(restampFrames(t, good, 1, 0), bad...)
-		sp, reg := open(seg)
-		if first, next, ok := sp.Range(); !ok || first != 0 || next != 3 {
-			t.Fatalf("%s: range [%d,%d) ok=%v, want [0,3)", name, first, next, ok)
-		}
-		if got := reg.Counter("recovery_spool_truncated_total").Load(); got != 1 {
-			t.Fatalf("%s: recovery_spool_truncated_total = %d, want 1", name, got)
-		}
+	if got := reg.Counter("recovery_spool_truncated_total").Load(); got != 1 {
+		t.Fatalf("recovery_spool_truncated_total = %d, want 1", got)
+	}
+	appendAll(t, sp, encs[:2])
+	if got := collect(t, sp, 0); len(got) != 2 {
+		t.Fatalf("replayed %d epochs appended after the truncation, want 2", len(got))
 	}
 }
 

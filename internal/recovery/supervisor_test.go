@@ -13,6 +13,7 @@ import (
 	"aets/internal/metrics"
 	"aets/internal/primary"
 	"aets/internal/reference"
+	"aets/internal/ship"
 	"aets/internal/wal"
 	"aets/internal/workload"
 )
@@ -138,6 +139,63 @@ func TestSupervisorRestoreAcrossRestart(t *testing.T) {
 		t.Fatalf("state %s after restart, want running", st)
 	}
 	env.assertReference(t, txns)
+}
+
+// TestSupervisorUpgradeResumesFromCheckpoint is the upgrade rule end to
+// end: a replica restarted on a build whose frame version moved on finds
+// its spool stamped ship.Version-1. The spool truncates to nothing, the
+// newest checkpoint (rows, not WAL) restores its cursor, and the epochs a
+// primary re-ships from that cursor bring the node to the digest of the
+// serial reference.
+func TestSupervisorUpgradeResumesFromCheckpoint(t *testing.T) {
+	spoolDir, ckptDir := t.TempDir(), t.TempDir()
+	txns, encs := supStream(t, 1200, 100)
+	half := len(encs) / 2
+
+	env := openSup(t, spoolDir, ckptDir, nil)
+	for i := range encs {
+		if err := env.sup.Feed(&encs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i == half-1 {
+			if err := env.sup.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	env.close(t)
+
+	segs, err := filepath.Glob(filepath.Join(spoolDir, spoolPrefix+"*"+spoolSuffix))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no spool segments (%v)", err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(seg, restampFrames(t, data, ship.Version-1, 0), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	env = openSup(t, spoolDir, ckptDir, nil)
+	defer env.close(t)
+	if got := env.sup.NextSeq(); got != uint64(half) {
+		t.Fatalf("resume cursor %d, want the checkpoint's %d", got, half)
+	}
+	for i := half; i < len(encs); i++ {
+		if err := env.sup.Feed(&encs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := memtable.New()
+	reference.Apply(want, txns)
+	node := env.sup.Node()
+	node.Drain()
+	if got, ref := node.StateDigest(), htap.StateDigest(want); got != ref {
+		t.Fatalf("state digest %#x, serial reference %#x", got, ref)
+	}
 }
 
 // TestSupervisorQuarantinesPoisonEpoch injects an epoch whose payload

@@ -336,7 +336,7 @@ func (e *Engine) tableFor(c *tableCache, id wal.TableID) *memtable.Table {
 // installed and no table-wide lock is taken — GetOrCreate synchronises
 // only on the key's shard. The cells, versions and column headers are the
 // piece's own windows of the batch's slabs, sized by dispatch's header
-// scan; the decode after the CRC check must use the columns up exactly.
+// scan; the full decode must use the columns up exactly.
 func (e *Engine) translate(gb *dispatch.GroupBatch, bs *batchState, i int, tc *tableCache) ([]cell, error) {
 	p := &gb.Pieces[i]
 	o, co := bs.offsets[i], bs.colOffsets[i]

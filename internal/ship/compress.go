@@ -33,7 +33,7 @@ var deflaters = sync.Pool{New: func() any {
 }}
 
 // flateEpochFrame returns enc's complete compressed EPOCH frame — the
-// clear 36-byte epoch header followed by flate(enc.Buf) — or nil when
+// clear 40-byte epoch header followed by flate(enc.Buf) — or nil when
 // compression fails to shrink the payload (incompressible buf), in
 // which case the caller ships the raw form. The frame is an exact-size
 // copy out of the pooled scratch buffer, so it can be retained.

@@ -17,14 +17,9 @@
 // which a Sender reports as terminal (redialing cannot change what the
 // peer speaks). Two peers differ only in the capabilities they
 // advertise in the handshake; a feature is used on a link exactly when
-// both ends advertise it.
-//
-// One exception, on the read side only: a frame whose version byte is
-// 1 and whose flags are zero is still accepted. Spool segments at rest
-// are ship frames, builds before the single version stamped raw EPOCH
-// frames with 1, and the spool truncates at its first unreadable frame
-// — refusing that byte would make a restart on this build destroy a
-// replayable spool.
+// both ends advertise it. The rule holds at rest too: spool segments are
+// ship frames, so a segment an older build wrote fails ErrVersion at its
+// first frame and the spool truncates it (internal/recovery).
 //
 // Frame kinds and payloads:
 //
@@ -33,18 +28,25 @@
 //	                           req u64
 //	EPOCH     sender→receiver  seq u64 | txnCount u32 | lastTxnID u64 |
 //	                           lastCommitTS i64 | entryCount u32 |
-//	                           bufLen u32 | buf
+//	                           bufLen u32 | bufCRC u32 | buf
 //	ACK       receiver→sender  cursor u64 (cumulative)
 //	HEARTBEAT sender→receiver  ts i64
 //	EOS       sender→receiver  cursor u64 (clean end of stream)
 //
 // When both ends advertise CapFlate, the sender may set FlagCompressed
-// (header flags bit 0) on EPOCH frames: the 36-byte epoch header stays
+// (header flags bit 0) on EPOCH frames: the 40-byte epoch header stays
 // in the clear (bufLen holds the RAW buf length, so seq and the counts
 // are readable without inflating) and the buf bytes that follow are a
 // flate stream. All other frame kinds, and EPOCH frames below the
 // sender's size threshold or that flate fails to shrink, carry zero
 // flags.
+//
+// bufCRC is the CRC32-C of the raw buf, and it is the only checksum an
+// epoch's log entries have (a wal entry carries none). A raw EPOCH frame
+// needs no second check — its frame CRC covers the same bytes — so
+// bufCRC is verified only after a compressed buf is inflated, where the
+// frame CRC vouches for the flate stream but not for what the decoder
+// made of it.
 //
 // When both ends advertise CapSnapshot, the WELCOME's req bits may ask
 // for an immediate snapshot (bit 0), and the sender may interpose a
@@ -82,17 +84,12 @@ import (
 )
 
 // Version is the protocol version stamped on every frame written.
-const Version = 2
-
-// legacyVersion is the version byte older builds stamped on frames
-// with zero flags; it is accepted on read only (see the package
-// comment) so their spool segments stay replayable.
-const legacyVersion = 1
+const Version = 3
 
 // Frame header flag bits.
 const (
 	// FlagCompressed marks an EPOCH frame whose buf bytes (after the
-	// clear 36-byte epoch header) are a flate stream.
+	// clear 40-byte epoch header) are a flate stream.
 	FlagCompressed byte = 1 << 0
 )
 
@@ -204,10 +201,9 @@ func WriteFrame(w io.Writer, kind byte, payload []byte) error {
 // returning the header's flags alongside kind and payload. A clean EOF
 // at a frame boundary is io.EOF; truncation inside a frame is
 // ErrShortFrame; structural damage is ErrCorrupt; a version byte other
-// than Version (or legacyVersion with zero flags) is ErrVersion. It
-// never panics on malformed input. The payload slice is freshly
-// allocated per call and never shares memory with a previously
-// returned one.
+// than Version is ErrVersion. It never panics on malformed input. The
+// payload slice is freshly allocated per call and never shares memory
+// with a previously returned one.
 func ReadFrameFlags(r io.Reader) (kind, flags byte, payload []byte, err error) {
 	var hdr [frameHdrSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -219,10 +215,10 @@ func ReadFrameFlags(r io.Reader) (kind, flags byte, payload []byte, err error) {
 	if hdr[0] != frameMagic {
 		return 0, 0, nil, fmt.Errorf("%w: bad magic 0x%02x", ErrCorrupt, hdr[0])
 	}
-	ver, flags := hdr[1], hdr[3]
-	if ver != Version && !(ver == legacyVersion && flags == 0) {
-		return 0, 0, nil, fmt.Errorf("%w: %d", ErrVersion, ver)
+	if hdr[1] != Version {
+		return 0, 0, nil, fmt.Errorf("%w: %d", ErrVersion, hdr[1])
 	}
+	flags = hdr[3]
 	if flags&^FlagCompressed != 0 {
 		return 0, 0, nil, fmt.Errorf("%w: unknown frame flags 0x%02x", ErrCorrupt, flags)
 	}
@@ -287,10 +283,11 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 
 // epochHdrSize is the fixed prefix of an EPOCH payload (the summary
 // fields available without parsing — or inflating — the log buffer).
-const epochHdrSize = 36
+const epochHdrSize = 40
 
-// appendEpochHdr appends the 36-byte EPOCH payload header for enc.
-// The bufLen field always holds the raw (uncompressed) buf length.
+// appendEpochHdr appends the 40-byte EPOCH payload header for enc. The
+// bufLen and bufCRC fields always describe the raw (uncompressed) buf;
+// each frame build computes bufCRC once.
 func appendEpochHdr(dst []byte, enc *epoch.Encoded) []byte {
 	var p [epochHdrSize]byte
 	binary.LittleEndian.PutUint64(p[0:], enc.Seq)
@@ -299,6 +296,7 @@ func appendEpochHdr(dst []byte, enc *epoch.Encoded) []byte {
 	binary.LittleEndian.PutUint64(p[20:], uint64(enc.LastCommitTS))
 	binary.LittleEndian.PutUint32(p[28:], uint32(enc.EntryCount))
 	binary.LittleEndian.PutUint32(p[32:], uint32(len(enc.Buf)))
+	binary.LittleEndian.PutUint32(p[36:], crc32.Checksum(enc.Buf, castagnoli))
 	return append(dst, p[:]...)
 }
 
@@ -364,8 +362,9 @@ func DecodeEpoch(p []byte) (*epoch.Encoded, error) {
 // header flags. With FlagCompressed set, the buf bytes after the clear
 // epoch header are inflated into a freshly allocated buffer of exactly
 // bufLen bytes (which therefore never aliases p); the stream must
-// inflate to exactly that size. Malformed or truncated compressed
-// payloads return ErrCorrupt, never panic.
+// inflate to exactly that size, and to bytes whose CRC32-C is bufCRC.
+// Malformed or truncated compressed payloads return ErrCorrupt, never
+// panic.
 func DecodeEpochFrame(flags byte, p []byte) (*epoch.Encoded, error) {
 	if flags&^FlagCompressed != 0 {
 		return nil, fmt.Errorf("%w: unknown frame flags 0x%02x", ErrCorrupt, flags)
@@ -386,7 +385,7 @@ func DecodeEpochFrame(flags byte, p []byte) (*epoch.Encoded, error) {
 	}
 	// Counts must be sane relative to the buf: every transaction and
 	// every entry occupies at least one buf byte (a wal entry frame is
-	// ≥12 bytes), so a hostile header claiming ~4B entries over a tiny
+	// ≥8 bytes), so a hostile header claiming ~4B entries over a tiny
 	// buf is rejected here instead of poisoning consumers that trust
 	// EntryCount for preallocation or accounting.
 	if uint64(enc.TxnCount) > uint64(n) || uint64(enc.EntryCount) > uint64(n) {
@@ -413,6 +412,9 @@ func DecodeEpochFrame(flags byte, p []byte) (*epoch.Encoded, error) {
 	buf, err := inflate(p[epochHdrSize:], int(n))
 	if err != nil {
 		return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
+	}
+	if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(p[36:]) {
+		return nil, fmt.Errorf("%w: inflated epoch buf fails its crc", ErrCorrupt)
 	}
 	enc.Buf = buf
 	return enc, nil

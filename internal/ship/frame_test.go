@@ -14,7 +14,9 @@ import (
 
 	"aets/internal/epoch"
 	"aets/internal/metrics"
+	"aets/internal/primary"
 	"aets/internal/wal"
+	"aets/internal/workload"
 )
 
 func testEpoch(rng *rand.Rand, seq uint64) *epoch.Encoded {
@@ -207,14 +209,6 @@ func TestReadFrameRejectsDamage(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
-	// The legacy byte is a readable header but a foreign CRC (the version
-	// byte is covered), so damage there still surfaces.
-	bad = append([]byte(nil), valid...)
-	bad[1] = legacyVersion
-	if _, _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("version flip without CRC: %v", err)
-	}
-
 	bad = append([]byte(nil), valid...)
 	bad[len(bad)/2] ^= 0x40 // flip a payload bit: CRC must catch it
 	if _, _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
@@ -238,10 +232,10 @@ func restamp(frame []byte, ver, flags byte) []byte {
 	return out
 }
 
-// TestReadFrameVersionByte pins the one-version rule and its single
-// read-side exception: Version is accepted with any known flags, the
-// legacy byte 1 only with zero flags (older builds' raw spool frames),
-// and every other byte is ErrVersion whatever else the header says.
+// TestReadFrameVersionByte pins the one-version rule: Version is
+// accepted with any known flags, and every other byte — the previous
+// version's included, raw or compressed — is ErrVersion whatever else
+// the header says.
 func TestReadFrameVersionByte(t *testing.T) {
 	enc := testEpoch(rand.New(rand.NewSource(4)), 9)
 	raw := AppendFrame(nil, KindEpoch, 0, EncodeEpoch(enc))
@@ -256,8 +250,8 @@ func TestReadFrameVersionByte(t *testing.T) {
 	}{
 		{"current raw", raw, nil},
 		{"current compressed", comp, nil},
-		{"legacy raw", restamp(raw, legacyVersion, 0), nil},
-		{"legacy with flags", restamp(comp, legacyVersion, FlagCompressed), ErrVersion},
+		{"previous raw", restamp(raw, Version-1, 0), ErrVersion},
+		{"previous compressed", restamp(comp, Version-1, FlagCompressed), ErrVersion},
 		{"zero", restamp(raw, 0, 0), ErrVersion},
 		{"next", restamp(raw, Version+1, 0), ErrVersion},
 		{"next with flags", restamp(comp, Version+1, FlagCompressed), ErrVersion},
@@ -460,16 +454,23 @@ func TestCorruptCompressedEpochIsErrCorruptNotPanic(t *testing.T) {
 	enc.Buf = bytes.Repeat([]byte("payload"), 300)
 	good := append([]byte(nil), flatePayload(enc)...)
 
-	// Every single-byte corruption of the flate stream must surface as
-	// ErrCorrupt (or, rarely, decode to different bytes of the correct
-	// length — flate has no integrity check of its own; the frame CRC
-	// covers that on the wire).
+	// Every single-byte corruption of the flate stream surfaces as
+	// ErrCorrupt — from the decoder, or from bufCRC when the damaged stream
+	// still inflates to bufLen bytes — unless it lands in bits the decoder
+	// never reads, and then the epoch comes back intact.
 	for off := epochHdrSize; off < len(good); off++ {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0xff
-		if _, err := DecodeEpochFrame(FlagCompressed, bad); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("offset %d: got %v, want ErrCorrupt", off, err)
+		got, err := DecodeEpochFrame(FlagCompressed, bad)
+		if err != nil && !errors.Is(err, ErrCorrupt) || err == nil && !bytes.Equal(got.Buf, enc.Buf) {
+			t.Fatalf("offset %d: got %v, want ErrCorrupt or the original buf", off, err)
 		}
+	}
+	// A bufCRC that does not match the inflated bytes.
+	bad := append([]byte(nil), good...)
+	bad[36] ^= 0x01
+	if _, err := DecodeEpochFrame(FlagCompressed, bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("wrong bufCRC: %v", err)
 	}
 	// Truncations.
 	for _, cut := range []int{epochHdrSize, epochHdrSize + 1, len(good) - 1} {
@@ -478,7 +479,7 @@ func TestCorruptCompressedEpochIsErrCorruptNotPanic(t *testing.T) {
 		}
 	}
 	// Declared raw length shorter than the stream inflates to.
-	bad := append([]byte(nil), good...)
+	bad = append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(bad[32:], uint32(len(enc.Buf)-1))
 	if _, err := DecodeEpochFrame(FlagCompressed, bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short declared length: %v", err)
@@ -492,6 +493,59 @@ func TestCorruptCompressedEpochIsErrCorruptNotPanic(t *testing.T) {
 	// Unknown flag bits are rejected outright.
 	if _, err := DecodeEpochFrame(0x02, good); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown flags: %v", err)
+	}
+}
+
+// swapBody returns enc's compressed EPOCH frame with its flate body
+// replaced by a valid deflate stream of other bytes of the same raw
+// length, under the original epoch header and a resealed frame CRC: what
+// an inflate bug delivering wrong bytes looks like to DecodeEpochFrame.
+func swapBody(enc *epoch.Encoded) []byte {
+	other := append([]byte(nil), enc.Buf...)
+	other[len(other)/2] ^= 0xff
+	var z bytes.Buffer
+	fw, _ := flate.NewWriter(&z, flate.BestSpeed)
+	fw.Write(other)
+	fw.Close()
+	return AppendFrame(nil, KindEpoch, FlagCompressed, append(appendEpochHdr(nil, enc), z.Bytes()...))
+}
+
+// TestSwappedFlateBodyFailsBufCRC is the inflate-bug case: a compressed
+// body that passes the frame CRC and inflates cleanly to the claimed
+// length, but to the wrong bytes. Only bufCRC refuses it.
+func TestSwappedFlateBodyFailsBufCRC(t *testing.T) {
+	enc := primary.New(workload.NewTPCC(2), 42).GenerateEncoded(16, 16)[0]
+	_, flags, payload, err := ReadFrameFlags(bytes.NewReader(swapBody(&enc)))
+	if err != nil {
+		t.Fatalf("resealed frame: %v", err)
+	}
+	got, err := inflate(payload[epochHdrSize:], len(enc.Buf))
+	if err != nil || bytes.Equal(got, enc.Buf) {
+		t.Fatalf("swapped body must inflate cleanly to other bytes (err %v)", err)
+	}
+	if _, err := DecodeEpochFrame(flags, payload); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("swapped body: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestFlippedEntryByteFailsFrameCRC: wal entries carry no checksum of
+// their own, so a flipped byte anywhere in an epoch's entry region — the
+// raw entries, or the flate stream of a compressed frame — must fail the
+// frame CRC before anything decodes it.
+func TestFlippedEntryByteFailsFrameCRC(t *testing.T) {
+	enc := primary.New(workload.NewBusTracker(), 42).GenerateEncoded(8, 8)[0]
+	for _, compressed := range []bool{false, true} {
+		frame := NewFrame(&enc).wire(compressed, new(metrics.Counter))
+		if got := frame[3]&FlagCompressed != 0; got != compressed {
+			t.Fatalf("compressed=%v: built a frame with flags 0x%02x", compressed, frame[3])
+		}
+		for off := frameHdrSize + epochHdrSize; off < len(frame)-4; off++ {
+			bad := append([]byte(nil), frame...)
+			bad[off] ^= 0x01
+			if _, _, _, err := ReadFrameFlags(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("compressed=%v: flip at %d: got %v, want ErrCorrupt", compressed, off, err)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"testing"
@@ -30,11 +31,10 @@ func fuzzSeeds() [][]byte {
 	flipped[len(flipped)/3] ^= 0x10
 	seeds = append(seeds, flipped)
 
-	// The version byte: a raw epoch as older builds stamped it (the one
-	// legacy shape the reader accepts), and the refused neighbours.
+	// The version byte: a raw epoch as the previous version stamped it,
+	// and the next one. Both are refused.
 	seeds = append(seeds,
-		restamp(full, legacyVersion, 0),
-		restamp(full, legacyVersion, FlagCompressed),
+		restamp(full, Version-1, 0),
 		restamp(full, Version+1, 0),
 	)
 	// A compressed epoch, a compressed epoch with a mangled flate
@@ -53,12 +53,14 @@ func fuzzSeeds() [][]byte {
 	hostile[8], hostile[9], hostile[10], hostile[11] = 0xff, 0xff, 0xff, 0xff
 	hostile[28], hostile[29], hostile[30], hostile[31] = 0xff, 0xff, 0xff, 0xff
 	seeds = append(seeds, AppendFrame(nil, KindEpoch, 0, hostile))
-	// Compressed frame whose declared raw length is absurd.
+	// Compressed frame whose declared raw length is absurd, and one whose
+	// flate body inflates cleanly to the wrong bytes (bufCRC refuses it).
 	if cp := flatePayload(cenc); cp != nil {
 		lied := append([]byte(nil), cp...)
 		lied[32], lied[33], lied[34], lied[35] = 0xff, 0xff, 0xff, 0x0f
 		seeds = append(seeds, AppendFrame(nil, KindEpoch, FlagCompressed, lied))
 	}
+	seeds = append(seeds, swapBody(cenc))
 	// Snapshot catch-up and anti-entropy frames.
 	seeds = append(seeds,
 		AppendFrame(nil, KindSnapBegin, 0, appendSnapBegin(nil, 42, 1<<20)),
@@ -95,6 +97,10 @@ func checkReadFrame(t *testing.T, data []byte) {
 				// The bounds invariant downstream consumers rely on.
 				if enc.TxnCount > len(enc.Buf) || enc.EntryCount > len(enc.Buf) {
 					t.Fatalf("decoded counts %d/%d exceed buf %d", enc.TxnCount, enc.EntryCount, len(enc.Buf))
+				}
+				// An inflated buf is accepted only if bufCRC vouches for it.
+				if flags&FlagCompressed != 0 && crc32.Checksum(enc.Buf, castagnoli) != binary.LittleEndian.Uint32(payload[36:]) {
+					t.Fatal("compressed epoch accepted with a buf that fails bufCRC")
 				}
 			case errors.Is(derr, ErrCorrupt):
 			default:

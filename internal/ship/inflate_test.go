@@ -233,7 +233,7 @@ func inflateSeeds() []inflateCase {
 	buf := primary.New(workload.NewBusTracker(), 42).GenerateEncoded(64, 64)[0].Buf[:1024]
 	cases := append(leveledStreams(buf), craftedStreams()...)
 	cases = append(cases, leveledStreams([]byte("hello, hello, hello"))...)
-	small := leveledStreams(buf[:200])[2] // BestSpeed: one dynamic block
+	small := leveledStreams(buf[:256])[2] // BestSpeed: one dynamic block
 	for cut := range small.body {
 		cases = append(cases, inflateCase{body: small.body[:cut], n: small.n})
 	}

@@ -4,14 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 )
 
 // Binary layout of one encoded entry:
 //
 //	frameLen  uint32   length of everything after this field
-//	crc32     uint32   IEEE CRC of the payload (all following bytes)
 //	type      uint8
 //	lsn       uvarint
 //	txnID     uvarint
@@ -23,19 +20,44 @@ import (
 //	ncols     uvarint   (DML only)
 //	cols      ncols × (uvarint id, uvarint len, bytes value)
 //
-// The frame length allows a reader to skip entries without decoding them;
-// the CRC guards against torn or corrupted replication frames.
+// The frame length allows a reader to skip entries without decoding them.
+// An entry carries no checksum of its own: entries only travel and rest
+// inside an epoch buffer, and the ship EPOCH frame around that buffer is
+// checked once per epoch — its CRC32-C on the wire and in the spool, and,
+// for a compressed frame, a CRC32-C of the raw buffer after inflating
+// (internal/ship).
 
-// ErrCorrupt is returned when a frame fails its CRC or structural checks.
+// ErrCorrupt is returned when a frame fails its structural checks: a
+// length past the buffer, a truncated field, an implausible column count
+// or an entry that fails Validate.
 var ErrCorrupt = errors.New("wal: corrupt log frame")
+
+// lenSize is the frameLen prefix in front of every entry's payload.
+const lenSize = 4
+
+// errFrameLen is a frame whose length prefix is cut short or runs past
+// the buffer. It carries no numbers so that payloadOf, which both decoders
+// call once per entry, stays small enough to inline.
+var errFrameLen = fmt.Errorf("%w: frame length exceeds buffer", ErrCorrupt)
+
+// payloadOf returns the payload of the frame at the front of buf and the
+// frame's total length.
+func payloadOf(buf []byte) ([]byte, int, error) {
+	if len(buf) < lenSize {
+		return nil, 0, errFrameLen
+	}
+	n := lenSize + int(binary.LittleEndian.Uint32(buf))
+	if len(buf) < n {
+		return nil, 0, errFrameLen
+	}
+	return buf[lenSize:n], n, nil
+}
 
 // AppendEncode appends the binary encoding of e to buf and returns the
 // extended slice. It never fails for entries that pass Validate.
 func AppendEncode(buf []byte, e *Entry) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // frameLen placeholder
-	buf = append(buf, 0, 0, 0, 0) // crc placeholder
-	payloadStart := len(buf)
 
 	buf = append(buf, byte(e.Type))
 	buf = binary.AppendUvarint(buf, e.LSN)
@@ -54,9 +76,7 @@ func AppendEncode(buf []byte, e *Entry) []byte {
 		}
 	}
 
-	payload := buf[payloadStart:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)+4))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-lenSize))
 	return buf
 }
 
@@ -67,15 +87,20 @@ func Encode(e *Entry) []byte {
 
 // maxColumns bounds a frame's column count by its payload size: a column
 // is at least two bytes on the wire (ID and length uvarints). Both the
-// header scan, which runs before the CRC check and whose count sizes
-// replay's column slab, and the full decode reject anything above it.
+// header scan, whose count sizes replay's column slab before any column is
+// read, and the full decode reject anything above it.
 func maxColumns(payloadLen int) uint64 { return uint64(payloadLen) / 2 }
 
 // Decode decodes one entry from the front of buf, returning the entry and
 // the number of bytes consumed. The entry owns its memory — a fresh
-// Columns slice and a copy of every value — so it outlives buf. It is the
-// decode of the serial reference, the baselines, checkpoints and tools;
-// replay uses DecodeInto.
+// Columns slice and a copy of every value — so it outlives buf.
+//
+// Decode and DecodeInto are one decode under two ownership rules. The
+// serial reference, the baselines, checkpoints and tools keep entries
+// after the buffer they came from is gone, so they pay an allocation per
+// entry here; replay decodes every entry of every epoch and its versions
+// pin the epoch buffer anyway (epoch.Encoded), so DecodeInto aliases it
+// and allocates nothing.
 func Decode(buf []byte) (Entry, int, error) {
 	return decode(buf, nil, false)
 }
@@ -83,7 +108,7 @@ func Decode(buf []byte) (Entry, int, error) {
 // DecodeInto is the replay decode: it allocates nothing. The entry's
 // Columns are the leading headers of window, which the caller carved for
 // exactly the column counts DecodeHeader reported, and every Value is a
-// sub-slice of buf, taken after the CRC check. buf must therefore stay
+// sub-slice of buf. buf must therefore stay
 // immutable for as long as the entry's columns are referenced (see
 // epoch.Encoded for the contract replay's callers uphold). An entry with
 // more columns than window holds is ErrCorrupt.
@@ -93,19 +118,10 @@ func DecodeInto(buf []byte, window []Column) (Entry, int, error) {
 
 func decode(buf []byte, window []Column, alias bool) (Entry, int, error) {
 	var e Entry
-	if len(buf) < 8 {
-		return e, 0, fmt.Errorf("%w: short frame header (%d bytes)", ErrCorrupt, len(buf))
+	payload, size, err := payloadOf(buf)
+	if err != nil {
+		return e, 0, err
 	}
-	frameLen := binary.LittleEndian.Uint32(buf)
-	if int(frameLen) < 4 || len(buf) < 4+int(frameLen) {
-		return e, 0, fmt.Errorf("%w: frame length %d exceeds buffer %d", ErrCorrupt, frameLen, len(buf))
-	}
-	want := binary.LittleEndian.Uint32(buf[4:])
-	payload := buf[8 : 4+frameLen]
-	if crc32.ChecksumIEEE(payload) != want {
-		return e, 0, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
-	}
-
 	r := reader{buf: payload}
 	e.Type = LogType(r.byte())
 	e.LSN = r.uvarint()
@@ -144,79 +160,7 @@ func decode(buf []byte, window []Column, alias bool) (Entry, int, error) {
 	if err := e.Validate(); err != nil {
 		return Entry{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return e, 4 + int(frameLen), nil
-}
-
-// Writer streams encoded entries to an io.Writer, buffering internally.
-type Writer struct {
-	w   io.Writer
-	buf []byte
-}
-
-// NewWriter returns a Writer emitting frames to w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, buf: make([]byte, 0, 64<<10)}
-}
-
-// Append encodes e into the internal buffer. Call Flush to push buffered
-// frames to the underlying writer.
-func (w *Writer) Append(e *Entry) {
-	w.buf = AppendEncode(w.buf, e)
-	// Opportunistic flush keeps the buffer bounded without forcing a
-	// syscall-per-entry pattern on file-backed writers.
-	if len(w.buf) >= 60<<10 {
-		_ = w.Flush()
-	}
-}
-
-// Flush writes all buffered frames to the underlying writer.
-func (w *Writer) Flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	_, err := w.w.Write(w.buf)
-	w.buf = w.buf[:0]
-	return err
-}
-
-// Reader decodes a stream of frames produced by Writer.
-type Reader struct {
-	r   io.Reader
-	buf []byte
-	off int
-}
-
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r}
-}
-
-// Next returns the next entry in the stream, or io.EOF when the stream is
-// exhausted on a clean frame boundary.
-func (r *Reader) Next() (Entry, error) {
-	for {
-		if e, n, err := Decode(r.buf[r.off:]); err == nil {
-			r.off += n
-			return e, nil
-		}
-		// Need more bytes: compact and refill.
-		if r.off > 0 {
-			r.buf = append(r.buf[:0], r.buf[r.off:]...)
-			r.off = 0
-		}
-		chunk := make([]byte, 32<<10)
-		n, err := r.r.Read(chunk)
-		r.buf = append(r.buf, chunk[:n]...)
-		if n == 0 && err != nil {
-			if err == io.EOF && len(r.buf) == 0 {
-				return Entry{}, io.EOF
-			}
-			if err == io.EOF {
-				return Entry{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf))
-			}
-			return Entry{}, err
-		}
-	}
+	return e, size, nil
 }
 
 // reader is a bounds-checked little decoder over one payload.

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
-	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -89,16 +87,6 @@ func TestDecodeHeaderMatchesFullDecode(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsCorruptCRC(t *testing.T) {
-	e := Entry{Type: TypeUpdate, LSN: 1, TxnID: 2, Timestamp: 3, Table: 4, RowKey: 5,
-		Columns: []Column{{ID: 1, Value: []byte("hello")}}}
-	buf := Encode(&e)
-	buf[len(buf)-1] ^= 0xff
-	if _, _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
-	}
-}
-
 func TestDecodeRejectsTruncation(t *testing.T) {
 	e := Entry{Type: TypeInsert, LSN: 9, TxnID: 9, Timestamp: 9, Table: 1, RowKey: 2,
 		Columns: []Column{{ID: 1, Value: []byte("abcdef")}}}
@@ -113,50 +101,9 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 func TestDecodeRejectsInvalidType(t *testing.T) {
 	e := Entry{Type: TypeBegin, LSN: 1, TxnID: 1, Timestamp: 1}
 	buf := Encode(&e)
-	// Corrupting the type also breaks the CRC; both paths must reject.
-	buf[8] = 0xee
-	if _, _, err := Decode(buf); err == nil {
-		t.Fatal("decode accepted invalid type byte")
-	}
-}
-
-func TestWriterReaderStream(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	var entries []Entry
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := 0; i < 1000; i++ {
-		e := genEntry(r)
-		entries = append(entries, e)
-		w.Append(&e)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rd := NewReader(bytes.NewReader(buf.Bytes()))
-	for i := range entries {
-		got, err := rd.Next()
-		if err != nil {
-			t.Fatalf("entry %d: %v", i, err)
-		}
-		if !entriesEqual(entries[i], got) {
-			t.Fatalf("entry %d mismatch", i)
-		}
-	}
-	if _, err := rd.Next(); err != io.EOF {
-		t.Fatalf("want EOF at stream end, got %v", err)
-	}
-}
-
-func TestReaderRejectsTrailingGarbage(t *testing.T) {
-	e := Entry{Type: TypeBegin, LSN: 1, TxnID: 1, Timestamp: 1}
-	data := append(Encode(&e), 0x01, 0x02, 0x03)
-	rd := NewReader(bytes.NewReader(data))
-	if _, err := rd.Next(); err != nil {
-		t.Fatalf("first entry: %v", err)
-	}
-	if _, err := rd.Next(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt on trailing bytes, got %v", err)
+	buf[lenSize] = 0xee // the type byte leads the payload
+	if _, _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("invalid type byte: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -252,13 +199,11 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	}
 
 	// An UPDATE claiming 2^40 columns over a payload of a few bytes: the
-	// header scan must refuse it (it never saw a CRC), and so must Decode
-	// even with the CRC made good.
+	// header scan must refuse it before its count sizes anything, and so
+	// must Decode.
 	over := []byte{byte(TypeUpdate), 1, 1, 2, 1, 1, 0, 0}
 	over = binary.AppendUvarint(over, 1<<40)
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(over)+4))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(over))
-	frame = append(frame, over...)
+	frame := append(binary.LittleEndian.AppendUint32(nil, uint32(len(over))), over...)
 	if _, _, err := DecodeHeader(frame); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-claiming header: err = %v, want ErrCorrupt", err)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // checkDecodeInto is the decode differential on arbitrary bytes: nothing
-// panics; the header scan, which sizes replay's column slab before any CRC
-// is checked, never reports more columns than the bytes could hold; when
+// panics; the header scan, which sizes replay's column slab before any
+// column is read, never reports more columns than the bytes could hold; when
 // Decode accepts, the header scan accepts with the same frame
 // length and reports exactly len(entry.Columns), and DecodeInto over a
 // window of that size accepts the same bytes, yields an equal entry and
@@ -23,7 +23,7 @@ func checkDecodeInto(t *testing.T, buf []byte) bool {
 	want, n, err := Decode(buf)
 	if err != nil {
 		// Decode is the stricter of the two: DecodeInto must agree with it,
-		// whatever the header scan (which skips the CRC) thought.
+		// whatever the header scan (which skips the column values) thought.
 		if herr == nil {
 			if _, _, ierr := DecodeInto(buf, make([]Column, h.Columns)); ierr == nil {
 				t.Fatalf("DecodeInto accepted bytes Decode rejects (%v)", err)
@@ -59,7 +59,8 @@ func checkDecodeInto(t *testing.T, buf []byte) bool {
 }
 
 // FuzzDecode drives checkDecodeInto with arbitrary bytes, seeded with
-// valid frames of every entry type.
+// valid frames of every entry type, an empty buffer and a frame whose
+// length prefix claims no payload at all.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 16; i++ {
@@ -67,6 +68,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(Encode(&e))
 	}
 	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		checkDecodeInto(t, buf)
 	})
@@ -90,8 +92,9 @@ func TestDecodeNeverPanicsOnMutation(t *testing.T) {
 				t.Fatalf("mutated frame decoded into invalid entry: %v", vErr)
 			}
 		}
-		// Header decode skips the CRC, so it must stay in bounds even on
-		// accepted garbage, and the windowed decode must agree with Decode.
+		// Header decode skips the column values, so it must stay in bounds
+		// on garbage the full decode refuses, and the windowed decode must
+		// agree with Decode.
 		checkDecodeInto(t, buf)
 	}
 }

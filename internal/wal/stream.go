@@ -1,17 +1,14 @@
 package wal
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Header is the metadata prefix of an entry: everything the AETS and ATR
 // dispatchers need for routing (type, txn framing, table) plus the DML
 // column count, from which replay sizes its column slab before any frame
-// is decoded. Decoding only the header skips the CRC pass and the column
-// values, which is exactly the cost asymmetry the paper describes between
-// metadata-only dispatch (AETS, ATR) and C5's full data-image parse
-// (§VI-A5).
+// is decoded. Decoding only the header skips the column values — their
+// IDs, lengths and bytes — which is exactly the cost asymmetry the paper
+// describes between metadata-only dispatch (AETS, ATR) and C5's full
+// data-image parse (§VI-A5).
 type Header struct {
 	Type      LogType
 	LSN       uint64
@@ -26,14 +23,11 @@ type Header struct {
 // skip the frame or hand the slice to Decode for the full entry.
 func DecodeHeader(buf []byte) (Header, int, error) {
 	var h Header
-	if len(buf) < 8 {
-		return h, 0, fmt.Errorf("%w: short frame header (%d bytes)", ErrCorrupt, len(buf))
+	payload, size, err := payloadOf(buf)
+	if err != nil {
+		return h, 0, err
 	}
-	frameLen := binary.LittleEndian.Uint32(buf)
-	if int(frameLen) < 4 || len(buf) < 4+int(frameLen) {
-		return h, 0, fmt.Errorf("%w: frame length %d exceeds buffer %d", ErrCorrupt, frameLen, len(buf))
-	}
-	r := reader{buf: buf[8 : 4+frameLen]}
+	r := reader{buf: payload}
 	h.Type = LogType(r.byte())
 	h.LSN = r.uvarint()
 	h.TxnID = r.uvarint()
@@ -42,7 +36,7 @@ func DecodeHeader(buf []byte) (Header, int, error) {
 		h.Table = TableID(r.uvarint())
 		r.skipUvarints(3) // RowKey, PrevTxn, WriteSeq
 		ncols := r.uvarint()
-		// Not yet CRC-checked, and about to size an allocation.
+		// About to size an allocation before any column is read.
 		if ncols > maxColumns(len(r.buf)) {
 			return Header{}, 0, fmt.Errorf("%w: implausible column count %d", ErrCorrupt, ncols)
 		}
@@ -51,7 +45,7 @@ func DecodeHeader(buf []byte) (Header, int, error) {
 	if r.err != nil {
 		return Header{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, r.err)
 	}
-	return h, 4 + int(frameLen), nil
+	return h, size, nil
 }
 
 // EncodeStream encodes a flat entry stream into one contiguous buffer, the
