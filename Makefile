@@ -109,8 +109,8 @@ SHIP_BENCH = BenchmarkShipCompress|BenchmarkShipEncodeRaw|BenchmarkShipFanoutWri
 # sides of its only selection.
 QUERY_BENCH = BenchmarkColumnarScan|BenchmarkColumnarAggregate|BenchmarkRowScan|BenchmarkRowAggregate
 
-# Serial-vs-pipelined replay throughput and memtable index benchmarks,
-# archived as JSON for diffing.
+# Replay throughput across pipeline depths 1, 2 and 4, plus the memtable,
+# ship and query benchmark sets, archived as JSON for diffing.
 bench-json:
 	$(GO) test -run='^$$' -bench=BenchmarkReplayPipeline -benchmem ./internal/replay/ \
 		| $(GO) run ./tools/benchjson > BENCH_replay.json

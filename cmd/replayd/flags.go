@@ -47,7 +47,7 @@ func knownAlgo(name string) bool {
 
 type backupFlags struct {
 	listen, algo, workload string
-	workers, pipeline      int
+	workers                int
 	once                   bool
 	gcEvery                time.Duration
 	columnar               bool
@@ -67,7 +67,6 @@ func parseBackupFlags(args []string) (*backupFlags, error) {
 	fs.StringVar(&c.listen, "listen", ":7070", "listen address")
 	fs.StringVar(&c.algo, "algo", "aets", "replay algorithm: aets, tplr, atr, c5")
 	fs.IntVar(&c.workers, "workers", 8, "replay workers")
-	fs.IntVar(&c.pipeline, "pipeline", 2, "replay pipeline depth: epochs in flight (0 = serial; aets/tplr only)")
 	fs.StringVar(&c.workload, "workload", "tpcc", "workload schema (for grouping): tpcc, chbench, seats, bustracker")
 	fs.BoolVar(&c.once, "once", true, "exit after the first clean end-of-stream")
 	fs.DurationVar(&c.gcEvery, "gc-every", 0, "vacuum version chains at this interval (0 disables)")
@@ -95,9 +94,6 @@ func parseBackupFlags(args []string) (*backupFlags, error) {
 	}
 	if c.workers <= 0 {
 		return nil, usagef("backup: -workers must be positive (got %d)", c.workers)
-	}
-	if c.pipeline < 0 {
-		return nil, usagef("backup: -pipeline must not be negative (got %d)", c.pipeline)
 	}
 	if c.ckptEvery < 0 || c.ckptInterval < 0 || c.gcEvery < 0 {
 		return nil, usagef("backup: -ckpt-every, -ckpt-interval and -gc-every must not be negative")

@@ -137,6 +137,10 @@ func workloadPlan(name string) (workload.Generator, *grouping.Plan, error) {
 	}
 }
 
+// replayPipeline is the backup's replay pipeline depth for aets/tplr: two
+// epochs in flight, so epoch N+1 dispatches while N replays.
+const replayPipeline = 2
+
 // runBackup is the crash-tolerant backup: every received epoch is
 // spooled durably before it is acknowledged, checkpoints are cut
 // atomically on a schedule, and the replay supervisor restores
@@ -180,7 +184,7 @@ func runBackup(args []string) error {
 	sup, err := recovery.NewSupervisor(recovery.Config{
 		Kind:                  htap.Kind(c.algo),
 		Plan:                  plan,
-		Node:                  htap.Options{Workers: c.workers, Pipeline: c.pipeline, Columnar: c.columnar},
+		Node:                  htap.Options{Workers: c.workers, Pipeline: replayPipeline, Columnar: c.columnar},
 		Spool:                 spool,
 		Checkpoints:           mgr,
 		CheckpointEveryEpochs: c.ckptEvery,
@@ -255,8 +259,8 @@ func runBackup(args []string) error {
 		return err
 	}
 	defer ln.Close()
-	fmt.Printf("backup (%s, %d workers, pipeline %d) listening on %s, cursor %d, spool %s (sync=%s), checkpoints %s\n",
-		c.algo, c.workers, c.pipeline, c.listen, rcv.Cursor(), spoolDir, c.syncPolicy, ckptDir)
+	fmt.Printf("backup (%s, %d workers) listening on %s, cursor %d, spool %s (sync=%s), checkpoints %s\n",
+		c.algo, c.workers, c.listen, rcv.Cursor(), spoolDir, c.syncPolicy, ckptDir)
 
 	defer startTicker(time.Second, func() {
 		st := rcv.Stats()

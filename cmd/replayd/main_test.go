@@ -53,7 +53,6 @@ func TestFlagValidation(t *testing.T) {
 		{"backup unknown algo", "backup", []string{"-algo", "nope"}, `unknown algo "nope"`},
 		{"backup unknown workload", "backup", []string{"-workload", "nope"}, `unknown workload "nope"`},
 		{"backup zero workers", "backup", []string{"-workers", "0"}, "-workers must be positive"},
-		{"backup negative pipeline", "backup", []string{"-pipeline", "-1"}, "-pipeline must not be negative"},
 		{"backup negative gc-every", "backup", []string{"-gc-every", "-1s"}, "must not be negative"},
 		{"backup spool without ckpt dir", "backup", []string{"-spool-dir", "s"}, "both -spool-dir and -ckpt-dir"},
 		{"backup ckpt dir without spool", "backup", []string{"-ckpt-dir", "c"}, "both -spool-dir and -ckpt-dir"},

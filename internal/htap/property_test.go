@@ -112,34 +112,41 @@ func TestChaosEquivalenceQuick(t *testing.T) {
 }
 
 // TestCorruptEpochFailsCleanly feeds a corrupted epoch and expects every
-// replayer to surface an error without deadlocking Drain.
+// replayer to surface an error without deadlocking Drain. The replay
+// engine (AETS, TPLR) also gets a good epoch after the corrupt one, which
+// must complete in order behind the failed dispatch, at one epoch in
+// flight (0 means 1) and with overlapping epochs. ATR's sequence check
+// waits forever for the corrupt epoch's transactions, so the baselines
+// stop at the corrupt epoch.
 func TestCorruptEpochFailsCleanly(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	txns := chaosTxns(rng, 50, 3, 50)
+	txns := chaosTxns(rng, 75, 3, 50)
 	encs := epoch.EncodeAll(epoch.MustSplit(txns, 25))
 	tables := []wal.TableID{1, 2, 3}
 	plan := grouping.SingleGroup(tables)
 
-	for _, k := range Kinds {
-		bad := make([]byte, len(encs[1].Buf))
-		copy(bad, encs[1].Buf)
-		// Truncate mid-frame: framing breaks for every parser.
-		bad = bad[:len(bad)-3]
-		corrupt := encs[1]
-		corrupt.Buf = bad
+	// Truncate mid-frame: framing breaks for every parser.
+	corrupt := encs[1]
+	corrupt.Buf = corrupt.Buf[:len(corrupt.Buf)-3]
 
-		r, err := NewReplayer(k, memtable.New(), plan, Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Start()
-		first := encs[0]
-		r.Feed(&first)
-		r.Feed(&corrupt)
-		r.Drain()
-		r.Stop()
-		if r.Err() == nil {
-			t.Fatalf("%s: corrupted epoch accepted silently", k)
+	for _, depth := range []int{0, 2} {
+		for _, k := range Kinds {
+			r, err := NewReplayer(k, memtable.New(), plan, Options{Workers: 2, Pipeline: depth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Start()
+			first, last := encs[0], encs[2]
+			r.Feed(&first)
+			r.Feed(&corrupt)
+			if k == KindAETS || k == KindTPLR {
+				r.Feed(&last)
+			}
+			r.Drain()
+			r.Stop()
+			if r.Err() == nil {
+				t.Fatalf("%s depth=%d: corrupted epoch accepted silently", k, depth)
+			}
 		}
 	}
 }

@@ -68,7 +68,8 @@ type Options struct {
 	// SnapshotPeriod is C5's snapshot advance period (default 5 ms).
 	SnapshotPeriod time.Duration
 	// Pipeline is the replay pipeline depth for AETS/TPLR: how many epochs
-	// may be in flight at once (0 = serial, one epoch at a time).
+	// may be in flight at once. Values ≤ 0 mean 1, one epoch at a time;
+	// there is no separate serial path.
 	Pipeline int
 	// Breakdown, when non-nil, records the Table II phase timing
 	// (AETS/TPLR only).

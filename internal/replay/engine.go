@@ -44,9 +44,9 @@ type Config struct {
 	// FeedDepth is the epoch queue depth between Feed and the scheduler.
 	FeedDepth int
 	// Pipeline is the epoch pipeline depth: the maximum number of epochs
-	// concurrently in flight (dispatched or replaying), with per-group
-	// epoch sequencing preserving commit order. 0 keeps the serial
-	// scheduler: epoch N+1 is not dispatched until N is fully committed.
+	// in flight (dispatched but not yet published). Values ≤ 0 mean 1,
+	// where epoch N+1 is not dispatched until N has published; there is
+	// no separate serial path.
 	Pipeline int
 	// Registry receives the engine's operational metrics (pipeline depth,
 	// epochs in flight, buffer-recycling counters). Defaults to
@@ -64,8 +64,8 @@ func (c *Config) fill() {
 	if c.FeedDepth <= 0 {
 		c.FeedDepth = 8
 	}
-	if c.Pipeline < 0 {
-		c.Pipeline = 0
+	if c.Pipeline <= 0 {
+		c.Pipeline = 1
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.Default
@@ -188,11 +188,7 @@ func (e *Engine) Start() {
 		return
 	}
 	e.gDepth.Set(float64(e.cfg.Pipeline))
-	if e.cfg.Pipeline > 0 {
-		go e.runPipelined()
-	} else {
-		go e.runSerial()
-	}
+	go e.run()
 }
 
 // Feed enqueues one encoded epoch for replay. Epochs must be fed in
@@ -249,15 +245,16 @@ func (e *Engine) Stats() (txns, entries int64) {
 // StageTimes returns the cumulative replay time of the hot (first) and
 // cold (second) stages across all epochs — the per-class replay times of
 // the paper's Fig 8(b)/9(b). Without two-stage mode everything lands in
-// the first bucket. In pipelined mode stages of different epochs overlap,
-// so the buckets accumulate per-group replay time rather than scheduler
-// wall time; ratios between the buckets are preserved.
+// the first bucket. The buckets sum per-group replay time, not scheduler
+// wall time: a stage's groups replay concurrently, and above Pipeline 1
+// stages of adjacent epochs overlap too; ratios between the buckets are
+// preserved.
 func (e *Engine) StageTimes() (hot, cold time.Duration) {
 	return time.Duration(e.hotStageNS.Load()), time.Duration(e.coldStageNS.Load())
 }
 
 // SetPlan schedules a new group plan; it takes effect at the next epoch
-// boundary, when all previously fed epochs' groups are fully committed.
+// boundary, once every previously fed epoch has published.
 func (e *Engine) SetPlan(p *grouping.Plan) {
 	e.planMu.Lock()
 	e.nextPlan = p
@@ -294,38 +291,104 @@ func (e *Engine) acquireDispatch() *dispatch.Buffers {
 }
 
 // ---------------------------------------------------------------------------
-// Serial scheduler (Pipeline == 0): one epoch at a time, hot stage then
-// cold stage, publish, next epoch.
+// Scheduler: the paper's replay structure (§V) built once per plan. Every
+// plan group has one long-lived committer draining its commit_order_queue,
+// so per-group commit order is queue order and each group's tg_cmt_ts only
+// ever covers a committed prefix. The dispatch loop holds one of Pipeline
+// slots per epoch in flight and queues exactly one job per group per epoch
+// (a nil batch for a group the epoch left untouched, which only
+// publishes). A cold batch waits until its epoch's hot batches have
+// published, so within every epoch hot groups publish first. One
+// publisher takes epochs in feed order and runs publishAll once all of an
+// epoch's jobs are done, so global_cmt_ts only ever covers a fully
+// committed prefix.
 
-func (e *Engine) runSerial() {
-	defer close(e.loopDone)
-	bufs := e.acquireDispatch()
-	for enc := range e.feed {
-		e.processEpoch(enc, bufs)
-		e.inflight.Done()
-	}
-	e.bufPool.Put(bufs)
+// job is one epoch's work for one group's committer.
+type job struct {
+	ep      *epochRun
+	gb      *dispatch.GroupBatch // nil: untouched by the epoch, publish only
+	threads int
+	hot     bool
 }
 
-func (e *Engine) processEpoch(enc *epoch.Encoded, bufs *dispatch.Buffers) {
-	// Plan swaps happen only here: all prior epochs are fully committed, so
-	// every table is replayed up to the current global commit timestamp and
-	// the fresh groups inherit it.
-	if next := e.takePlanSwap(); next != nil {
-		e.installPlan(next, e.global.Load())
-	}
+// epochRun carries one epoch from dispatch to its publishAll.
+type epochRun struct {
+	endTS         int64
+	hot           sync.WaitGroup // hot batches not yet published
+	jobs          sync.WaitGroup // jobs not yet done
+	bufs          *dispatch.Buffers
+	failed        bool // dispatch failed: nothing to publish
+	txns, entries int
+}
+
+// crew is one plan's goroutines: a committer per group and the publisher.
+type crew struct {
+	queues []chan job
+	epochs chan *epochRun
+	wg     sync.WaitGroup
+}
+
+func (e *Engine) run() {
+	defer close(e.loopDone)
+	// slots caps the epochs in flight: acquired (send) before an epoch is
+	// dispatched, released (receive) by the publisher once it has published.
+	slots := make(chan struct{}, e.cfg.Pipeline)
 	vs := e.vis.Load()
-	e.cEpochs.Inc()
-
-	if enc.TxnCount == 0 {
-		// Heartbeat epoch: a dummy log that bumps every group's publish
-		// time so idle groups cannot stall readers (paper §V-B).
-		e.publishAll(vs, enc.LastCommitTS)
-		return
+	c := e.startCrew(vs, slots)
+	for enc := range e.feed {
+		if next := e.takePlanSwap(); next != nil {
+			// Plan swap: every in-flight epoch commits and publishes first,
+			// so the fresh groups inherit a settled global timestamp.
+			c.stop()
+			e.installPlan(next, e.global.Load())
+			vs = e.vis.Load()
+			c = e.startCrew(vs, slots)
+		}
+		slots <- struct{}{}
+		e.gInflight.Set(float64(e.epochsInflight.Add(1)))
+		e.cEpochs.Inc()
+		c.epochs <- e.dispatchEpoch(enc, vs, c.queues)
 	}
+	c.stop()
+}
 
+func (e *Engine) startCrew(vs *visState, slots <-chan struct{}) *crew {
+	// Every epoch in flight puts one entry on each queue and on epochs, so
+	// Pipeline bounds them exactly and no send blocks.
+	c := &crew{
+		queues: make([]chan job, len(vs.plan.Groups)),
+		epochs: make(chan *epochRun, e.cfg.Pipeline),
+	}
+	c.wg.Add(len(c.queues) + 1)
+	for gi := range c.queues {
+		c.queues[gi] = make(chan job, e.cfg.Pipeline)
+		go e.committer(vs, gi, c.queues[gi], &c.wg)
+	}
+	go e.publisher(vs, c.epochs, slots, &c.wg)
+	return c
+}
+
+// stop closes the crew's queues and waits for the committers and the
+// publisher to drain them.
+func (c *crew) stop() {
+	for _, q := range c.queues {
+		close(q)
+	}
+	close(c.epochs)
+	c.wg.Wait()
+}
+
+// dispatchEpoch routes enc and queues one job per group. A heartbeat (the
+// paper's dummy log, §V-B) and a failed dispatch queue none: the publisher
+// then publishes the heartbeat everywhere and skips the failed epoch.
+func (e *Engine) dispatchEpoch(enc *epoch.Encoded, vs *visState, queues []chan job) *epochRun {
+	ep := &epochRun{endTS: enc.LastCommitTS}
+	if enc.TxnCount == 0 {
+		return ep
+	}
+	ep.bufs = e.acquireDispatch()
 	t0 := time.Now()
-	res, err := bufs.Dispatch(enc, vs.plan)
+	res, err := ep.bufs.Dispatch(enc, vs.plan)
 	dd := time.Since(t0)
 	e.hDispatch.Observe(dd)
 	if e.cfg.Breakdown != nil {
@@ -333,35 +396,34 @@ func (e *Engine) processEpoch(enc *epoch.Encoded, bufs *dispatch.Buffers) {
 	}
 	if err != nil {
 		e.fail(fmt.Errorf("epoch %d: %w", enc.Seq, err))
-		return
+		ep.failed = true
+		return ep
 	}
+	ep.endTS, ep.txns, ep.entries = res.LastCommitTS, res.Txns, res.Entries
 
-	// Groups untouched by this epoch contain all their data up to the
-	// epoch's last commit: publish them immediately.
+	// Per-stage worker allocation. With epochs overlapping, consecutive
+	// epochs' stages can briefly oversubscribe the budget; GOMAXPROCS
+	// bounds real parallelism.
+	hot, cold := splitStages(vs, res)
+	if !e.cfg.TwoStage {
+		hot, cold = append(hot, cold...), nil
+	}
+	// Both counts are complete before any job is queued, so no committer
+	// can Wait concurrently with a late Add.
+	ep.hot.Add(len(hot))
+	ep.jobs.Add(len(queues))
 	for gi, gb := range res.PerGroup {
 		if gb == nil {
-			e.publishGroup(vs, gi, res.LastCommitTS)
+			queues[gi] <- job{ep: ep}
 		}
 	}
-
-	hot, cold := splitStages(vs, res)
-
-	if e.cfg.TwoStage {
-		t1 := time.Now()
-		e.runStage(vs, hot, res.LastCommitTS)
-		e.hotStageNS.Add(int64(time.Since(t1)))
-		t2 := time.Now()
-		e.runStage(vs, cold, res.LastCommitTS)
-		e.coldStageNS.Add(int64(time.Since(t2)))
-	} else {
-		t1 := time.Now()
-		e.runStage(vs, append(hot, cold...), res.LastCommitTS)
-		e.hotStageNS.Add(int64(time.Since(t1)))
+	for i, n := range e.stageThreads(vs, hot) {
+		queues[hot[i].Group] <- job{ep: ep, gb: hot[i], threads: n, hot: true}
 	}
-
-	e.publishAll(vs, res.LastCommitTS)
-	e.txns.Add(int64(res.Txns))
-	e.entries.Add(int64(res.Entries))
+	for i, n := range e.stageThreads(vs, cold) {
+		queues[cold[i].Group] <- job{ep: ep, gb: cold[i], threads: n}
+	}
+	return ep
 }
 
 // splitStages partitions an epoch's touched batches into the hot (first)
@@ -396,213 +458,57 @@ func (e *Engine) stageThreads(vs *visState, batches []*dispatch.GroupBatch) []in
 	return threads
 }
 
-// runStage replays a set of group batches concurrently. When a group's
-// batch completes it is published up to the epoch's last commit timestamp:
-// the epoch contains every transaction in its ID range, so a fully
-// replayed group is current up to the epoch end even if its own last write
-// is older.
-func (e *Engine) runStage(vs *visState, batches []*dispatch.GroupBatch, epochEndTS int64) {
-	if len(batches) == 0 {
-		return
-	}
-	threads := e.stageThreads(vs, batches)
-	var wg sync.WaitGroup
-	for i, gb := range batches {
-		wg.Add(1)
-		go func(gb *dispatch.GroupBatch, n int) {
-			defer wg.Done()
-			if err := e.replayGroup(vs, gb, n); err != nil {
+// committer is group gi's commit thread: it drains the group's queue in
+// epoch order, replaying each batch with TPLR (a cold one only after its
+// epoch's hot batches have published) and publishing the group up to the
+// epoch end: the epoch holds every transaction in its ID range, so a group
+// that has replayed its batch, or had none, is current to that point. A
+// hot batch signals its epoch only after publishing, so a hot group's
+// tg_cmt_ts never trails a cold one's.
+func (e *Engine) committer(vs *visState, gi int, queue <-chan job, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for j := range queue {
+		if j.gb != nil {
+			if !j.hot {
+				j.ep.hot.Wait()
+			}
+			t := time.Now()
+			if err := e.replayGroup(vs, j.gb, j.threads); err != nil {
 				e.fail(err)
 			}
-			e.publishGroup(vs, gb.Group, epochEndTS)
-		}(gb, threads[i])
-	}
-	wg.Wait()
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined scheduler (Pipeline >= 1): the dispatch loop decodes and
-// dispatches epoch N+1 while epoch N replays, with up to Pipeline epochs
-// in flight. Ordering is enforced per group, not with a global barrier:
-// each group's replay of epoch N+1 starts only after its own epoch-N
-// batch has committed, so per-group commit order (and therefore each
-// group's tg_cmt_ts prefix invariant) is exactly the serial engine's. An
-// epoch's cold batches additionally wait for that epoch's hot stage, so
-// within every epoch hot groups still publish first. The global commit
-// timestamp advances through a completion chain — epoch N's publishAll
-// runs only after epoch N-1's — so global_cmt_ts only ever covers a fully
-// committed prefix and WaitVisible semantics are unchanged.
-
-// epochGroupRun carries one group's slice of an epoch through the
-// pipeline.
-type epochGroupRun struct {
-	gb      *dispatch.GroupBatch
-	threads int
-	hot     bool
-}
-
-func (e *Engine) runPipelined() {
-	defer close(e.loopDone)
-	// slots caps the number of epochs in flight: acquire (send) before
-	// dispatching an epoch, release (receive) when it fully commits.
-	slots := make(chan struct{}, e.cfg.Pipeline)
-	vs := e.vis.Load()
-	prevGroup := make([]chan struct{}, len(vs.plan.Groups))
-	var prevComplete chan struct{}
-
-	for enc := range e.feed {
-		if next := e.takePlanSwap(); next != nil {
-			// Plan swap barrier: wait until every in-flight epoch is fully
-			// committed so the fresh groups inherit a settled global
-			// timestamp, then drop the old per-group chains.
-			if prevComplete != nil {
-				<-prevComplete
-				prevComplete = nil
+			stage := &e.coldStageNS
+			if j.hot {
+				stage = &e.hotStageNS
 			}
-			e.installPlan(next, e.global.Load())
-			vs = e.vis.Load()
-			prevGroup = make([]chan struct{}, len(vs.plan.Groups))
+			stage.Add(int64(time.Since(t)))
 		}
-
-		slots <- struct{}{}
-		e.gInflight.Set(float64(e.epochsInflight.Add(1)))
-		e.cEpochs.Inc()
-		complete := make(chan struct{})
-		prev := prevComplete
-		prevComplete = complete
-
-		if enc.TxnCount == 0 {
-			// Heartbeat: publish once every earlier epoch has committed.
-			ts := enc.LastCommitTS
-			state := vs
-			go func() {
-				if prev != nil {
-					<-prev
-				}
-				e.publishAll(state, ts)
-				e.finishEpoch(complete, slots)
-			}()
-			continue
+		e.publishGroup(vs, gi, j.ep.endTS)
+		if j.hot {
+			j.ep.hot.Done()
 		}
-
-		bufs := e.acquireDispatch()
-		t0 := time.Now()
-		res, err := bufs.Dispatch(enc, vs.plan)
-		dd := time.Since(t0)
-		e.hDispatch.Observe(dd)
-		if e.cfg.Breakdown != nil {
-			e.cfg.Breakdown.AddDispatch(dd)
-		}
-		if err != nil {
-			e.fail(fmt.Errorf("epoch %d: %w", enc.Seq, err))
-			e.bufPool.Put(bufs)
-			go func() {
-				if prev != nil {
-					<-prev
-				}
-				e.finishEpoch(complete, slots)
-			}()
-			continue
-		}
-
-		// Per-stage worker allocation, as in the serial scheduler. With
-		// epochs overlapping, consecutive epochs' stages can briefly
-		// oversubscribe the budget; GOMAXPROCS bounds real parallelism.
-		hot, cold := splitStages(vs, res)
-		if !e.cfg.TwoStage {
-			hot, cold = append(hot, cold...), nil
-		}
-		runs := make([]*epochGroupRun, len(vs.plan.Groups))
-		for i, threads := 0, e.stageThreads(vs, hot); i < len(hot); i++ {
-			runs[hot[i].Group] = &epochGroupRun{gb: hot[i], threads: threads[i], hot: true}
-		}
-		for i, threads := 0, e.stageThreads(vs, cold); i < len(cold); i++ {
-			runs[cold[i].Group] = &epochGroupRun{gb: cold[i], threads: threads[i]}
-		}
-
-		// hotWG is fully counted before any goroutine spawns, so a cold
-		// group can never Wait concurrently with a late Add.
-		var hotWG sync.WaitGroup
-		hotWG.Add(len(hot))
-
-		gdone := make([]chan struct{}, len(vs.plan.Groups))
-		epochEnd := res.LastCommitTS
-		state := vs
-		for gi := range gdone {
-			done := make(chan struct{})
-			gdone[gi] = done
-			prevG := prevGroup[gi]
-			prevGroup[gi] = done
-			run := runs[gi]
-			switch {
-			case run == nil:
-				// Untouched group: all its data through the epoch end is
-				// present once its own chain reaches this epoch.
-				go func(gi int) {
-					defer close(done)
-					if prevG != nil {
-						<-prevG
-					}
-					e.publishGroup(state, gi, epochEnd)
-				}(gi)
-			case run.hot:
-				go func(r *epochGroupRun) {
-					defer close(done)
-					defer hotWG.Done()
-					if prevG != nil {
-						<-prevG
-					}
-					t := time.Now()
-					if err := e.replayGroup(state, r.gb, r.threads); err != nil {
-						e.fail(err)
-					}
-					e.hotStageNS.Add(int64(time.Since(t)))
-					e.publishGroup(state, r.gb.Group, epochEnd)
-				}(run)
-			default:
-				go func(r *epochGroupRun) {
-					defer close(done)
-					if prevG != nil {
-						<-prevG
-					}
-					hotWG.Wait()
-					t := time.Now()
-					if err := e.replayGroup(state, r.gb, r.threads); err != nil {
-						e.fail(err)
-					}
-					e.coldStageNS.Add(int64(time.Since(t)))
-					e.publishGroup(state, r.gb.Group, epochEnd)
-				}(run)
-			}
-		}
-
-		txns, entries := res.Txns, res.Entries
-		go func() {
-			for _, d := range gdone {
-				<-d
-			}
-			if prev != nil {
-				<-prev
-			}
-			e.publishAll(state, epochEnd)
-			e.txns.Add(int64(txns))
-			e.entries.Add(int64(entries))
-			e.bufPool.Put(bufs)
-			e.finishEpoch(complete, slots)
-		}()
-	}
-	if prevComplete != nil {
-		<-prevComplete
+		j.ep.jobs.Done()
 	}
 }
 
-// finishEpoch closes the epoch's completion chain link, releases its
-// pipeline slot and marks it drained.
-func (e *Engine) finishEpoch(complete chan struct{}, slots chan struct{}) {
-	close(complete)
-	<-slots
-	e.gInflight.Set(float64(e.epochsInflight.Add(-1)))
-	e.inflight.Done()
+// publisher takes epochs in feed order; once all of an epoch's jobs are
+// done it publishes the epoch everywhere, recycles its dispatch buffers,
+// frees its slot and marks it drained.
+func (e *Engine) publisher(vs *visState, epochs <-chan *epochRun, slots <-chan struct{}, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for ep := range epochs {
+		ep.jobs.Wait()
+		if !ep.failed {
+			e.publishAll(vs, ep.endTS)
+			e.txns.Add(int64(ep.txns))
+			e.entries.Add(int64(ep.entries))
+		}
+		if ep.bufs != nil {
+			e.bufPool.Put(ep.bufs)
+		}
+		<-slots
+		e.gInflight.Set(float64(e.epochsInflight.Add(-1)))
+		e.inflight.Done()
+	}
 }
 
 func (e *Engine) fail(err error) {

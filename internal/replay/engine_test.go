@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -31,13 +32,6 @@ func buildTPCCPlan(gen workload.Generator, r float64) *grouping.Plan {
 
 func runEngine(t *testing.T, cfg Config, plan *grouping.Plan, txns []wal.Txn, epochSize int) *memtable.Memtable {
 	t.Helper()
-	// The pipelined scheduler is the default under test; serial-path
-	// coverage opts out with Pipeline < 0 (normalised to 0 below).
-	if cfg.Pipeline == 0 {
-		cfg.Pipeline = 2
-	} else if cfg.Pipeline < 0 {
-		cfg.Pipeline = 0
-	}
 	mt := memtable.New()
 	e := New("AETS", mt, plan, cfg)
 	e.Start()
@@ -69,16 +63,22 @@ func TestEngineMatchesSerialReference(t *testing.T) {
 	reference.Apply(ref, txns)
 
 	plan := buildTPCCPlan(gen, 1000)
-	mt := runEngine(t, Config{Workers: 8, TwoStage: true}, plan, txns, 256)
-
 	tables := workload.TableIDs(gen.Tables())
-	if err := reference.Equal(ref, mt, tables); err != nil {
-		t.Fatal(err)
-	}
-	if err := reference.CheckChains(mt, tables); err != nil {
-		t.Fatal(err)
+	for _, depth := range depths {
+		mt := runEngine(t, Config{Workers: 8, TwoStage: true, Pipeline: depth}, plan, txns, 256)
+		if err := reference.Equal(ref, mt, tables); err != nil {
+			t.Fatalf("depth=%d: %v", depth, err)
+		}
+		if err := reference.CheckChains(mt, tables); err != nil {
+			t.Fatalf("depth=%d: %v", depth, err)
+		}
 	}
 }
+
+// depths are the pipeline depths the correctness tests run at: 1, where
+// epoch N+1 is dispatched only after N has published, and 2, where
+// consecutive epochs overlap.
+var depths = []int{1, 2}
 
 func TestEngineSingleGroupTPLR(t *testing.T) {
 	gen := workload.NewTPCC(2)
@@ -89,7 +89,7 @@ func TestEngineSingleGroupTPLR(t *testing.T) {
 	reference.Apply(ref, txns)
 
 	plan := grouping.SingleGroup(workload.TableIDs(gen.Tables()))
-	mt := runEngine(t, Config{Workers: 8, TwoStage: false}, plan, txns, 128)
+	mt := runEngine(t, Config{Workers: 8, TwoStage: false, Pipeline: 2}, plan, txns, 128)
 	if err := reference.Equal(ref, mt, workload.TableIDs(gen.Tables())); err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,13 @@ func TestEngineVariousWorkerCounts(t *testing.T) {
 	txns := p.GenerateTxns(600)
 	ref := memtable.New()
 	reference.Apply(ref, txns)
-	for _, workers := range []int{1, 2, 3, 16} {
-		plan := buildTPCCPlan(gen, 100)
-		mt := runEngine(t, Config{Workers: workers, TwoStage: true}, plan, txns, 100)
-		if err := reference.Equal(ref, mt, workload.TableIDs(gen.Tables())); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for _, depth := range depths {
+		for _, workers := range []int{1, 2, 3, 16} {
+			plan := buildTPCCPlan(gen, 100)
+			mt := runEngine(t, Config{Workers: workers, TwoStage: true, Pipeline: depth}, plan, txns, 100)
+			if err := reference.Equal(ref, mt, workload.TableIDs(gen.Tables())); err != nil {
+				t.Fatalf("depth=%d workers=%d: %v", depth, workers, err)
+			}
 		}
 	}
 }
@@ -257,7 +259,7 @@ func TestBreakdownAccumulates(t *testing.T) {
 	txns := p.GenerateTxns(400)
 	var bd metrics.Breakdown
 	plan := buildTPCCPlan(gen, 100)
-	runEngine(t, Config{Workers: 2, TwoStage: true, Breakdown: &bd}, plan, txns, 100)
+	runEngine(t, Config{Workers: 2, TwoStage: true, Breakdown: &bd, Pipeline: 2}, plan, txns, 100)
 	d, r, c := bd.Shares()
 	if d <= 0 || r <= 0 || c <= 0 {
 		t.Fatalf("breakdown shares: %v %v %v", d, r, c)
@@ -276,12 +278,65 @@ func TestUrgencyConfigRespected(t *testing.T) {
 	txns := p.GenerateTxns(300)
 	ref := memtable.New()
 	reference.Apply(ref, txns)
-	for _, u := range []alloc.UrgencyFunc{alloc.LogUrgency, alloc.LinearUrgency, alloc.NoURgency} {
-		plan := buildTPCCPlan(gen, 5000)
-		mt := runEngine(t, Config{Workers: 4, TwoStage: true, Urgency: u}, plan, txns, 100)
-		if err := reference.Equal(ref, mt, workload.TableIDs(gen.Tables())); err != nil {
-			t.Fatal(err)
+	for _, depth := range depths {
+		for _, u := range []alloc.UrgencyFunc{alloc.LogUrgency, alloc.LinearUrgency, alloc.NoURgency} {
+			plan := buildTPCCPlan(gen, 5000)
+			mt := runEngine(t, Config{Workers: 4, TwoStage: true, Urgency: u, Pipeline: depth}, plan, txns, 100)
+			if err := reference.Equal(ref, mt, workload.TableIDs(gen.Tables())); err != nil {
+				t.Fatalf("depth=%d: %v", depth, err)
+			}
 		}
+	}
+}
+
+// TestCommittersExitOnPlanSwapAndStop pins the committers' lifecycle:
+// every plan swap retires the old plan's committers and publisher before
+// starting the new plan's, and Stop retires the last ones, so after Stop
+// the engine has left no goroutine behind. The swaps alternate between
+// plans of different group counts, so a leaked or reused queue would also
+// misroute batches and show up in the reference comparison.
+func TestCommittersExitOnPlanSwapAndStop(t *testing.T) {
+	gen := workload.NewTPCC(1)
+	txns := primary.New(gen, 10).GenerateTxns(1200)
+	ref := memtable.New()
+	reference.Apply(ref, txns)
+	tables := workload.TableIDs(gen.Tables())
+	perTable := grouping.Build(map[wal.TableID]float64{workload.TPCCOrderLine: 500},
+		tables, grouping.Options{PerTable: true})
+
+	base := runtime.NumGoroutine()
+	mt := memtable.New()
+	e := New("AETS", mt, buildTPCCPlan(gen, 100), Config{Workers: 2, TwoStage: true, Pipeline: 2})
+	e.Start()
+	encs := epoch.EncodeAll(epoch.MustSplit(txns, 100))
+	for i := range encs {
+		// Drain first, so each SetPlan lands as its own swap instead of
+		// overwriting a pending one.
+		switch i {
+		case 3, 9:
+			e.Drain()
+			e.SetPlan(perTable)
+		case 6:
+			e.Drain()
+			e.SetPlan(buildTPCCPlan(gen, 100))
+		}
+		feed(t, e, &encs[i])
+	}
+	e.Stop()
+	if e.Plan() != perTable {
+		t.Fatal("last plan swap not applied")
+	}
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := reference.Equal(ref, mt, tables); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, %d before New", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -41,13 +41,14 @@ func TestStageTimesTrackEntryShares(t *testing.T) {
 	plan := grouping.Build(map[wal.TableID]float64{1: 1000},
 		[]wal.TableID{1, 2}, grouping.Options{PerTable: true})
 
-	// Serial scheduler: the Fig 8(b)/9(b) shares are defined over exclusive
-	// stage wall time. Pipelined mode overlaps stages of adjacent epochs, so
-	// a group's wall time also contains contention with the other epoch's
-	// groups and the shares blur.
+	// Depth 1: the Fig 8(b)/9(b) shares are defined over exclusive stages,
+	// and at depth 1 an epoch's cold group replays only after its hot group
+	// has published, with no other epoch in flight. Deeper pipelines
+	// overlap stages of adjacent epochs, so a group's replay time also
+	// contains contention with the other epoch's groups and the shares blur.
 	run := func(hotPerTxn, coldPerTxn int) float64 {
 		mt := memtable.New()
-		e := New("AETS", mt, plan, Config{Workers: 2, TwoStage: true})
+		e := New("AETS", mt, plan, Config{Workers: 2, TwoStage: true, Pipeline: 1})
 		e.Start()
 		defer e.Stop()
 		for _, enc := range epoch.EncodeAll(epoch.MustSplit(buildSkewedTxns(2000, hotPerTxn, coldPerTxn), 256)) {

@@ -14,7 +14,7 @@ import (
 	"aets/internal/wal"
 )
 
-// TestVisibilityInvariantStress hammers the pipelined scheduler with
+// TestVisibilityInvariantStress hammers the scheduler at depth 3 with
 // concurrent snapshot readers while the feeder interleaves plan swaps and
 // heartbeat epochs, and checks the two visibility invariants the paper's
 // Algorithm 3 promises:
@@ -28,7 +28,8 @@ import (
 //     group's: hot data publishes no later than cold in every epoch.
 //
 // Run under -race this also serves as the scheduler's concurrency smoke
-// test: per-group chaining, the completion chain, plan-swap barriers and
+// test: the per-group committers, the hot-before-cold wait, the in-order
+// publisher, plan swaps that retire and restart the committers, and
 // heartbeat publication all race against readers here.
 func TestVisibilityInvariantStress(t *testing.T) {
 	const (

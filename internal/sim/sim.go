@@ -301,7 +301,7 @@ func simulateGrouped(tr *Trace, n int, c Costs, name string, twoStage bool) Resu
 			}
 		}
 
-		runStage := func(gids []int) float64 {
+		replayStage := func(gids []int) float64 {
 			if len(gids) == 0 {
 				return now
 			}
@@ -349,10 +349,10 @@ func simulateGrouped(tr *Trace, n int, c Costs, name string, twoStage bool) Resu
 			}
 		}
 		if twoStage {
-			now = runStage(hot)
-			now = runStage(cold)
+			now = replayStage(hot)
+			now = replayStage(cold)
 		} else {
-			now = runStage(append(hot, cold...))
+			now = replayStage(append(hot, cold...))
 		}
 	}
 	return Result{Algorithm: name, Threads: n, Makespan: time.Duration(now), Txns: txns, Entries: entries}
