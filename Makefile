@@ -14,7 +14,8 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrency-heavy packages: the replication transport,
-# the replay engine, the epoch batcher, the sharded memtable index
+# the replay engine, the ATR/C5 baseline replayers (the only concurrent
+# replayers outside it), the epoch batcher, the sharded memtable index
 # (including TestScanStress — full-range ordered Scans, so the merged view
 # flips stale/rebuilt/valid, racing GetOrCreate and Vacuum), the query
 # planner against feed + compaction, the columnar compactor, the
@@ -22,8 +23,8 @@ test:
 # and the recovery supervisor/spool (their chaos e2es run separately,
 # already under -race, in chaos-cluster and chaos).
 race:
-	$(GO) test -race ./internal/ship/... ./internal/replay/... ./internal/epoch/... ./internal/memtable/... ./internal/query/... \
-		./internal/colstore/... ./internal/checkpoint/... ./internal/htap/...
+	$(GO) test -race ./internal/ship/... ./internal/replay/... ./internal/baselines/... ./internal/epoch/... ./internal/memtable/... \
+		./internal/query/... ./internal/colstore/... ./internal/checkpoint/... ./internal/htap/...
 	$(GO) test -race -skip 'TestClusterChaos' ./internal/cluster/
 	$(GO) test -race -skip 'TestChaos' ./internal/recovery/...
 

@@ -28,7 +28,7 @@ func main() {
 		seed  = flag.Int64("seed", 1, "generator seed")
 		out   = flag.String("o", "", "output file (default stdout)")
 		dump  = flag.Bool("dump", false, "print a human-readable dump instead of binary")
-		epoch = flag.Int("epoch", 2048, "epoch size in transactions (affects LSN framing only)")
+		epoch = flag.Int("epoch", 2048, "epoch size in transactions (the output is the same for any size)")
 	)
 	flag.Parse()
 
@@ -65,7 +65,7 @@ func main() {
 
 	if *dump {
 		for _, enc := range encs {
-			entries, err := wal.DecodeStream(enc.Buf)
+			entries, err := wal.DecodeStream(enc.Buf, enc.FirstLSN)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

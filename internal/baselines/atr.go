@@ -40,8 +40,9 @@ type ATR struct {
 	wg       sync.WaitGroup
 	life     lifeState
 
-	errMu sync.Mutex
-	err   error
+	errMu  sync.Mutex
+	err    error
+	failed atomic.Bool // err is set: a sequence check may wait on writes that never come
 
 	txns    atomic.Int64
 	entries atomic.Int64
@@ -137,6 +138,7 @@ func (a *ATR) fail(err error) {
 		a.err = err
 	}
 	a.errMu.Unlock()
+	a.failed.Store(true)
 }
 
 // dispatcher performs the header-only parse, cuts transactions on framing
@@ -207,7 +209,9 @@ func (a *ATR) worker(q chan *atrTxn) {
 				break
 			}
 			rec := a.mt.Table(e.Table).GetOrCreate(e.RowKey)
-			a.sequenceCheck(rec, e.WriteSeq)
+			if !a.sequenceCheck(rec, e.WriteSeq) {
+				break
+			}
 			rec.Append(&memtable.Version{
 				TxnID:    e.TxnID,
 				CommitTS: t.commitTS,
@@ -226,17 +230,21 @@ func (a *ATR) worker(q chan *atrTxn) {
 // a write only when every earlier write to the row (by any transaction,
 // including an earlier write of the same transaction) has been applied.
 // This is the thread synchronisation the paper charges ATR for: under
-// contention workers spin, then yield, then sleep.
-func (a *ATR) sequenceCheck(rec *memtable.Record, seq uint64) {
+// contention workers spin, then yield, then sleep. Once the replayer has
+// failed it gives up and reports false: a predecessor in a corrupt epoch
+// was never dispatched, so its write will never come.
+func (a *ATR) sequenceCheck(rec *memtable.Record, seq uint64) bool {
 	for spins := 0; ; spins++ {
 		if rec.Writes() == seq {
-			return
+			return true
 		}
 		switch {
 		case spins < 64:
 			// busy spin
 		case spins < 256:
 			runtime.Gosched()
+		case a.failed.Load():
+			return false
 		default:
 			time.Sleep(time.Microsecond)
 		}

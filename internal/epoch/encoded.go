@@ -21,7 +21,9 @@ type Encoded struct {
 	Seq uint64
 	Buf []byte
 
-	// Summary fields, available without parsing.
+	// Summary fields, available without parsing. FirstLSN is the LSN of
+	// Buf's first entry; entry i's is FirstLSN+i.
+	FirstLSN     uint64
 	TxnCount     int
 	EntryCount   int // DML entries only
 	FirstTxnID   uint64
@@ -29,14 +31,15 @@ type Encoded struct {
 	LastCommitTS int64
 }
 
-// Encode serialises an epoch into its wire form. firstLSN seeds the LSN
-// sequence; the next unused LSN is returned so consecutive epochs share one
-// LSN space.
+// Encode serialises an epoch into its wire form. firstLSN is the LSN of its
+// first entry; the next unused LSN is returned so consecutive epochs share
+// one LSN space.
 func Encode(e *Epoch, firstLSN uint64) (Encoded, uint64) {
-	entries, next := wal.FlattenTxns(e.Txns, firstLSN)
+	entries := wal.FlattenTxns(e.Txns)
 	enc := Encoded{
 		Seq:        e.Seq,
 		Buf:        wal.EncodeStream(entries),
+		FirstLSN:   firstLSN,
 		TxnCount:   len(e.Txns),
 		EntryCount: e.Entries(),
 		FirstTxnID: e.FirstTxnID(),
@@ -45,7 +48,7 @@ func Encode(e *Epoch, firstLSN uint64) (Encoded, uint64) {
 	if n := len(e.Txns); n > 0 {
 		enc.LastCommitTS = e.Txns[n-1].CommitTS
 	}
-	return enc, next
+	return enc, firstLSN + uint64(len(entries))
 }
 
 // EncodeAll encodes a sequence of epochs with a shared LSN space.
@@ -58,10 +61,10 @@ func EncodeAll(eps []*Epoch) []Encoded {
 	return out
 }
 
-// Decode parses the wire form back into transactions. Used by tests and by
-// replayers that need the full image up front.
+// Decode parses the wire form back into transactions, their entries
+// numbered from FirstLSN. Used by tests and tools that need the full image.
 func (enc *Encoded) Decode() ([]wal.Txn, error) {
-	entries, err := wal.DecodeStream(enc.Buf)
+	entries, err := wal.DecodeStream(enc.Buf, enc.FirstLSN)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,9 @@ import (
 )
 
 // TestEncodedRoundTripQuick: encode→decode of random epochs preserves the
-// transactions exactly and the summary fields agree with the content.
+// transactions exactly, the summary fields agree with the content, and
+// Decode numbers every entry from FirstLSN by its position in the stream
+// (BEGIN and COMMIT take an LSN each).
 func TestEncodedRoundTripQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -30,26 +32,32 @@ func TestEncodedRoundTripQuick(t *testing.T) {
 			}
 		}
 		ep := &Epoch{Seq: uint64(r.Intn(100)), Txns: txns}
-		enc, _ := Encode(ep, 1)
+		first := r.Uint64() >> 1
+		enc, next := Encode(ep, first)
 		if enc.TxnCount != n || enc.FirstTxnID != 1 || enc.LastTxnID != uint64(n) ||
-			enc.LastCommitTS != ts || enc.EntryCount != ep.Entries() {
+			enc.LastCommitTS != ts || enc.EntryCount != ep.Entries() ||
+			enc.FirstLSN != first || next != first+uint64(2*n+ep.Entries()) {
 			return false
 		}
 		back, err := enc.Decode()
 		if err != nil || len(back) != n {
 			return false
 		}
+		lsn := first
 		for i := range back {
 			if back[i].ID != txns[i].ID || back[i].CommitTS != txns[i].CommitTS ||
 				len(back[i].Entries) != len(txns[i].Entries) {
 				return false
 			}
+			lsn++ // BEGIN
 			for j := range back[i].Entries {
 				a, b := back[i].Entries[j], txns[i].Entries[j]
-				if a.Table != b.Table || a.RowKey != b.RowKey || a.WriteSeq != b.WriteSeq {
+				if a.Table != b.Table || a.RowKey != b.RowKey || a.WriteSeq != b.WriteSeq || a.LSN != lsn {
 					return false
 				}
+				lsn++
 			}
+			lsn++ // COMMIT
 		}
 		return true
 	}
@@ -60,7 +68,7 @@ func TestEncodedRoundTripQuick(t *testing.T) {
 
 func TestEncodeEmptyEpoch(t *testing.T) {
 	enc, next := Encode(&Epoch{Seq: 3}, 7)
-	if next != 7 || len(enc.Buf) != 0 || enc.TxnCount != 0 {
+	if next != 7 || enc.FirstLSN != 7 || len(enc.Buf) != 0 || enc.TxnCount != 0 {
 		t.Fatalf("empty epoch: %+v next=%d", enc, next)
 	}
 	txns, err := enc.Decode()

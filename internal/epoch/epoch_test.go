@@ -157,7 +157,10 @@ func TestEncodeAllSharesLSNSpace(t *testing.T) {
 	}
 	var lastLSN uint64
 	for _, enc := range encs {
-		entries, err := wal.DecodeStream(enc.Buf)
+		if enc.FirstLSN != lastLSN+1 {
+			t.Fatalf("epoch %d starts at LSN %d after %d", enc.Seq, enc.FirstLSN, lastLSN)
+		}
+		entries, err := wal.DecodeStream(enc.Buf, enc.FirstLSN)
 		if err != nil {
 			t.Fatal(err)
 		}

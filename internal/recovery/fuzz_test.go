@@ -104,7 +104,7 @@ func FuzzScanSegment(f *testing.F) {
 	seg := segmentImage(encs)
 	f.Add(seg)
 	f.Add(seg[:len(seg)-7])
-	f.Add(restampFrames(f, seg, ship.Version-1, 0)) // the previous version's spool
+	f.Add(restampFrames(f, seg, 3, 0)) // a spool version 3 wrote (per-entry LSNs)
 	f.Add(restampFrames(f, seg, ship.Version+1, 0))
 	f.Add(compressedImage(encs))
 	flipped := append([]byte(nil), seg...)

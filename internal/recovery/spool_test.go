@@ -84,7 +84,7 @@ func TestSpoolRoundTrip(t *testing.T) {
 
 // TestSpoolTruncatesOlderVersion pins the upgrade rule: spool segments
 // at rest are ship frames, so a segment an older build wrote (stamped
-// ship.Version-1, whose epoch buffers still carry per-entry CRCs) fails
+// ship.Version-1, i.e. 3, whose entries still carry their LSNs) fails
 // ErrVersion at its first frame. Open truncates it to an empty range and
 // counts one truncation; the spool then takes new epochs as usual.
 func TestSpoolTruncatesOlderVersion(t *testing.T) {

@@ -143,8 +143,9 @@ func TestSupervisorRestoreAcrossRestart(t *testing.T) {
 
 // TestSupervisorUpgradeResumesFromCheckpoint is the upgrade rule end to
 // end: a replica restarted on a build whose frame version moved on finds
-// its spool stamped ship.Version-1. The spool truncates to nothing, the
-// newest checkpoint (rows, not WAL) restores its cursor, and the epochs a
+// its spool stamped ship.Version-1 (3, whose entries carry their LSNs).
+// The spool truncates to nothing, the newest checkpoint (rows, not WAL)
+// restores its cursor, and the epochs a
 // primary re-ships from that cursor bring the node to the digest of the
 // serial reference.
 func TestSupervisorUpgradeResumesFromCheckpoint(t *testing.T) {

@@ -46,12 +46,14 @@ func TestStageTimesTrackEntryShares(t *testing.T) {
 	// has published, with no other epoch in flight. Deeper pipelines
 	// overlap stages of adjacent epochs, so a group's replay time also
 	// contains contention with the other epoch's groups and the shares blur.
+	// 32 epochs per run: on a busy host a few descheduled epochs cannot
+	// swing the totals the way they could over eight.
 	run := func(hotPerTxn, coldPerTxn int) float64 {
 		mt := memtable.New()
 		e := New("AETS", mt, plan, Config{Workers: 2, TwoStage: true, Pipeline: 1})
 		e.Start()
 		defer e.Stop()
-		for _, enc := range epoch.EncodeAll(epoch.MustSplit(buildSkewedTxns(2000, hotPerTxn, coldPerTxn), 256)) {
+		for _, enc := range epoch.EncodeAll(epoch.MustSplit(buildSkewedTxns(8000, hotPerTxn, coldPerTxn), 256)) {
 			enc := enc
 			feed(t, e, &enc)
 		}

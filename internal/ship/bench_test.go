@@ -13,7 +13,7 @@ import (
 
 // BenchmarkShipCompress measures the sender-side compression path on
 // real workload epoch streams: per-epoch cost of building an epoch's
-// complete wire frame in the form a CapFlate link writes (clear 40-byte
+// complete wire frame in the form a CapFlate link writes (clear 48-byte
 // header + flate(buf), raw below DefaultCompressThreshold), exactly the
 // Frame build Sender.flushLocked triggers once per epoch. The wire/raw
 // ratio is reported as ratio_wire/raw so bench-json archives the

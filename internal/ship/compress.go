@@ -33,14 +33,16 @@ var deflaters = sync.Pool{New: func() any {
 }}
 
 // flateEpochFrame returns enc's complete compressed EPOCH frame — the
-// clear 40-byte epoch header followed by flate(enc.Buf) — or nil when
+// clear 48-byte epoch header followed by flate(enc.Buf) — or nil when
 // compression fails to shrink the payload (incompressible buf), in
 // which case the caller ships the raw form. The frame is an exact-size
 // copy out of the pooled scratch buffer, so it can be retained.
 //
 // flate.BestSpeed is deliberate: WAL entry streams are highly
-// repetitive (shared key prefixes, monotone LSNs), so the fast level
-// already captures most of the win at a fraction of the CPU.
+// repetitive (shared key prefixes, recurring column IDs and lengths), so
+// the fast level already captures most of the win at a fraction of the
+// CPU: on TPC-C epochs levels 2–9 save at most 4 % more bytes, levels 5–9
+// at 2–10× the time, and HuffmanOnly ships 2.4× the bytes (EXPERIMENTS.md).
 func flateEpochFrame(enc *epoch.Encoded) []byte {
 	d := deflaters.Get().(*deflater)
 	defer deflaters.Put(d)

@@ -28,13 +28,14 @@
 //	                           req u64
 //	EPOCH     sender→receiver  seq u64 | txnCount u32 | lastTxnID u64 |
 //	                           lastCommitTS i64 | entryCount u32 |
-//	                           bufLen u32 | bufCRC u32 | buf
+//	                           bufLen u32 | bufCRC u32 | firstLSN u64 |
+//	                           buf
 //	ACK       receiver→sender  cursor u64 (cumulative)
 //	HEARTBEAT sender→receiver  ts i64
 //	EOS       sender→receiver  cursor u64 (clean end of stream)
 //
 // When both ends advertise CapFlate, the sender may set FlagCompressed
-// (header flags bit 0) on EPOCH frames: the 40-byte epoch header stays
+// (header flags bit 0) on EPOCH frames: the 48-byte epoch header stays
 // in the clear (bufLen holds the RAW buf length, so seq and the counts
 // are readable without inflating) and the buf bytes that follow are a
 // flate stream. All other frame kinds, and EPOCH frames below the
@@ -46,7 +47,8 @@
 // needs no second check — its frame CRC covers the same bytes — so
 // bufCRC is verified only after a compressed buf is inflated, where the
 // frame CRC vouches for the flate stream but not for what the decoder
-// made of it.
+// made of it. firstLSN is the LSN of buf's first entry, and entry i's is
+// firstLSN+i: a wal entry carries no LSN either.
 //
 // When both ends advertise CapSnapshot, the WELCOME's req bits may ask
 // for an immediate snapshot (bit 0), and the sender may interpose a
@@ -84,12 +86,12 @@ import (
 )
 
 // Version is the protocol version stamped on every frame written.
-const Version = 3
+const Version = 4
 
 // Frame header flag bits.
 const (
 	// FlagCompressed marks an EPOCH frame whose buf bytes (after the
-	// clear 40-byte epoch header) are a flate stream.
+	// clear 48-byte epoch header) are a flate stream.
 	FlagCompressed byte = 1 << 0
 )
 
@@ -283,9 +285,9 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 
 // epochHdrSize is the fixed prefix of an EPOCH payload (the summary
 // fields available without parsing — or inflating — the log buffer).
-const epochHdrSize = 40
+const epochHdrSize = 48
 
-// appendEpochHdr appends the 40-byte EPOCH payload header for enc. The
+// appendEpochHdr appends the 48-byte EPOCH payload header for enc. The
 // bufLen and bufCRC fields always describe the raw (uncompressed) buf;
 // each frame build computes bufCRC once.
 func appendEpochHdr(dst []byte, enc *epoch.Encoded) []byte {
@@ -297,6 +299,7 @@ func appendEpochHdr(dst []byte, enc *epoch.Encoded) []byte {
 	binary.LittleEndian.PutUint32(p[28:], uint32(enc.EntryCount))
 	binary.LittleEndian.PutUint32(p[32:], uint32(len(enc.Buf)))
 	binary.LittleEndian.PutUint32(p[36:], crc32.Checksum(enc.Buf, castagnoli))
+	binary.LittleEndian.PutUint64(p[40:], enc.FirstLSN)
 	return append(dst, p[:]...)
 }
 
@@ -382,10 +385,11 @@ func DecodeEpochFrame(flags byte, p []byte) (*epoch.Encoded, error) {
 		LastTxnID:    binary.LittleEndian.Uint64(p[12:]),
 		LastCommitTS: int64(binary.LittleEndian.Uint64(p[20:])),
 		EntryCount:   int(binary.LittleEndian.Uint32(p[28:])),
+		FirstLSN:     binary.LittleEndian.Uint64(p[40:]),
 	}
 	// Counts must be sane relative to the buf: every transaction and
 	// every entry occupies at least one buf byte (a wal entry frame is
-	// ≥8 bytes), so a hostile header claiming ~4B entries over a tiny
+	// ≥4 bytes), so a hostile header claiming ~4B entries over a tiny
 	// buf is rejected here instead of poisoning consumers that trust
 	// EntryCount for preallocation or accounting.
 	if uint64(enc.TxnCount) > uint64(n) || uint64(enc.EntryCount) > uint64(n) {

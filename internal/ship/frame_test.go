@@ -29,6 +29,7 @@ func testEpoch(rng *rand.Rand, seq uint64) *epoch.Encoded {
 		Buf:          buf,
 		TxnCount:     1 + rng.Intn(len(buf)),
 		EntryCount:   1 + rng.Intn(len(buf)),
+		FirstLSN:     rng.Uint64(),
 		FirstTxnID:   uint64(rng.Int63()),
 		LastTxnID:    uint64(rng.Int63()),
 		LastCommitTS: rng.Int63(),
@@ -104,7 +105,8 @@ func TestEpochPayloadRoundtrip(t *testing.T) {
 		}
 		if got.Seq != want.Seq || got.TxnCount != want.TxnCount ||
 			got.EntryCount != want.EntryCount || got.LastTxnID != want.LastTxnID ||
-			got.LastCommitTS != want.LastCommitTS || !bytes.Equal(got.Buf, want.Buf) {
+			got.LastCommitTS != want.LastCommitTS || got.FirstLSN != want.FirstLSN ||
+			!bytes.Equal(got.Buf, want.Buf) {
 			t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, want)
 		}
 	}
@@ -434,7 +436,8 @@ func TestCompressedEpochRoundtrip(t *testing.T) {
 		}
 		if got.Seq != want.Seq || got.TxnCount != want.TxnCount ||
 			got.EntryCount != want.EntryCount || got.LastTxnID != want.LastTxnID ||
-			got.LastCommitTS != want.LastCommitTS || !bytes.Equal(got.Buf, want.Buf) {
+			got.LastCommitTS != want.LastCommitTS || got.FirstLSN != want.FirstLSN ||
+			!bytes.Equal(got.Buf, want.Buf) {
 			t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, want)
 		}
 	}
@@ -525,6 +528,46 @@ func TestSwappedFlateBodyFailsBufCRC(t *testing.T) {
 	}
 	if _, err := DecodeEpochFrame(flags, payload); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("swapped body: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestEpochLSNsCrossTheWire: entries carry no LSN, so a shipped epoch's
+// numbering rides in its header's firstLSN. After a raw and a compressed
+// frame round trip, Decode numbers every entry exactly as it does on the
+// primary, and the epochs still share one dense LSN space.
+func TestEpochLSNsCrossTheWire(t *testing.T) {
+	encs := primary.New(workload.NewTPCC(2), 5).GenerateEncoded(48, 16)
+	next := uint64(1)
+	for i := range encs {
+		want, err := encs[i].Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if encs[i].FirstLSN != next {
+			t.Fatalf("epoch %d starts at LSN %d, want %d", i, encs[i].FirstLSN, next)
+		}
+		next += uint64(2*encs[i].TxnCount + encs[i].EntryCount)
+		for _, compressed := range []bool{false, true} {
+			_, flags, payload, err := ReadFrameFlags(bytes.NewReader(NewFrame(&encs[i]).wire(compressed, new(metrics.Counter))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeEpochFrame(flags, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dec.Decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range want {
+				for k := range want[j].Entries {
+					if g, w := got[j].Entries[k].LSN, want[j].Entries[k].LSN; g != w || w == 0 {
+						t.Fatalf("epoch %d txn %d entry %d (compressed=%v): LSN %d, want %d", i, j, k, compressed, g, w)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -31,10 +31,12 @@ func fuzzSeeds() [][]byte {
 	flipped[len(flipped)/3] ^= 0x10
 	seeds = append(seeds, flipped)
 
-	// The version byte: a raw epoch as the previous version stamped it,
-	// and the next one. Both are refused.
+	// The version byte: a raw epoch in version 3's layout (a 40-byte
+	// header, no firstLSN) stamped 3, and one stamped with the next
+	// version. Both are refused.
+	v3 := AppendFrame(nil, KindEpoch, 0, append(EncodeEpoch(enc)[:40:40], enc.Buf...))
 	seeds = append(seeds,
-		restamp(full, Version-1, 0),
+		restamp(v3, 3, 0),
 		restamp(full, Version+1, 0),
 	)
 	// A compressed epoch, a compressed epoch with a mangled flate

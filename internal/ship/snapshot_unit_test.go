@@ -76,8 +76,8 @@ func TestHostileEpochRawLengthCapped(t *testing.T) {
 		t.Skip("payload incompressible")
 	}
 	lied := append([]byte(nil), p...)
-	// bufLen (the raw length) sits just before bufCRC, the header's tail.
-	binary.LittleEndian.PutUint32(lied[epochHdrSize-8:], uint32(MaxPayload-1))
+	// bufLen (the raw length) sits at offset 32, just before bufCRC.
+	binary.LittleEndian.PutUint32(lied[32:], uint32(MaxPayload-1))
 
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -11,7 +11,7 @@ func benchEntries(n int) ([]Entry, [][]byte) {
 	frames := make([][]byte, n)
 	for i := range entries {
 		entries[i] = Entry{
-			Type: TypeUpdate, LSN: uint64(i + 1), TxnID: uint64(i/10 + 1),
+			Type: TypeUpdate, TxnID: uint64(i/10 + 1),
 			Timestamp: int64(i) * 1000, Table: TableID(rng.Intn(8) + 1),
 			RowKey: rng.Uint64() % 100000, WriteSeq: uint64(i),
 			Columns: []Column{

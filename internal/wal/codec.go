@@ -4,13 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Binary layout of one encoded entry:
 //
-//	frameLen  uint32   length of everything after this field
+//	frameLen  uvarint   length of everything after this field
 //	type      uint8
-//	lsn       uvarint
 //	txnID     uvarint
 //	timestamp varint
 //	tableID   uvarint   (DML only)
@@ -21,10 +21,11 @@ import (
 //	cols      ncols × (uvarint id, uvarint len, bytes value)
 //
 // The frame length allows a reader to skip entries without decoding them.
-// An entry carries no checksum of its own: entries only travel and rest
-// inside an epoch buffer, and the ship EPOCH frame around that buffer is
-// checked once per epoch — its CRC32-C on the wire and in the spool, and,
-// for a compressed frame, a CRC32-C of the raw buffer after inflating
+// Entries only travel and rest inside an epoch buffer, so an entry carries
+// neither an LSN nor a checksum: entry i's LSN is the epoch header's
+// firstLSN+i (epoch.Encoded.FirstLSN), and the EPOCH frame is checked once
+// per epoch — its CRC32-C on the wire and in the spool, and, for a
+// compressed frame, a CRC32-C of the raw buffer after inflating
 // (internal/ship).
 
 // ErrCorrupt is returned when a frame fails its structural checks: a
@@ -32,35 +33,37 @@ import (
 // or an entry that fails Validate.
 var ErrCorrupt = errors.New("wal: corrupt log frame")
 
-// lenSize is the frameLen prefix in front of every entry's payload.
-const lenSize = 4
-
-// errFrameLen is a frame whose length prefix is cut short or runs past
-// the buffer. It carries no numbers so that payloadOf, which both decoders
-// call once per entry, stays small enough to inline.
+// errFrameLen is a frame whose length prefix is cut short, longer than ten
+// bytes, overflows 64 bits or runs past the buffer. It carries no numbers
+// so that payloadOf, which both decoders call once per entry, stays small
+// enough to inline.
 var errFrameLen = fmt.Errorf("%w: frame length exceeds buffer", ErrCorrupt)
 
 // payloadOf returns the payload of the frame at the front of buf and the
-// frame's total length.
+// frame's total length. It accepts exactly the prefixes binary.Uvarint
+// does; calling that would push it over the inlining budget.
 func payloadOf(buf []byte) ([]byte, int, error) {
-	if len(buf) < lenSize {
-		return nil, 0, errFrameLen
+	var n uint64
+	for k, b := range buf {
+		if k == binary.MaxVarintLen64 {
+			break
+		}
+		n |= uint64(b&0x7f) << (7 * k)
+		if b < 0x80 {
+			if k++; n > uint64(len(buf)-k) || k == binary.MaxVarintLen64 && b > 1 {
+				break
+			}
+			return buf[k : k+int(n)], k + int(n), nil
+		}
 	}
-	n := lenSize + int(binary.LittleEndian.Uint32(buf))
-	if len(buf) < n {
-		return nil, 0, errFrameLen
-	}
-	return buf[lenSize:n], n, nil
+	return nil, 0, errFrameLen
 }
 
 // AppendEncode appends the binary encoding of e to buf and returns the
 // extended slice. It never fails for entries that pass Validate.
 func AppendEncode(buf []byte, e *Entry) []byte {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0) // frameLen placeholder
-
-	buf = append(buf, byte(e.Type))
-	buf = binary.AppendUvarint(buf, e.LSN)
+	buf = append(buf, 0, byte(e.Type)) // one frameLen byte holds a payload under 128
 	buf = binary.AppendUvarint(buf, e.TxnID)
 	buf = binary.AppendVarint(buf, e.Timestamp)
 	if e.Type.IsDML() {
@@ -76,8 +79,15 @@ func AppendEncode(buf []byte, e *Entry) []byte {
 		}
 	}
 
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-lenSize))
-	return buf
+	n := len(buf) - start - 1
+	if n < 0x80 {
+		buf[start] = byte(n)
+		return buf
+	}
+	var pre [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(pre[:], uint64(n))
+	buf[start] = pre[0]
+	return slices.Insert(buf, start+1, pre[1:k]...) // shift the payload behind the longer prefix
 }
 
 // Encode returns the binary encoding of e.
@@ -124,7 +134,6 @@ func decode(buf []byte, window []Column, alias bool) (Entry, int, error) {
 	}
 	r := reader{buf: payload}
 	e.Type = LogType(r.byte())
-	e.LSN = r.uvarint()
 	e.TxnID = r.uvarint()
 	e.Timestamp = r.varint()
 	if e.Type.IsDML() {

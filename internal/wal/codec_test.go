@@ -15,7 +15,6 @@ func genEntry(r *rand.Rand) Entry {
 	types := []LogType{TypeBegin, TypeCommit, TypeInsert, TypeUpdate, TypeDelete}
 	e := Entry{
 		Type:      types[r.Intn(len(types))],
-		LSN:       r.Uint64(),
 		TxnID:     r.Uint64(),
 		Timestamp: r.Int63(),
 	}
@@ -80,7 +79,7 @@ func TestDecodeHeaderMatchesFullDecode(t *testing.T) {
 		if n != len(buf) {
 			t.Fatalf("header reports frame %d, encoded %d", n, len(buf))
 		}
-		if h.Type != e.Type || h.LSN != e.LSN || h.TxnID != e.TxnID ||
+		if h.Type != e.Type || h.TxnID != e.TxnID ||
 			h.Timestamp != e.Timestamp || (e.Type.IsDML() && h.Table != e.Table) {
 			t.Fatalf("header mismatch: %+v vs %+v", h, e)
 		}
@@ -88,7 +87,7 @@ func TestDecodeHeaderMatchesFullDecode(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	e := Entry{Type: TypeInsert, LSN: 9, TxnID: 9, Timestamp: 9, Table: 1, RowKey: 2,
+	e := Entry{Type: TypeInsert, TxnID: 9, Timestamp: 9, Table: 1, RowKey: 2,
 		Columns: []Column{{ID: 1, Value: []byte("abcdef")}}}
 	buf := Encode(&e)
 	for cut := 0; cut < len(buf); cut++ {
@@ -99,9 +98,9 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsInvalidType(t *testing.T) {
-	e := Entry{Type: TypeBegin, LSN: 1, TxnID: 1, Timestamp: 1}
+	e := Entry{Type: TypeBegin, TxnID: 1, Timestamp: 1}
 	buf := Encode(&e)
-	buf[lenSize] = 0xee // the type byte leads the payload
+	buf[1] = 0xee // the type byte leads the payload, after a one-byte frameLen
 	if _, _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("invalid type byte: err = %v, want ErrCorrupt", err)
 	}
@@ -146,8 +145,8 @@ func TestEntrySizeCountsColumns(t *testing.T) {
 }
 
 func TestAppendEncodeExtends(t *testing.T) {
-	a := Entry{Type: TypeBegin, LSN: 1, TxnID: 1}
-	b := Entry{Type: TypeCommit, LSN: 2, TxnID: 1}
+	a := Entry{Type: TypeBegin, TxnID: 1}
+	b := Entry{Type: TypeCommit, TxnID: 1}
 	buf := AppendEncode(AppendEncode(nil, &a), &b)
 	e1, n1, err := Decode(buf)
 	if err != nil {
@@ -201,13 +200,66 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	// An UPDATE claiming 2^40 columns over a payload of a few bytes: the
 	// header scan must refuse it before its count sizes anything, and so
 	// must Decode.
-	over := []byte{byte(TypeUpdate), 1, 1, 2, 1, 1, 0, 0}
+	over := []byte{byte(TypeUpdate), 1, 2, 1, 1, 0, 0}
 	over = binary.AppendUvarint(over, 1<<40)
-	frame := append(binary.LittleEndian.AppendUint32(nil, uint32(len(over))), over...)
+	frame := append(binary.AppendUvarint(nil, uint64(len(over))), over...)
 	if _, _, err := DecodeHeader(frame); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-claiming header: err = %v, want ErrCorrupt", err)
 	}
 	if _, _, err := Decode(frame); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-claiming frame: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestEncodeDropsLSN: the LSN is not part of an entry's bytes — an entry
+// encodes the same whatever its LSN, and a single-frame decode leaves the
+// LSN 0 (DecodeStream numbers a stream; see TestStreamEncodeDecode).
+func TestEncodeDropsLSN(t *testing.T) {
+	e := Entry{Type: TypeUpdate, TxnID: 3, Timestamp: 4, Table: 1, RowKey: 2,
+		Columns: []Column{{ID: 1, Value: []byte("v")}}}
+	numbered := e
+	numbered.LSN = 1 << 40
+	buf := Encode(&numbered)
+	if !bytes.Equal(buf, Encode(&e)) {
+		t.Fatal("the LSN changed the encoding")
+	}
+	got, _, err := Decode(buf)
+	if err != nil || got.LSN != 0 || !entriesEqual(got, e) {
+		t.Fatalf("Decode = %+v, %v; want %+v", got, err, e)
+	}
+}
+
+// TestFrameLenPrefix pins the uvarint frame length: a payload under 128
+// bytes takes a one-byte prefix, longer ones the minimal uvarint, and the
+// decoders refuse a prefix that is cut short, longer than ten bytes,
+// overflows 64 bits or claims more than the buffer holds.
+func TestFrameLenPrefix(t *testing.T) {
+	for _, size := range []int{0, 1, 100, 127, 128, 300, 16383, 16384, 70000} {
+		e := Entry{Type: TypeInsert, TxnID: 1, Timestamp: 1, Table: 1, RowKey: 1,
+			Columns: []Column{{ID: 1, Value: bytes.Repeat([]byte{7}, size)}}}
+		buf := Encode(&e)
+		n, k := binary.Uvarint(buf)
+		if k != len(binary.AppendUvarint(nil, n)) || int(n)+k != len(buf) {
+			t.Fatalf("value %d bytes: prefix %d bytes claims %d of %d", size, k, n, len(buf))
+		}
+		if got, _, err := Decode(append(buf, 0xff)); err != nil || !entriesEqual(got, e) {
+			t.Fatalf("value %d bytes: %v", size, err)
+		}
+	}
+	body := Encode(&Entry{Type: TypeBegin, TxnID: 1, Timestamp: 1})[1:]
+	for name, frame := range map[string][]byte{
+		"empty":        {},
+		"cut prefix":   {0x80},
+		"past buffer":  append([]byte{byte(len(body) + 1)}, body...),
+		"max uint64":   append(binary.AppendUvarint(nil, ^uint64(0)), body...),
+		"overflow":     append(bytes.Repeat([]byte{0xff}, 9), 0x02, 0),
+		"eleven bytes": append(append(bytes.Repeat([]byte{0x80}, 10), 0), body...),
+	} {
+		if _, _, err := Decode(frame); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode err = %v, want ErrCorrupt", name, err)
+		}
+		if _, _, err := DecodeHeader(frame); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeHeader err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }

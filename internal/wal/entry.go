@@ -1,11 +1,12 @@
 // Package wal defines the replication value-log format used by AETS.
 //
-// The format follows Figure 2 of the paper: every entry carries a log type,
-// a log sequence number (LSN), the ID of the transaction that produced it,
-// the creation timestamp, and — for DML entries — the table it modifies, the
-// row key, and the list of (column ID, new value) pairs. The log is a value
-// log in the style of SiloR: it records physical after-images, never
-// commands, so replaying it requires no re-execution and no rollback.
+// The format follows Figure 2 of the paper: every entry has a log type, a
+// log sequence number (LSN, implied by its position in the epoch), the ID
+// of the transaction that produced it, the creation timestamp, and — for
+// DML entries — the table it modifies, the row key, and the list of
+// (column ID, new value) pairs. The log is a value log in the style of
+// SiloR: it records physical after-images, never commands, so replaying it
+// requires no re-execution and no rollback.
 package wal
 
 import "fmt"
@@ -62,7 +63,8 @@ type Column struct {
 // TxnID is monotonically increasing on the primary and represents the commit
 // order of transactions; Timestamp is the primary's creation time of the
 // entry in nanoseconds. For framing entries (Begin/Commit) the Table, RowKey
-// and Columns fields are zero.
+// and Columns fields are zero. LSN is not encoded: DecodeStream numbers a
+// stream from its epoch's first LSN, and a single-frame Decode leaves it 0.
 type Entry struct {
 	Type      LogType
 	LSN       uint64

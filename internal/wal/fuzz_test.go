@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -16,6 +18,12 @@ import (
 // Value lies inside buf. It reports whether Decode accepted.
 func checkDecodeInto(t *testing.T, buf []byte) bool {
 	t.Helper()
+	// payloadOf reads the frame length as binary.Uvarint does.
+	pn, pk := binary.Uvarint(buf)
+	ok := pk > 0 && pn <= uint64(len(buf)-pk)
+	if _, size, err := payloadOf(buf); (err == nil) != ok || ok && size != pk+int(pn) {
+		t.Fatalf("payloadOf: size %d err %v; binary.Uvarint: %d over %d bytes", size, err, pn, pk)
+	}
 	h, hn, herr := DecodeHeader(buf)
 	if herr == nil && h.Columns > len(buf)/2 {
 		t.Fatalf("header scan let %d columns through over %d bytes", h.Columns, len(buf))
@@ -59,16 +67,21 @@ func checkDecodeInto(t *testing.T, buf []byte) bool {
 }
 
 // FuzzDecode drives checkDecodeInto with arbitrary bytes, seeded with
-// valid frames of every entry type, an empty buffer and a frame whose
-// length prefix claims no payload at all.
+// valid frames of every entry type, an empty buffer, a frame whose length
+// prefix claims no payload at all, and hostile length prefixes: an
+// 11-byte over-long uvarint, a length one past the buffer, and 2^64-1.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 16; i++ {
 		e := genEntry(rng)
 		f.Add(Encode(&e))
 	}
+	body := Encode(&Entry{Type: TypeBegin, TxnID: 1, Timestamp: 1})[1:] // after a one-byte prefix
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0})
+	f.Add(append(append(bytes.Repeat([]byte{0x80}, 10), 0), body...))
+	f.Add(append(binary.AppendUvarint(nil, uint64(len(body)+1)), body...))
+	f.Add(append(binary.AppendUvarint(nil, ^uint64(0)), body...))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		checkDecodeInto(t, buf)
 	})
@@ -120,7 +133,7 @@ func TestDecodeStreamStopsAtCorruption(t *testing.T) {
 		buf = AppendEncode(buf, &e)
 	}
 	buf = append(buf, 0xde, 0xad, 0xbe)
-	if _, err := DecodeStream(buf); err == nil {
+	if _, err := DecodeStream(buf, 1); err == nil {
 		t.Fatal("corrupted tail accepted")
 	}
 }

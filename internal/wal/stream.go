@@ -11,7 +11,6 @@ import "fmt"
 // data-image parse (§VI-A5).
 type Header struct {
 	Type      LogType
-	LSN       uint64
 	TxnID     uint64
 	Timestamp int64
 	Table     TableID
@@ -29,7 +28,6 @@ func DecodeHeader(buf []byte) (Header, int, error) {
 	}
 	r := reader{buf: payload}
 	h.Type = LogType(r.byte())
-	h.LSN = r.uvarint()
 	h.TxnID = r.uvarint()
 	h.Timestamp = r.varint()
 	if h.Type.IsDML() {
@@ -58,30 +56,18 @@ func EncodeStream(entries []Entry) []byte {
 	return buf
 }
 
-// DecodeStream decodes a full buffer of frames back into entries.
-func DecodeStream(buf []byte) ([]Entry, error) {
+// DecodeStream decodes a full buffer of frames back into entries, numbering
+// them with LSNs from firstLSN.
+func DecodeStream(buf []byte, firstLSN uint64) ([]Entry, error) {
 	var out []Entry
 	for len(buf) > 0 {
 		e, n, err := Decode(buf)
 		if err != nil {
 			return nil, err
 		}
+		e.LSN = firstLSN + uint64(len(out))
 		out = append(out, e)
 		buf = buf[n:]
 	}
 	return out, nil
-}
-
-// CountFrames returns the number of frames in buf using header-only scans.
-func CountFrames(buf []byte) (int, error) {
-	n := 0
-	for len(buf) > 0 {
-		_, sz, err := DecodeHeader(buf)
-		if err != nil {
-			return n, err
-		}
-		buf = buf[sz:]
-		n++
-	}
-	return n, nil
 }

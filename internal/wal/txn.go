@@ -3,7 +3,7 @@ package wal
 import "fmt"
 
 // Txn is the decoded view of one committed transaction: the entries between
-// its BEGIN and COMMIT frames, in LSN order. CommitTS is the timestamp of
+// its BEGIN and COMMIT frames, in log order. CommitTS is the timestamp of
 // the COMMIT entry, which on the primary is assigned in TxnID order, so
 // sorting by TxnID and by CommitTS is equivalent.
 type Txn struct {
@@ -35,7 +35,7 @@ func (t *Txn) Tables() []TableID {
 	return out
 }
 
-// AssembleTxns groups a flat, LSN-ordered entry stream into transactions.
+// AssembleTxns groups a flat, log-ordered entry stream into transactions.
 // It enforces the framing protocol: every transaction must open with BEGIN,
 // carry zero or more DML entries, and close with COMMIT; transactions may
 // not interleave in the replicated stream (the primary serialises them in
@@ -74,24 +74,18 @@ func AssembleTxns(entries []Entry) ([]Txn, error) {
 }
 
 // FlattenTxns is the inverse of AssembleTxns: it re-frames transactions into
-// a flat entry stream with BEGIN/COMMIT markers and fresh sequential LSNs
-// starting at firstLSN. It returns the stream and the next unused LSN.
-func FlattenTxns(txns []Txn, firstLSN uint64) ([]Entry, uint64) {
+// a flat entry stream with BEGIN/COMMIT markers.
+func FlattenTxns(txns []Txn) []Entry {
 	var out []Entry
-	lsn := firstLSN
 	for i := range txns {
 		t := &txns[i]
-		out = append(out, Entry{Type: TypeBegin, LSN: lsn, TxnID: t.ID, Timestamp: t.CommitTS})
-		lsn++
+		out = append(out, Entry{Type: TypeBegin, TxnID: t.ID, Timestamp: t.CommitTS})
 		for j := range t.Entries {
 			e := t.Entries[j]
-			e.LSN = lsn
 			e.TxnID = t.ID
-			lsn++
 			out = append(out, e)
 		}
-		out = append(out, Entry{Type: TypeCommit, LSN: lsn, TxnID: t.ID, Timestamp: t.CommitTS})
-		lsn++
+		out = append(out, Entry{Type: TypeCommit, TxnID: t.ID, Timestamp: t.CommitTS})
 	}
-	return out, lsn
+	return out
 }

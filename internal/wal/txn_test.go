@@ -35,16 +35,7 @@ func TestFlattenAssembleRoundTripQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		txns := genTxns(r, 1+r.Intn(20))
-		flat, next := FlattenTxns(txns, 1)
-		if int(next) != len(flat)+1 {
-			return false
-		}
-		// LSNs must be dense and sequential.
-		for i, e := range flat {
-			if e.LSN != uint64(i+1) {
-				return false
-			}
-		}
+		flat := FlattenTxns(txns)
 		back, err := AssembleTxns(flat)
 		if err != nil || len(back) != len(txns) {
 			return false
@@ -121,18 +112,20 @@ func TestTxnSizeSumsEntries(t *testing.T) {
 func TestStreamEncodeDecode(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	txns := genTxns(r, 50)
-	flat, _ := FlattenTxns(txns, 1)
+	flat := FlattenTxns(txns)
 	buf := EncodeStream(flat)
 
-	n, err := CountFrames(buf)
-	if err != nil || n != len(flat) {
-		t.Fatalf("CountFrames = %d, %v; want %d", n, err, len(flat))
-	}
-	back, err := DecodeStream(buf)
+	// DecodeStream numbers the entries densely from the LSN it is given.
+	const first = 1000
+	back, err := DecodeStream(buf, first)
 	if err != nil || len(back) != len(flat) {
 		t.Fatalf("DecodeStream: %v, %d entries, want %d", err, len(back), len(flat))
 	}
 	for i := range flat {
+		if back[i].LSN != first+uint64(i) {
+			t.Fatalf("entry %d: LSN %d, want %d", i, back[i].LSN, first+uint64(i))
+		}
+		back[i].LSN = 0
 		if !entriesEqual(flat[i], back[i]) {
 			t.Fatalf("entry %d mismatch", i)
 		}
