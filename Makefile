@@ -16,8 +16,8 @@ test:
 # Race-check the concurrency-heavy packages: the replication transport,
 # the replay engine, the ATR/C5 baseline replayers (the only concurrent
 # replayers outside it), the epoch batcher, the sharded memtable index
-# (including TestScanStress — full-range ordered Scans, so the merged view
-# flips stale/rebuilt/valid, racing GetOrCreate and Vacuum), the query
+# (including TestScanStress — full-range ordered Scans racing
+# GetOrCreate and Vacuum), the query
 # planner against feed + compaction, the columnar compactor, the
 # checkpoint writer, the HTAP node wiring, the cluster router/fan-out
 # and the recovery supervisor/spool (their chaos e2es run separately,
@@ -95,7 +95,7 @@ bench-smoke:
 
 # The memtable benchmark set archived in BENCH_memtable.json and diffed
 # by bench-diff: the index scaling curve plus every scan variant.
-MEMTABLE_BENCH = BenchmarkGetOrCreateParallel|BenchmarkScanMerged|BenchmarkScanCascade|BenchmarkScanAny
+MEMTABLE_BENCH = BenchmarkGetOrCreateParallel|BenchmarkScanMerged|BenchmarkScanAny
 
 # The ship benchmark set archived in BENCH_ship.json: the flate frame
 # build per workload (with its wire/raw ratio metric), the raw frame

@@ -23,8 +23,7 @@ func benchState(b *testing.B) (*memtable.Memtable, Meta) {
 func BenchmarkCheckpointWrite(b *testing.B) {
 	mt, meta := benchState(b)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if err := Write(io.Discard, mt, meta); err != nil {
 			b.Fatal(err)
 		}
@@ -40,8 +39,7 @@ func BenchmarkCheckpointRead(b *testing.B) {
 	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, _, err := Read(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}

@@ -105,6 +105,26 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteIndependentOfShardCount applies one primary stream to a
+// single-shard and an 8-shard memtable: the checkpoints must be
+// byte-identical, so the key order Write emits comes from the keys alone,
+// not from how the table is split into shards.
+func TestWriteIndependentOfShardCount(t *testing.T) {
+	txns := primary.New(workload.NewTPCC(2), 35).GenerateTxns(800)
+	meta := Meta{LastTxnID: txns[len(txns)-1].ID, LastCommitTS: txns[len(txns)-1].CommitTS, Fed: true}
+	var out [2]bytes.Buffer
+	for i, shards := range []int{1, 8} {
+		mt := memtable.NewWithShards(shards)
+		reference.Apply(mt, txns)
+		if err := Write(&out[i], mt, meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+		t.Fatalf("1-shard checkpoint (%d bytes) differs from 8-shard checkpoint (%d bytes)", out[0].Len(), out[1].Len())
+	}
+}
+
 func TestEmptyMemtableRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, memtable.New(), Meta{LastEpochSeq: 7}); err != nil {

@@ -25,9 +25,10 @@ type Compactor struct {
 	mt    *memtable.Memtable
 	store *Store
 
-	mu   sync.Mutex // one pass at a time
-	hot  []*memtable.Record
-	rows []frozenRow
+	mu         sync.Mutex // one pass at a time
+	hot, tmpR  []*memtable.Record
+	keys, tmpK []uint64
+	rows       []frozenRow
 }
 
 type frozenRow struct {
@@ -64,7 +65,17 @@ func (c *Compactor) RunOnce(watermark int64) int {
 
 func (c *Compactor) compactTable(id wal.TableID, watermark int64) int {
 	tab := c.mt.Table(id)
-	c.hot = GatherHot(tab, c.hot[:0])
+	c.hot = tab.HotRecords(c.hot[:0])
+	if cap(c.keys) < len(c.hot) {
+		c.keys = make([]uint64, 0, cap(c.hot))
+		c.tmpR = make([]*memtable.Record, cap(c.hot))
+		c.tmpK = make([]uint64, cap(c.hot))
+	}
+	c.keys = c.keys[:0]
+	for _, r := range c.hot {
+		c.keys = append(c.keys, r.Key)
+	}
+	c.hot, c.keys = memtable.SortDedupePairs(c.hot, c.keys, c.tmpR, c.tmpK)
 
 	// Candidates: hot records whose newest version is at or below the
 	// watermark. Chains are strictly decreasing in CommitTS, so the head

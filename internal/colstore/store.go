@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aets/internal/memtable"
 	"aets/internal/wal"
 )
 
@@ -113,136 +112,4 @@ func (s *Store) Lookup(id wal.TableID, key uint64) (txn uint64, ts int64, delete
 		return 0, 0, false, nil, false
 	}
 	return seg.TxnID[i], seg.CommitTS[i], seg.Deleted(i), seg.AppendRowColumns(i, nil), true
-}
-
-// GatherHot appends the table's hot records to buf sorted by key with
-// duplicates removed — the canonical delta enumeration the compactor, the
-// planner and the digest path share.
-func GatherHot(tab *memtable.Table, buf []*memtable.Record) []*memtable.Record {
-	return SortDedupe(tab.HotRecords(buf))
-}
-
-// SortDedupe sorts records by key in place and removes duplicates (equal
-// keys within one table mean the same record), nil-ing the freed tail.
-// Allocation-free.
-func SortDedupe(recs []*memtable.Record) []*memtable.Record {
-	sortRecords(recs)
-	return dedupeRecords(recs)
-}
-
-// SortDedupePairs sorts the parallel (record, key) vectors by key in
-// place and removes duplicate keys, nil-ing the freed record tail.
-// keys[i] must equal recs[i].Key on entry; the planner extracts the keys
-// while filtering so the sort never chases a record pointer, and the
-// sorted key vector feeds its merge loops afterwards. tmpR and tmpK are
-// caller-provided temporaries with len ≥ len(recs) for the radix passes
-// (unused below the small-input cutoff). Allocation-free.
-func SortDedupePairs(recs []*memtable.Record, keys []uint64, tmpR []*memtable.Record, tmpK []uint64) ([]*memtable.Record, []uint64) {
-	if len(recs) < 64 {
-		shellSortPairs(recs, keys)
-	} else {
-		radixSortPairs(recs, keys, tmpR, tmpK)
-	}
-	outR, outK := recs[:0], keys[:0]
-	for i := range recs {
-		if i == 0 || keys[i-1] != keys[i] {
-			outR = append(outR, recs[i])
-			outK = append(outK, keys[i])
-		}
-	}
-	for j := len(outR); j < len(recs); j++ {
-		recs[j] = nil
-	}
-	return outR, outK
-}
-
-func shellSortPairs(recs []*memtable.Record, keys []uint64) {
-	gap := 1
-	for gap < len(recs)/3 {
-		gap = 3*gap + 1
-	}
-	for ; gap >= 1; gap /= 3 {
-		for i := gap; i < len(recs); i++ {
-			r, k := recs[i], keys[i]
-			j := i
-			for ; j >= gap && keys[j-gap] > k; j -= gap {
-				recs[j], keys[j] = recs[j-gap], keys[j-gap]
-			}
-			recs[j], keys[j] = r, k
-		}
-	}
-}
-
-// radixSortPairs is an LSD byte radix sort over the significant key
-// bytes: O(n) per pass, no comparisons, counts on the stack. Passes whose
-// digit is constant across the input are skipped, so clustered key spaces
-// pay only for the bytes that vary.
-func radixSortPairs(recs []*memtable.Record, keys []uint64, tmpR []*memtable.Record, tmpK []uint64) {
-	n := len(recs)
-	var or uint64
-	for _, k := range keys {
-		or |= k
-	}
-	srcR, srcK := recs, keys
-	dstR, dstK := tmpR[:n], tmpK[:n]
-	for shift := uint(0); shift < 64 && or>>shift != 0; shift += 8 {
-		var counts [256]int
-		for _, k := range srcK {
-			counts[(k>>shift)&0xff]++
-		}
-		if counts[(srcK[0]>>shift)&0xff] == n {
-			continue // constant digit
-		}
-		sum := 0
-		for i := range counts {
-			c := counts[i]
-			counts[i] = sum
-			sum += c
-		}
-		for i, k := range srcK {
-			d := (k >> shift) & 0xff
-			p := counts[d]
-			counts[d] = p + 1
-			dstK[p] = k
-			dstR[p] = srcR[i]
-		}
-		srcR, srcK, dstR, dstK = dstR, dstK, srcR, srcK
-	}
-	if &srcK[0] != &keys[0] {
-		copy(keys, srcK)
-		copy(recs, srcR)
-	}
-}
-
-func sortRecords(recs []*memtable.Record) {
-	// Shell sort with the Knuth gap sequence: in-place and allocation-
-	// free (sort.Slice's closure would escape), which keeps the planner's
-	// steady-state delta gather at 0 allocs/op.
-	gap := 1
-	for gap < len(recs)/3 {
-		gap = 3*gap + 1
-	}
-	for ; gap >= 1; gap /= 3 {
-		for i := gap; i < len(recs); i++ {
-			r := recs[i]
-			j := i
-			for ; j >= gap && recs[j-gap].Key > r.Key; j -= gap {
-				recs[j] = recs[j-gap]
-			}
-			recs[j] = r
-		}
-	}
-}
-
-func dedupeRecords(recs []*memtable.Record) []*memtable.Record {
-	out := recs[:0]
-	for i, r := range recs {
-		if i == 0 || recs[i-1].Key != r.Key {
-			out = append(out, r)
-		}
-	}
-	for j := len(out); j < len(recs); j++ {
-		recs[j] = nil
-	}
-	return out
 }

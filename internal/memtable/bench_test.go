@@ -84,22 +84,19 @@ func benchTable(shards int) *Table {
 }
 
 // scanBenchShards is the shard axis of the scan benchmarks: the full
-// scaling curve from the single-tree fast path to 16-way merging.
+// scaling curve from the single-tree fast path to 16 shards.
 var scanBenchShards = []int{1, 2, 4, 8, 16}
 
 // BenchmarkScanMerged prices ordered scans across the shard scaling
-// curve: full-range scans (which materialize and then ride the merged-scan
-// view, the steady state of repeated analytical reads over a quiesced
-// table) and narrow ~1/64th-range scans (which hit the merge cascade cold:
-// a narrow scan does not materialize the view).
+// curve: full-range scans and narrow ~1/64th-range scans, each gathering
+// every shard's range and sorting it (one shard walks its tree directly).
 func BenchmarkScanMerged(b *testing.B) {
 	for _, shards := range scanBenchShards {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			tab := benchTable(shards)
 			n := tab.Len()
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				seen := 0
 				tab.Scan(0, ^uint64(0), func(uint64, *Record) bool {
 					seen++
@@ -114,50 +111,15 @@ func BenchmarkScanMerged(b *testing.B) {
 			tab := benchTable(shards)
 			const lo, hi = uint64(1) << 19, uint64(1)<<19 + uint64(1)<<14
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				tab.Scan(lo, hi, func(uint64, *Record) bool { return true })
 			}
 		})
 	}
 }
 
-// BenchmarkScanCascade pins the raw merge cascade (mergeScan) with the
-// view bypassed — the cost an ordered scan pays when the table changed
-// since the last materialization. This is the number that regresses if
-// the branchless merge loops do.
-func BenchmarkScanCascade(b *testing.B) {
-	for _, shards := range scanBenchShards {
-		if shards == 1 {
-			continue // no merge on the single-tree path
-		}
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			tab := benchTable(shards)
-			n := tab.Len()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				seen := 0
-				for j := range tab.shards {
-					tab.shards[j].mu.RLock()
-				}
-				m := tab.merge.Get().(*mergeScratch)
-				tab.mergeScan(m, 0, ^uint64(0), func(uint64, *Record) bool {
-					seen++
-					return true
-				})
-				tab.putMerge(m)
-				tab.runlockAll()
-				if seen != n {
-					b.Fatalf("scan saw %d of %d records", seen, n)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkScanAny prices the unordered variant: per-shard sequential
-// walks, no merge, no view — the fast path for order-insensitive
+// walks, no gather, no sort — the fast path for order-insensitive
 // aggregates regardless of table churn.
 func BenchmarkScanAny(b *testing.B) {
 	for _, shards := range scanBenchShards {
@@ -165,8 +127,7 @@ func BenchmarkScanAny(b *testing.B) {
 			tab := benchTable(shards)
 			n := tab.Len()
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				seen := 0
 				tab.ScanAny(0, ^uint64(0), func(uint64, *Record) bool {
 					seen++

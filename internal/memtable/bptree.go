@@ -138,44 +138,30 @@ func (t *tree) scan(from, to uint64, fn func(key uint64, rec *Record) bool) bool
 // len returns the number of records in the tree.
 func (t *tree) len() int { return t.size }
 
-// treeIter is an explicit cursor over a tree's leaf chain, used by the
-// sharded Table's k-way merged Scan. The caller must hold the tree's shard
-// lock for the iterator's whole lifetime.
-type treeIter struct {
-	n *node
-	i int
-}
-
-// seek returns an iterator positioned at the first key ≥ from.
-func (t *tree) seek(from uint64) treeIter {
+// appendRange appends the keys in [from, to] and their records to keys and
+// recs in ascending order, copying each leaf's in-range window whole.
+func (t *tree) appendRange(from, to uint64, keys []uint64, recs []*Record) ([]uint64, []*Record) {
+	if from > to {
+		return keys, recs
+	}
 	n := t.root
 	for !n.leaf {
 		n = n.children[n.childIndex(from)]
 	}
 	i, _ := n.search(from)
-	it := treeIter{n: n, i: i}
-	it.skipExhausted()
-	return it
-}
-
-// skipExhausted advances past leaves whose in-use keys are consumed.
-func (it *treeIter) skipExhausted() {
-	for it.n != nil && it.i >= it.n.n {
-		it.n = it.n.next
-		it.i = 0
+	for ; n != nil; n, i = n.next, 0 {
+		j, last := n.n, false
+		if j > 0 && n.keys[j-1] > to { // so to+1 cannot wrap
+			j, _ = n.search(to + 1)
+			last = true
+		}
+		keys = append(keys, n.keys[i:j]...)
+		recs = append(recs, n.values[i:j]...)
+		if last {
+			break
+		}
 	}
-}
-
-// valid reports whether the iterator points at a record.
-func (it *treeIter) valid() bool { return it.n != nil }
-
-func (it *treeIter) key() uint64  { return it.n.keys[it.i] }
-func (it *treeIter) rec() *Record { return it.n.values[it.i] }
-
-// next advances to the following key in ascending order.
-func (it *treeIter) next() {
-	it.i++
-	it.skipExhausted()
+	return keys, recs
 }
 
 // childIndex returns the index of the child subtree that may contain key.

@@ -7,11 +7,11 @@
 // dependency tracking, no locks" (§IV) — so this implementation splits
 // every table into N key-hash shards (N = next power of two ≥ GOMAXPROCS),
 // each with its own B+Tree and read/write mutex. Concurrent GetOrCreate
-// calls on different shards never touch the same mutex; Scan stitches the
-// shards back into global key order with a branchless merge cascade,
-// memoized in a merged view while the table does not grow (merge.go,
-// view.go), and ScanAny visits shards one by one with zero merge cost for
-// order-insensitive aggregates.
+// calls on different shards never touch the same mutex. Scan puts the
+// shards back into global key order by gathering each shard's range and
+// sorting the pairs by key (SortDedupePairs, the package's one key sort);
+// ScanAny visits shards one by one with no sort for order-insensitive
+// aggregates.
 package memtable
 
 import (
@@ -235,14 +235,20 @@ type Table struct {
 	shards []shard
 	obs    *obsHook
 
-	// merge pools Scan's cascade stages so repeated scans run
-	// allocation-free. A per-table pool keeps the scratch sized to this
-	// table's shard count.
-	merge sync.Pool // *mergeScratch
+	// scan keeps the last ordered Scan's gather buffers for the next one,
+	// so repeated scans run allocation-free. A sync.Pool would empty at
+	// every GC and make each periodic checkpoint re-grow them for every
+	// table. A Scan that finds the slot empty (another is running)
+	// gathers into fresh buffers. The records they pin live as long as
+	// the table anyway: records are never removed from it.
+	scan atomic.Pointer[scanScratch]
+}
 
-	// view caches the merged key order of all shards between table
-	// growths; see view.go.
-	view atomic.Pointer[mergedView]
+// scanScratch is one ordered Scan's gather buffer: the (key, record) pairs
+// collected from every shard plus the radix sort's temporaries.
+type scanScratch struct {
+	keys, tmpK []uint64
+	recs, tmpR []*Record
 }
 
 // newTable builds a table with n shards (n must be a power of two).
@@ -251,7 +257,6 @@ func newTable(id wal.TableID, n int, obs *obsHook) *Table {
 	for i := range t.shards {
 		t.shards[i].t = newTree()
 	}
-	t.merge.New = func() any { return newMergeScratch(len(t.shards)) }
 	return t
 }
 
@@ -301,7 +306,69 @@ func (t *Table) GetOrCreate(key uint64) *Record {
 	return rec
 }
 
-// Scan (ordered) and ScanAny (unordered) live in merge.go.
+// Scan visits records with from ≤ key ≤ to in ascending key order until fn
+// returns false. A single-shard table walks its tree under its one read
+// lock. Otherwise each shard's range is gathered under that shard's read
+// lock alone — a whole leaf window per copy — and the pairs are sorted by
+// key before fn sees the first one, so fn runs with no shard lock held and
+// writers may proceed beside it. Either way, records created concurrently
+// may or may not be observed; callers that need a consistent cut across
+// the table (checkpoints, digests) get it from their own write fence, not
+// from shard locks. The steady path performs no allocations: the table
+// keeps its gather buffers between scans.
+func (t *Table) Scan(from, to uint64, fn func(key uint64, rec *Record) bool) {
+	if len(t.shards) == 1 {
+		s := &t.shards[0]
+		t.obs.rlock(&s.mu)
+		defer s.mu.RUnlock()
+		s.t.scan(from, to, fn)
+		return
+	}
+	sc := t.scan.Swap(nil)
+	if sc == nil {
+		sc = &scanScratch{}
+	}
+	keys, recs := sc.keys[:0], sc.recs[:0]
+	for i := range t.shards {
+		s := &t.shards[i]
+		t.obs.rlock(&s.mu)
+		keys, recs = s.t.appendRange(from, to, keys, recs)
+		s.mu.RUnlock()
+	}
+	if len(sc.tmpK) < len(keys) {
+		sc.tmpK, sc.tmpR = make([]uint64, cap(keys)), make([]*Record, cap(keys))
+	}
+	// Shards partition the keys, so the dedupe finds nothing to drop.
+	sc.recs, sc.keys = SortDedupePairs(recs, keys, sc.tmpR, sc.tmpK)
+	for i, k := range sc.keys {
+		if !fn(k, sc.recs[i]) {
+			break
+		}
+	}
+	t.scan.Store(sc)
+}
+
+// ScanAny visits records with from ≤ key ≤ to until fn returns false,
+// with NO global ordering guarantee: shards are visited one after
+// another, each in its own ascending key order, with no sort. Aggregates
+// that do not need key order (counts, sums, max-timestamp probes) should
+// prefer it over Scan — it is the single-tree fast path repeated per
+// shard. One shard read lock is held at a time, across fn, so records
+// created concurrently in a not-yet-visited shard may be observed while
+// ones in an already-visited shard are not; the per-record visibility
+// rules (version chains) are unaffected. The steady path performs no
+// allocations.
+func (t *Table) ScanAny(from, to uint64, fn func(key uint64, rec *Record) bool) {
+	for i := range t.shards {
+		s := &t.shards[i]
+		t.obs.rlock(&s.mu)
+		completed := s.t.scan(from, to, fn)
+		s.mu.RUnlock()
+		if !completed {
+			return
+		}
+	}
+}
 
 // Len returns the number of records in the table.
 func (t *Table) Len() int {
@@ -317,9 +384,9 @@ func (t *Table) Len() int {
 
 // CheckInvariants verifies the B+Tree structural invariants of every shard
 // and the cross-shard key partition: each key must live in exactly the
-// shard its hash selects, which is what makes the merged Scan's "no
-// tie-break" and disjoint-coverage assumptions sound. Test helper; it
-// returns "" when the table is well-formed.
+// shard its hash selects, which is what lets Scan gather the shards'
+// ranges into one vector with no duplicate key. Test helper; it returns ""
+// when the table is well-formed.
 func (t *Table) CheckInvariants() string {
 	for i := range t.shards {
 		s := &t.shards[i]

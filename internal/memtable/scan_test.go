@@ -82,10 +82,8 @@ func checkVariants(t *testing.T, tab *Table, keys map[uint64]bool, from, to uint
 }
 
 // TestScanVariantsZeroAlloc pins the steady-state allocation contract of
-// every scan variant: after warmup (which builds the merged-scan view and
-// charges the pooled scratch), repeated scans allocate nothing. This is
-// the regression fence for the 9 allocs/256B the 8-shard merge used to
-// pay per scan.
+// every scan variant: after warmup (which grows the pooled gather
+// buffers), repeated scans allocate nothing.
 func TestScanVariantsZeroAlloc(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		tab := NewWithShards(shards).Table(1)
@@ -106,7 +104,7 @@ func TestScanVariantsZeroAlloc(t *testing.T) {
 				// AllocsPerRun charges only what the scan itself allocates.
 				seen := 0
 				fn := func(uint64, *Record) bool { seen++; return true }
-				// Warm: builds the view (Scan) and grows the scratch pools.
+				// Warm: grows Scan's pooled gather buffers.
 				v.scan(0, ^uint64(0), fn)
 				if seen != n {
 					t.Fatalf("warmup saw %d of %d records", seen, n)
@@ -130,10 +128,10 @@ func TestScanVariantsZeroAlloc(t *testing.T) {
 
 // FuzzScanVariants cross-checks Scan and ScanAny against the flat-map
 // reference over fuzzer-chosen shard counts, key ranges and
-// early-stop budgets. Each case is exercised twice around an extra batch
-// of inserts so both the view-valid path (second scan of an unchanged
-// table) and the view-stale path (scan right after inserts) are covered,
-// including the sentinel keys 0 and ^uint64(0).
+// early-stop budgets. Each case is exercised before and after an extra
+// batch of inserts, so a rescan of an unchanged table and a scan right
+// after the table grew both reuse the pooled buffers, and the sentinel
+// keys 0 and ^uint64(0) land in the data.
 func FuzzScanVariants(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint64(0), uint64(1<<16), int16(-1))
 	f.Add(uint64(2), uint8(0), uint64(0), ^uint64(0), int16(-1))
@@ -173,14 +171,11 @@ func FuzzScanVariants(f *testing.F) {
 		}
 
 		insert(200 + int(seed%800))
-		// First pass hits the cascade (no view yet for narrow ranges, or
-		// builds it for full ranges); second pass of the same range rides
-		// whatever the first left behind.
+		// Insert phase, then the same range again and the full range.
 		checkVariants(t, tab, keys, from, to, limit)
 		checkVariants(t, tab, keys, from, to, limit)
-		// Full-range scan forces the view to materialize...
 		checkVariants(t, tab, keys, 0, ^uint64(0), -1)
-		// ...then more inserts make it stale; every variant must notice.
+		// Rescan phase: the table grew; every variant must see the new keys.
 		insert(100)
 		checkVariants(t, tab, keys, from, to, limit)
 		checkVariants(t, tab, keys, 0, ^uint64(0), -1)
@@ -189,11 +184,11 @@ func FuzzScanVariants(f *testing.F) {
 
 // TestScanStress races full-range ordered Scans against concurrent
 // GetOrCreate and Vacuum on the same table (run under -race by `make
-// race`), so the merged view keeps flipping stale → rebuilt → valid while
-// it is being read. Concurrently inserted keys may or may not be observed;
-// the invariants are: emitted keys are strictly ascending, every emitted
-// key really exists, and every key present before the scans started is
-// seen.
+// race`): each shard is read-locked only while its range is gathered, and
+// the callback runs with writers live. Concurrently inserted keys may or
+// may not be observed; the invariants are: emitted keys are strictly
+// ascending, every emitted key really exists, and every key present before
+// the scans started is seen.
 func TestScanStress(t *testing.T) {
 	tab := NewWithShards(8).Table(1)
 	rng := rand.New(rand.NewSource(11))
@@ -218,10 +213,9 @@ func TestScanStress(t *testing.T) {
 					return
 				default:
 				}
-				// A small fresh-key range: early scans find the view stale
-				// and rebuild it, and once the range saturates the table
-				// stops growing and later scans ride a valid view while
-				// Append and Vacuum keep mutating the chains behind it.
+				// A small fresh-key range: early scans race inserts that
+				// split leaves, and once the range saturates later scans
+				// race Append and Vacuum mutating the chains they visit.
 				k := (1 << 18) + rng.Uint64()%(1<<11)
 				rec := tab.GetOrCreate(k)
 				rec.Append(&Version{TxnID: k, CommitTS: 1 << 30})

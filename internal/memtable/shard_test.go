@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// TestShardedScanOrder pins the k-way merge: a table whose keys are spread
+// TestShardedScanOrder pins the gather-and-sort Scan: a table whose keys are spread
 // across many shards must still scan in ascending global key order, with
 // bounds respected and early stop honoured.
 func TestShardedScanOrder(t *testing.T) {
@@ -44,7 +44,7 @@ func TestShardedScanOrder(t *testing.T) {
 	}
 	for i := range keys {
 		if got[i] != keys[i] {
-			t.Fatalf("merged scan order broken at %d: got %d want %d", i, got[i], keys[i])
+			t.Fatalf("scan order broken at %d: got %d want %d", i, got[i], keys[i])
 		}
 	}
 
@@ -97,7 +97,7 @@ func TestCheckInvariantsDetectsMisplacedKey(t *testing.T) {
 	}
 }
 
-// TestShardStress runs GetOrCreate writers against merged Scans and a
+// TestShardStress runs GetOrCreate writers against ordered Scans and a
 // Vacuum loop on one sharded table. It asserts no lost records, global
 // scan order under concurrency, and clean invariants afterwards; run
 // with -race it is the translate-vs-analytics-vs-GC interleaving check.
@@ -124,7 +124,7 @@ func TestShardStress(t *testing.T) {
 		}(w)
 	}
 
-	// Scanners: whatever a merged scan observes must be ordered.
+	// Scanners: whatever an ordered scan observes must be ordered.
 	for s := 0; s < 2; s++ {
 		bgWG.Add(1)
 		go func() {

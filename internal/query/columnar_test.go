@@ -504,7 +504,7 @@ func TestColumnarZeroAllocOps(t *testing.T) {
 			},
 		}
 		for name, op := range ops {
-			op() // warm the pooled plan buffers (and the memtable's merged view)
+			op() // warm the pooled plan buffers (and the memtable's scan buffers)
 			if allocs := testing.AllocsPerRun(50, op); allocs != 0 {
 				t.Errorf("%s/%s allocates %.1f/op, want 0", fx.name, name, allocs)
 			}

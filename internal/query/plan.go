@@ -154,7 +154,7 @@ func (p *plan) gather() {
 			keys = append(keys, k)
 		}
 	}
-	p.hot, p.hotKeys = colstore.SortDedupePairs(out, keys, p.tmpR, p.tmpK)
+	p.hot, p.hotKeys = memtable.SortDedupePairs(out, keys, p.tmpR, p.tmpK)
 }
 
 // runFunc receives base rows [i, e), all live and shadowed by no chain.
