@@ -33,8 +33,10 @@ race:
 # checksum an epoch's log entries have), the in-tree DEFLATE decoder
 # (differential against compress/flate: same accept/reject, same bytes,
 # no allocation ahead of the output a length claim is backed by), the
-# memtable scan variants (Scan/ScanAny vs a flat-map reference), the
-# columnar segment decoder
+# in-tree DEFLATE encoder (its body is the size it planned, both
+# decoders reproduce the input, and only a body not smaller than the
+# input falls back to raw), the memtable scan variants (Scan/ScanAny vs
+# a flat-map reference), the columnar segment decoder
 # (hostile length prefixes must fail cleanly), the read planner
 # differential (the columnar and both empty-base executors vs a
 # planner-free oracle across random freeze schedules), the checkpoint
@@ -47,6 +49,7 @@ race:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/ship/
 	$(GO) test -run='^$$' -fuzz=FuzzInflate -fuzztime=10s ./internal/ship/
+	$(GO) test -run='^$$' -fuzz=FuzzDeflate -fuzztime=10s ./internal/ship/
 	$(GO) test -run='^$$' -fuzz=FuzzScanVariants -fuzztime=10s ./internal/memtable/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzColumnarScan -fuzztime=10s ./internal/query/

@@ -14,7 +14,7 @@ import (
 // BenchmarkShipCompress measures the sender-side compression path on
 // real workload epoch streams: per-epoch cost of building an epoch's
 // complete wire frame in the form a CapFlate link writes (clear 48-byte
-// header + flate(buf), raw below DefaultCompressThreshold), exactly the
+// header + deflate(buf), raw below DefaultCompressThreshold), exactly the
 // Frame build Sender.flushLocked triggers once per epoch. The wire/raw
 // ratio is reported as ratio_wire/raw so bench-json archives the
 // compression win next to the throughput — the numbers behind the
@@ -123,9 +123,10 @@ func BenchmarkShipFanoutWrite(b *testing.B) {
 				sinks[i] = bufio.NewWriterSize(io.Discard, 1<<20)
 			}
 			var built metrics.Counter
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
+			n := 0
+			for b.Loop() {
 				fr := NewFrame(&encs[n%len(encs)])
+				n++
 				for _, w := range sinks {
 					if _, err := w.Write(fr.wire(true, &built)); err != nil {
 						b.Fatal(err)
@@ -135,8 +136,8 @@ func BenchmarkShipFanoutWrite(b *testing.B) {
 					}
 				}
 			}
-			if built.Load() != int64(b.N) {
-				b.Fatalf("%d builds for %d epochs", built.Load(), b.N)
+			if built.Load() != int64(n) {
+				b.Fatalf("%d builds for %d epochs", built.Load(), n)
 			}
 		})
 	}

@@ -1,10 +1,7 @@
 package ship
 
 import (
-	"bytes"
-	"compress/flate"
 	"math/bits"
-	"sync"
 	"time"
 
 	"aets/internal/epoch"
@@ -15,50 +12,24 @@ import (
 // CPU outweigh the savings.
 const DefaultCompressThreshold = 512
 
-// deflater is one pooled flate writer and the scratch buffer it writes
-// a frame into.
-type deflater struct {
-	fw  *flate.Writer
-	out bytes.Buffer
-}
-
-// deflaters pools flate writers across frame builds: a build happens
-// once per epoch, whichever sender runs it, so no sender owns a writer.
-// compress/flate is the deflate side only; receivers inflate with the
-// in-tree decoder (inflate.go).
-var deflaters = sync.Pool{New: func() any {
-	d := new(deflater)
-	d.fw, _ = flate.NewWriter(&d.out, flate.BestSpeed)
-	return d
-}}
-
 // flateEpochFrame returns enc's complete compressed EPOCH frame — the
-// clear 48-byte epoch header followed by flate(enc.Buf) — or nil when
-// compression fails to shrink the payload (incompressible buf), in
-// which case the caller ships the raw form. The frame is an exact-size
-// copy out of the pooled scratch buffer, so it can be retained.
-//
-// flate.BestSpeed is deliberate: WAL entry streams are highly
-// repetitive (shared key prefixes, recurring column IDs and lengths), so
-// the fast level already captures most of the win at a fraction of the
-// CPU: on TPC-C epochs levels 2–9 save at most 4 % more bytes, levels 5–9
-// at 2–10× the time, and HuffmanOnly ships 2.4× the bytes (EXPERIMENTS.md).
+// clear 48-byte epoch header followed by deflate(enc.Buf), one final
+// dynamic block (deflate.go) — or nil when that block would not be
+// smaller than the buf, in which case the caller ships the raw form.
+// The block is sized before it is written, so the frame is allocated
+// once at its exact size and written in place.
 func flateEpochFrame(enc *epoch.Encoded) []byte {
-	d := deflaters.Get().(*deflater)
-	defer deflaters.Put(d)
-	d.out.Reset()
-	d.out.Write(appendEpochHdr(appendFrameHdr(d.out.AvailableBuffer(), KindEpoch, FlagCompressed), enc))
-	d.fw.Reset(&d.out)
-	if _, err := d.fw.Write(enc.Buf); err != nil {
+	e := flateEncoders.Get().(*flateEncoder)
+	defer flateEncoders.Put(e)
+	size := e.plan(enc.Buf)
+	if size >= len(enc.Buf) {
 		return nil
 	}
-	if err := d.fw.Close(); err != nil {
-		return nil
-	}
-	if d.out.Len()-frameHdrSize >= epochHdrSize+len(enc.Buf) {
-		return nil
-	}
-	return sealFrame(append(make([]byte, 0, d.out.Len()+4), d.out.Bytes()...), 0)
+	const off = frameHdrSize + epochHdrSize
+	b := appendEpochHdr(appendFrameHdr(make([]byte, 0, off+size+4), KindEpoch, FlagCompressed), enc)
+	// The writer may use the CRC's four bytes as slack for its stores.
+	e.write(b[off:off+size+4], enc.Buf)
+	return sealFrame(b[:off+size], 0)
 }
 
 // Backoff returns the exponential reconnect delay base<<retry clamped

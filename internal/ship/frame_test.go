@@ -2,7 +2,6 @@ package ship
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -124,27 +123,35 @@ func flatePayload(enc *epoch.Encoded) []byte {
 
 // TestFrameFormsBuiltOnceAndByteStable pins what a link writes: the raw
 // form is AppendFrame over EncodeEpoch, the flate form is AppendFrame
-// over the clear epoch header and a BestSpeed deflate of the buf, each
-// form is built once however often it is written, and the flate form of
-// an epoch flate cannot shrink is the raw form's bytes.
+// over the clear epoch header and a body compress/flate's reader and
+// inflate both decode to the buf, each form is built once and written
+// byte-identically however often it is written, and the flate form of
+// an epoch deflate cannot shrink is the raw form's bytes.
 func TestFrameFormsBuiltOnceAndByteStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	enc := testEpoch(rng, 4)
 	enc.Buf = bytes.Repeat(enc.Buf[:10], 100)
 	enc.TxnCount, enc.EntryCount = 3, 9
-
-	var z bytes.Buffer
-	fw, _ := flate.NewWriter(&z, flate.BestSpeed)
-	fw.Write(enc.Buf)
-	fw.Close()
-	wantFlate := AppendFrame(nil, KindEpoch, FlagCompressed, append(appendEpochHdr(nil, enc), z.Bytes()...))
 	wantRaw := AppendFrame(nil, KindEpoch, 0, EncodeEpoch(enc))
 
 	var built metrics.Counter
 	fr := NewFrame(enc)
+	flated := fr.wire(true, &built)
+	body := flatePayload(enc)
+	if body == nil || !bytes.Equal(flated, AppendFrame(nil, KindEpoch, FlagCompressed, body)) ||
+		!bytes.Equal(body[:epochHdrSize], appendEpochHdr(nil, enc)) {
+		t.Fatal("flate form is not a compressed frame over the clear epoch header")
+	}
+	body = body[epochHdrSize:]
+	if got, ok := stdInflate(body, len(enc.Buf)); !ok || !bytes.Equal(got, enc.Buf) {
+		t.Fatal("compress/flate does not decode the flate form's body to the buf")
+	}
+	if got, err := inflate(body, len(enc.Buf)); err != nil || !bytes.Equal(got, enc.Buf) {
+		t.Fatalf("inflate does not decode the flate form's body to the buf: %v", err)
+	}
 	for i := 0; i < 3; i++ {
-		if got := fr.wire(true, &built); !bytes.Equal(got, wantFlate) {
-			t.Fatalf("write %d: flate form differs from the reference frame", i)
+		if got := fr.wire(true, &built); !bytes.Equal(got, flated) {
+			t.Fatalf("write %d: flate form changed", i)
 		}
 		if got := fr.wire(false, &built); !bytes.Equal(got, wantRaw) {
 			t.Fatalf("write %d: raw form differs from the reference frame", i)
@@ -506,11 +513,8 @@ func TestCorruptCompressedEpochIsErrCorruptNotPanic(t *testing.T) {
 func swapBody(enc *epoch.Encoded) []byte {
 	other := append([]byte(nil), enc.Buf...)
 	other[len(other)/2] ^= 0xff
-	var z bytes.Buffer
-	fw, _ := flate.NewWriter(&z, flate.BestSpeed)
-	fw.Write(other)
-	fw.Close()
-	return AppendFrame(nil, KindEpoch, FlagCompressed, append(appendEpochHdr(nil, enc), z.Bytes()...))
+	body, _ := deflateBody(other)
+	return AppendFrame(nil, KindEpoch, FlagCompressed, append(appendEpochHdr(nil, enc), body...))
 }
 
 // TestSwappedFlateBodyFailsBufCRC is the inflate-bug case: a compressed

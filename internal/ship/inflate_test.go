@@ -209,7 +209,8 @@ func craftedStreams() []inflateCase {
 	return cases
 }
 
-// leveledStreams deflates buf at every level and Huffman-only.
+// leveledStreams deflates buf at every compress/flate level,
+// Huffman-only, and with the in-tree encoder.
 func leveledStreams(buf []byte) []inflateCase {
 	var cases []inflateCase
 	for level := oracle.HuffmanOnly; level <= oracle.BestCompression; level++ {
@@ -222,12 +223,14 @@ func leveledStreams(buf []byte) []inflateCase {
 		fw.Close()
 		cases = append(cases, inflateCase{body: z.Bytes(), n: len(buf)})
 	}
-	return cases
+	body, _ := deflateBody(buf)
+	return append(cases, inflateCase{body: body, n: len(buf)})
 }
 
 // inflateSeeds are FuzzInflate's corpus: stored, fixed and dynamic
-// blocks at every level, the crafted code edges, a stream cut at every
-// byte, claims one off either way, and a frame lying about its length.
+// blocks at every level and from the in-tree encoder, the crafted code
+// edges, a stream cut at every byte, claims one off either way, and a
+// frame lying about its length.
 func inflateSeeds() []inflateCase {
 	// Kilobyte bodies: the fuzz engine slows to a crawl on larger ones.
 	buf := primary.New(workload.NewBusTracker(), 42).GenerateEncoded(64, 64)[0].Buf[:1024]
