@@ -42,10 +42,13 @@ race:
 # planner-free oracle across random freeze schedules), the checkpoint
 # reader (corrupt or truncated files must fail cleanly), the spool
 # segment scan (arbitrary bytes as a segment must recover to a spool
-# that still appends and replays), and the log-entry decoders (the
+# that still appends and replays), the log-entry decoders (the
 # copying Decode, replay's aliasing DecodeInto and dispatch's header scan
 # must agree on arbitrary bytes, and the scan's column count must never
-# exceed what the bytes could hold).
+# exceed what the bytes could hold), and an epoch's framing (wal's
+# DecodeStream and the dispatcher must agree on accept/reject, and every
+# dispatched piece must carry the txn ID and commit timestamp of the
+# COMMIT its frames belong to by position).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/ship/
 	$(GO) test -run='^$$' -fuzz=FuzzInflate -fuzztime=10s ./internal/ship/
@@ -56,6 +59,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/checkpoint/
 	$(GO) test -run='^$$' -fuzz=FuzzScanSegment -fuzztime=10s ./internal/recovery/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wal/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeStream -fuzztime=10s ./internal/dispatch/
 
 # Chaos e2e in short mode under the race detector: repeated hard
 # restarts at random points under transport faults plus an injected

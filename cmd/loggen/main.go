@@ -75,8 +75,8 @@ func main() {
 				case wal.TypeBegin, wal.TypeCommit:
 					fmt.Fprintf(w, "lsn=%-8d %-6s txn=%d ts=%d\n", e.LSN, e.Type, e.TxnID, e.Timestamp)
 				default:
-					fmt.Fprintf(w, "lsn=%-8d %-6s txn=%d table=%d row=%d prev=%d cols=%d\n",
-						e.LSN, e.Type, e.TxnID, e.Table, e.RowKey, e.PrevTxn, len(e.Columns))
+					fmt.Fprintf(w, "lsn=%-8d %-6s txn=%d table=%d row=%d cols=%d\n",
+						e.LSN, e.Type, e.TxnID, e.Table, e.RowKey, len(e.Columns))
 				}
 			}
 		}

@@ -171,21 +171,27 @@ func (a *ATR) dispatchEpoch(enc *epoch.Encoded) error {
 		buf = buf[sz:]
 		switch h.Type {
 		case wal.TypeBegin:
-			cur = &atrTxn{id: h.TxnID, done: make(chan struct{})}
+			if cur != nil {
+				return fmt.Errorf("atr: epoch %d: BEGIN inside an open txn", enc.Seq)
+			}
+			cur = &atrTxn{done: make(chan struct{})}
 		case wal.TypeCommit:
-			if cur == nil || cur.id != h.TxnID {
+			if cur == nil {
 				return fmt.Errorf("atr: epoch %d: unframed COMMIT %d", enc.Seq, h.TxnID)
 			}
-			cur.commitTS = h.Timestamp
+			cur.id, cur.commitTS = h.TxnID, h.Timestamp
 			a.queues[cur.id%uint64(a.workers)] <- cur
 			a.visQ <- cur
 			cur = nil
 		default:
-			if cur == nil || cur.id != h.TxnID {
-				return fmt.Errorf("atr: epoch %d: unframed DML of txn %d", enc.Seq, h.TxnID)
+			if cur == nil {
+				return fmt.Errorf("atr: epoch %d: unframed DML", enc.Seq)
 			}
 			cur.frames = append(cur.frames, frame)
 		}
+	}
+	if cur != nil {
+		return fmt.Errorf("atr: epoch %d ends inside an open txn", enc.Seq)
 	}
 	// Epoch sentinel: even empty (heartbeat) epochs advance visibility and
 	// release the Drain waiter once everything before them is visible.
@@ -213,7 +219,7 @@ func (a *ATR) worker(q chan *atrTxn) {
 				break
 			}
 			rec.Append(&memtable.Version{
-				TxnID:    e.TxnID,
+				TxnID:    t.id,
 				CommitTS: t.commitTS,
 				Deleted:  e.Type == wal.TypeDelete,
 				Columns:  e.Columns,

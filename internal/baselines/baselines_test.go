@@ -168,8 +168,8 @@ func TestATRSequenceCheckOrdersHotRow(t *testing.T) {
 		txns = append(txns, wal.Txn{ID: uint64(i), CommitTS: int64(i * 10),
 			Entries: []wal.Entry{{
 				Type: wal.TypeUpdate, TxnID: uint64(i), Table: 1, RowKey: 7,
-				PrevTxn: uint64(i - 1), WriteSeq: uint64(i - 1),
-				Columns: []wal.Column{{ID: 1, Value: []byte{byte(i)}}},
+				WriteSeq: uint64(i - 1),
+				Columns:  []wal.Column{{ID: 1, Value: []byte{byte(i)}}},
 			}}})
 	}
 	mt := memtable.New()

@@ -180,7 +180,6 @@ func (c *C5) dispatchEpoch(enc *epoch.Encoded) error {
 	var (
 		pending []wal.Entry
 		inTxn   bool
-		curID   uint64
 	)
 	for len(buf) > 0 {
 		// Row-based dispatch requires the row key, which lives in the data
@@ -192,14 +191,18 @@ func (c *C5) dispatchEpoch(enc *epoch.Encoded) error {
 		buf = buf[sz:]
 		switch e.Type {
 		case wal.TypeBegin:
-			inTxn, curID = true, e.TxnID
+			if inTxn {
+				return fmt.Errorf("c5: epoch %d: BEGIN inside an open txn", enc.Seq)
+			}
+			inTxn = true
 			pending = pending[:0]
 		case wal.TypeCommit:
-			if !inTxn || e.TxnID != curID {
+			if !inTxn {
 				return fmt.Errorf("c5: epoch %d: unframed COMMIT %d", enc.Seq, e.TxnID)
 			}
 			ep.remaining.Add(int64(len(pending)))
 			for i := range pending {
+				pending[i].TxnID = e.TxnID // the entries belong to this COMMIT by position
 				w := int(rowHash(pending[i].Table, pending[i].RowKey) % uint64(c.workers))
 				c.backlog[w].v.Add(1)
 				c.queues[w] <- c5Item{entry: pending[i], commitTS: e.Timestamp, ep: ep}
@@ -208,11 +211,14 @@ func (c *C5) dispatchEpoch(enc *epoch.Encoded) error {
 			c.txns.Add(1)
 			inTxn = false
 		default:
-			if !inTxn || e.TxnID != curID {
-				return fmt.Errorf("c5: epoch %d: unframed DML of txn %d", enc.Seq, e.TxnID)
+			if !inTxn {
+				return fmt.Errorf("c5: epoch %d: unframed DML", enc.Seq)
 			}
 			pending = append(pending, e)
 		}
+	}
+	if inTxn {
+		return fmt.Errorf("c5: epoch %d ends inside an open txn", enc.Seq)
 	}
 	if enc.LastCommitTS > c.lastDispatched.Load() {
 		c.lastDispatched.Store(enc.LastCommitTS) // heartbeats advance the frontier

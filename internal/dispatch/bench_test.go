@@ -22,8 +22,7 @@ func BenchmarkDispatchTPCC(b *testing.B) {
 	enc := &eps[0]
 	b.SetBytes(int64(len(enc.Buf)))
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := Dispatch(enc, plan); err != nil {
 			b.Fatal(err)
 		}
@@ -41,8 +40,7 @@ func BenchmarkDispatchManyGroups(b *testing.B) {
 	enc := &eps[0]
 	b.SetBytes(int64(len(enc.Buf)))
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		res, err := Dispatch(enc, plan)
 		if err != nil {
 			b.Fatal(err)

@@ -95,9 +95,7 @@ func (b *Buffers) reset(ngroups int) {
 	for gi := range b.pending {
 		// A pending piece's Frames array was either handed to a batch (nil,
 		// harvested above) or abandoned by an error path; a nil Frames marks
-		// the piece untouched, so stale TxnIDs cannot collide with a new
-		// epoch's transactions.
-		b.pending[gi].TxnID = 0
+		// the piece untouched by the next epoch's first transaction.
 		b.pending[gi].Bytes, b.pending[gi].Columns = 0, 0
 		if f := b.pending[gi].Frames; f != nil {
 			b.frameFree = append(b.frameFree, f[:0])
@@ -137,14 +135,13 @@ func (b *Buffers) Dispatch(enc *epoch.Encoded, plan *grouping.Plan) (*Result, er
 	res.LastCommitTS = enc.LastCommitTS
 
 	buf := enc.Buf
-	// pending is indexed by group ID and reused across transactions; a
-	// piece belongs to the current transaction iff its TxnID matches, so no
+	// pending is indexed by group ID and reused across transactions. A
+	// transaction is named only by its COMMIT, so a piece belongs to the
+	// open transaction iff it holds frames: every piece the previous COMMIT
+	// handed to a batch, and every piece reset found, has nil Frames. No
 	// per-transaction clearing or map allocation is needed on this hot
 	// path (dispatch must stay ≈1% of total replay work, Table II).
-	var (
-		inTxn bool
-		curID uint64
-	)
+	inTxn := false
 	for len(buf) > 0 {
 		h, sz, err := wal.DecodeHeader(buf)
 		if err != nil {
@@ -156,18 +153,18 @@ func (b *Buffers) Dispatch(enc *epoch.Encoded, plan *grouping.Plan) (*Result, er
 		switch h.Type {
 		case wal.TypeBegin:
 			if inTxn {
-				return nil, fmt.Errorf("dispatch: BEGIN %d inside open txn %d", h.TxnID, curID)
+				return nil, fmt.Errorf("dispatch: epoch %d: BEGIN inside an open txn", enc.Seq)
 			}
-			inTxn, curID = true, h.TxnID
+			inTxn = true
 			b.touched = b.touched[:0]
 
 		case wal.TypeCommit:
-			if !inTxn || h.TxnID != curID {
-				return nil, fmt.Errorf("dispatch: COMMIT %d without matching BEGIN", h.TxnID)
+			if !inTxn {
+				return nil, fmt.Errorf("dispatch: epoch %d: COMMIT %d without BEGIN", enc.Seq, h.TxnID)
 			}
 			for _, gi := range b.touched {
 				p := &b.pending[gi]
-				p.CommitTS = h.Timestamp
+				p.TxnID, p.CommitTS = h.TxnID, h.Timestamp
 				gb := res.PerGroup[gi]
 				if gb == nil {
 					gb = &b.batches[gi]
@@ -175,7 +172,7 @@ func (b *Buffers) Dispatch(enc *epoch.Encoded, plan *grouping.Plan) (*Result, er
 					res.PerGroup[gi] = gb
 				}
 				gb.Pieces = append(gb.Pieces, *p)
-				gb.CommitOrder = append(gb.CommitOrder, curID)
+				gb.CommitOrder = append(gb.CommitOrder, h.TxnID)
 				gb.Bytes += p.Bytes
 				gb.Entries += len(p.Frames)
 				gb.Columns += p.Columns
@@ -192,21 +189,16 @@ func (b *Buffers) Dispatch(enc *epoch.Encoded, plan *grouping.Plan) (*Result, er
 			inTxn = false
 
 		case wal.TypeInsert, wal.TypeUpdate, wal.TypeDelete:
-			if !inTxn || h.TxnID != curID {
-				return nil, fmt.Errorf("dispatch: DML of txn %d outside its frame", h.TxnID)
+			if !inTxn {
+				return nil, fmt.Errorf("dispatch: epoch %d: DML outside a txn", enc.Seq)
 			}
 			gi, ok := plan.GroupOf(h.Table)
 			if !ok {
 				return nil, fmt.Errorf("dispatch: table %d not covered by the group plan", h.Table)
 			}
 			p := &b.pending[gi]
-			if p.TxnID != curID || p.Frames == nil {
-				p.TxnID = curID
-				if p.Frames == nil {
-					p.Frames = b.takeFrames()
-				}
-				p.Frames = p.Frames[:0]
-				p.Bytes, p.Columns = 0, 0
+			if p.Frames == nil {
+				p.Frames = b.takeFrames()
 				b.touched = append(b.touched, gi)
 			}
 			p.Frames = append(p.Frames, frame)
@@ -219,7 +211,7 @@ func (b *Buffers) Dispatch(enc *epoch.Encoded, plan *grouping.Plan) (*Result, er
 		}
 	}
 	if inTxn {
-		return nil, fmt.Errorf("dispatch: epoch %d ends inside open txn %d", enc.Seq, curID)
+		return nil, fmt.Errorf("dispatch: epoch %d ends inside an open txn", enc.Seq)
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -74,5 +75,67 @@ func TestEncodeEmptyEpoch(t *testing.T) {
 	txns, err := enc.Decode()
 	if err != nil || len(txns) != 0 {
 		t.Fatalf("decode empty: %v %v", txns, err)
+	}
+}
+
+// TestEntriesCarryNoTxnFields: a transaction's ID and commit timestamp are
+// written once, on its COMMIT. A single-frame decode of a BEGIN or DML
+// entry — full, aliasing or header-only — reports 0 for both, and Decode
+// attributes them by position: it returns the original transactions with
+// every entry's TxnID, Timestamp and LSN (counted from a random firstLSN)
+// filled in.
+func TestEntriesCarryNoTxnFields(t *testing.T) {
+	r := rand.New(rand.NewSource(49))
+	txns := make([]wal.Txn, 40)
+	for i := range txns {
+		id, ts := uint64(100+3*i), int64(1000+7*i)
+		txns[i] = wal.Txn{ID: id, CommitTS: ts}
+		for j := 0; j < r.Intn(4); j++ {
+			e := wal.Entry{Type: wal.TypeDelete, TxnID: id, Timestamp: ts,
+				Table: wal.TableID(1 + r.Intn(5)), RowKey: r.Uint64() % 1000, WriteSeq: r.Uint64() % 9}
+			if j%2 == 0 {
+				e.Type, e.Columns = wal.TypeUpdate, []wal.Column{{ID: uint32(j), Value: []byte{byte(i)}}}
+			}
+			txns[i].Entries = append(txns[i].Entries, e)
+		}
+	}
+	first := r.Uint64() >> 1
+	enc, _ := Encode(&Epoch{Txns: txns}, first)
+
+	for buf := enc.Buf; len(buf) > 0; {
+		h, n, err := wal.DecodeHeader(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _, err := wal.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _, err := wal.DecodeInto(buf, make([]wal.Column, h.Columns))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Type != wal.TypeCommit && (h.TxnID|uint64(h.Timestamp)|e.TxnID|uint64(e.Timestamp)|a.TxnID|uint64(a.Timestamp)) != 0 {
+			t.Fatalf("%s frame carries a txn: header %d/%d, Decode %d/%d, DecodeInto %d/%d",
+				h.Type, h.TxnID, h.Timestamp, e.TxnID, e.Timestamp, a.TxnID, a.Timestamp)
+		}
+		buf = buf[n:]
+	}
+
+	back, err := enc.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn := first
+	for i := range txns {
+		lsn++ // BEGIN
+		for j := range txns[i].Entries {
+			txns[i].Entries[j].LSN = lsn
+			lsn++
+		}
+		lsn++ // COMMIT
+	}
+	if !reflect.DeepEqual(back, txns) {
+		t.Fatalf("Decode did not return the original txns:\n got %+v\nwant %+v", back, txns)
 	}
 }

@@ -20,7 +20,6 @@ func chaosTxns(rng *rand.Rand, nTxns, nTables, keySpace int) []wal.Txn {
 	txns := make([]wal.Txn, nTxns)
 	ts := int64(0)
 	writeCount := make(map[[2]uint64]uint64)
-	lastWriter := make(map[[2]uint64]uint64)
 	for i := range txns {
 		id := uint64(i + 1)
 		ts += 1 + rng.Int63n(50)
@@ -47,12 +46,11 @@ func chaosTxns(rng *rand.Rand, nTxns, nTables, keySpace int) []wal.Txn {
 			ref := [2]uint64{uint64(table), key}
 			e := wal.Entry{
 				Type: op, TxnID: id, Timestamp: ts, Table: table, RowKey: key,
-				PrevTxn: lastWriter[ref], WriteSeq: writeCount[ref],
+				WriteSeq: writeCount[ref],
 			}
 			if op != wal.TypeDelete {
 				e.Columns = []wal.Column{{ID: uint32(j), Value: []byte{byte(i), byte(j)}}}
 			}
-			lastWriter[ref] = id
 			writeCount[ref]++
 			t.Entries = append(t.Entries, e)
 		}

@@ -1,6 +1,6 @@
 // Package primary simulates the primary database node: it executes a
 // benchmark workload's transactions, assigns monotonically increasing
-// transaction IDs and commit timestamps, tracks each row's previous writer
+// transaction IDs and commit timestamps, counts each row's committed writes
 // (the before-image witness carried in the value log), batches committed
 // transactions into epochs and encodes them into the replication wire
 // format the backup replayers consume.
@@ -11,6 +11,7 @@
 package primary
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -19,11 +20,11 @@ import (
 	"aets/internal/workload"
 )
 
-// rowRef identifies one row across tables for previous-writer tracking.
-type rowRef struct {
-	t wal.TableID
-	k uint64
-}
+// rowKeyBits is the row key's width in a packed row reference: table ID
+// above, row key below, so one integer names a row across tables and the
+// write count costs one fast-path hash. Every workload's key space is far
+// inside it.
+const rowKeyBits = 40
 
 // Primary is the primary-node simulator. Not safe for concurrent use; the
 // primary serialises transactions in commit order by definition.
@@ -37,11 +38,11 @@ type Primary struct {
 	// shared between log entries and query snapshots.
 	Clock func() int64
 
-	nextTxnID  uint64
-	lastTS     int64
-	lastWriter map[rowRef]uint64
-	writeCount map[rowRef]uint64
-	writeBuf   []workload.Write
+	nextTxnID uint64
+	lastTS    int64
+	rowSlot   map[uint64]uint32 // packed row reference → index into writes
+	writes    []uint64          // committed writes per row, by slot
+	writeBuf  []workload.Write
 
 	mu sync.Mutex // guards LastCommitTS readers against the generator
 }
@@ -50,10 +51,9 @@ type Primary struct {
 // rng seed.
 func New(gen workload.Generator, seed int64) *Primary {
 	p := &Primary{
-		gen:        gen,
-		rng:        rand.New(rand.NewSource(seed)),
-		lastWriter: make(map[rowRef]uint64),
-		writeCount: make(map[rowRef]uint64),
+		gen:     gen,
+		rng:     rand.New(rand.NewSource(seed)),
+		rowSlot: make(map[uint64]uint32),
 	}
 	p.Clock = func() int64 {
 		return int64(p.nextTxnID) * 1000 // 1µs virtual tick per txn
@@ -77,7 +77,7 @@ func (p *Primary) NextTxn() wal.Txn {
 
 	t := wal.Txn{ID: id, CommitTS: ts, Entries: make([]wal.Entry, 0, len(p.writeBuf))}
 	for _, w := range p.writeBuf {
-		ref := rowRef{w.Table, w.Key}
+		s := p.slotOf(w.Table, w.Key)
 		t.Entries = append(t.Entries, wal.Entry{
 			Type:      w.Op,
 			TxnID:     id,
@@ -85,16 +85,30 @@ func (p *Primary) NextTxn() wal.Txn {
 			Table:     w.Table,
 			RowKey:    w.Key,
 			Columns:   w.Cols,
-			PrevTxn:   p.lastWriter[ref],
-			WriteSeq:  p.writeCount[ref],
+			WriteSeq:  p.writes[s],
 		})
-		p.lastWriter[ref] = id
-		p.writeCount[ref]++
+		p.writes[s]++
 	}
 	p.mu.Lock()
 	p.lastTS = ts
 	p.mu.Unlock()
 	return t
+}
+
+// slotOf returns the row's slot in writes, giving a row seen for the first
+// time a fresh one.
+func (p *Primary) slotOf(t wal.TableID, k uint64) uint32 {
+	if uint64(t) >= 1<<(64-rowKeyBits) || k >= 1<<rowKeyBits {
+		panic(fmt.Sprintf("primary: row %d of table %d outside the packed row reference", k, t))
+	}
+	ref := uint64(t)<<rowKeyBits | k
+	s, ok := p.rowSlot[ref]
+	if !ok {
+		s = uint32(len(p.writes))
+		p.rowSlot[ref] = s
+		p.writes = append(p.writes, 0)
+	}
+	return s
 }
 
 // LastCommitTS returns the commit timestamp of the most recent transaction

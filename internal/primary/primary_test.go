@@ -1,6 +1,7 @@
 package primary
 
 import (
+	"math/rand"
 	"testing"
 
 	"aets/internal/wal"
@@ -26,18 +27,46 @@ func TestTxnIDsAndTimestampsMonotone(t *testing.T) {
 	}
 }
 
-func TestPrevTxnTracksLastWriter(t *testing.T) {
-	p := New(workload.NewTPCC(1), 2)
-	lastWriter := make(map[[2]uint64]uint64)
-	for i := 0; i < 2000; i++ {
-		txn := p.NextTxn()
-		for _, e := range txn.Entries {
-			key := [2]uint64{uint64(e.Table), e.RowKey}
-			if e.PrevTxn != lastWriter[key] {
-				t.Fatalf("txn %d table %d row %d: PrevTxn %d, want %d",
-					txn.ID, e.Table, e.RowKey, e.PrevTxn, lastWriter[key])
+// twiceGen writes one hot row twice in every transaction, plus one row
+// drawn from a small key space, so rows see repeat writers both within a
+// transaction and across transactions.
+type twiceGen struct{}
+
+func (twiceGen) Name() string { return "twice" }
+func (twiceGen) Tables() []workload.TableMeta {
+	return []workload.TableMeta{{ID: 1, Rows: 8}, {ID: 2, Rows: 8}}
+}
+func (twiceGen) Queries() []workload.Query { return nil }
+func (twiceGen) NextTxn(rng *rand.Rand, dst []workload.Write) []workload.Write {
+	cols := []wal.Column{{ID: 1, Value: []byte{1}}}
+	return append(dst,
+		workload.Write{Table: 1, Key: 7, Op: wal.TypeUpdate, Cols: cols},
+		workload.Write{Table: 2, Key: 1 + uint64(rng.Intn(8)), Op: wal.TypeUpdate, Cols: cols},
+		workload.Write{Table: 1, Key: 7, Op: wal.TypeUpdate, Cols: cols},
+	)
+}
+
+// TestWriteSeqCountsPriorWrites: an entry's WriteSeq — ATR's before-image
+// witness — is the number of writes its row received before it, counting
+// an earlier write by the same transaction, on TPC-C and on a generator
+// that writes one row twice per transaction.
+func TestWriteSeqCountsPriorWrites(t *testing.T) {
+	for _, gen := range []workload.Generator{workload.NewTPCC(1), twiceGen{}} {
+		p := New(gen, 2)
+		writes := make(map[[2]uint64]uint64)
+		for i := 0; i < 2000; i++ {
+			txn := p.NextTxn()
+			for _, e := range txn.Entries {
+				key := [2]uint64{uint64(e.Table), e.RowKey}
+				if e.WriteSeq != writes[key] {
+					t.Fatalf("%s txn %d table %d row %d: WriteSeq %d, want %d",
+						gen.Name(), txn.ID, e.Table, e.RowKey, e.WriteSeq, writes[key])
+				}
+				writes[key]++
 			}
-			lastWriter[key] = txn.ID
+		}
+		if gen.Name() == "twice" && writes[[2]uint64{1, 7}] != 4000 {
+			t.Fatalf("hot row counted %d writes, want 4000", writes[[2]uint64{1, 7}])
 		}
 	}
 }
@@ -95,7 +124,7 @@ func TestDeterministicForSameSeed(t *testing.T) {
 		}
 		for j := range a[i].Entries {
 			ea, eb := a[i].Entries[j], b[i].Entries[j]
-			if ea.Table != eb.Table || ea.RowKey != eb.RowKey || ea.PrevTxn != eb.PrevTxn {
+			if ea.Table != eb.Table || ea.RowKey != eb.RowKey || ea.WriteSeq != eb.WriteSeq {
 				t.Fatalf("entry %d/%d differs between same-seed runs", i, j)
 			}
 		}

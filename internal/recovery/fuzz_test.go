@@ -34,6 +34,19 @@ func restampFrames(tb testing.TB, seg []byte, ver, flags byte) []byte {
 	return out
 }
 
+// v4Segment is a spool segment a version-4 build wrote: three EPOCH
+// frames whose BEGIN and DML entries still carry their txn ID and
+// timestamp (internal/ship/testdata/v4-epochs.bin, which says how it was
+// made). Its first frame fails ErrVersion.
+func v4Segment(tb testing.TB) []byte {
+	tb.Helper()
+	seg, err := os.ReadFile(filepath.Join("..", "ship", "testdata", "v4-epochs.bin"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return seg
+}
+
 // segmentImage frames encs the way Spool.Append does.
 func segmentImage(encs []epoch.Encoded) []byte {
 	var seg []byte
@@ -106,6 +119,7 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add(seg[:len(seg)-7])
 	f.Add(restampFrames(f, seg, 3, 0)) // a spool version 3 wrote (per-entry LSNs)
 	f.Add(restampFrames(f, seg, ship.Version+1, 0))
+	f.Add(v4Segment(f))
 	f.Add(compressedImage(encs))
 	flipped := append([]byte(nil), seg...)
 	flipped[len(flipped)/2] ^= 0x20

@@ -83,15 +83,16 @@ func TestSpoolRoundTrip(t *testing.T) {
 }
 
 // TestSpoolTruncatesOlderVersion pins the upgrade rule: spool segments
-// at rest are ship frames, so a segment an older build wrote (stamped
-// ship.Version-1, i.e. 3, whose entries still carry their LSNs) fails
-// ErrVersion at its first frame. Open truncates it to an empty range and
-// counts one truncation; the spool then takes new epochs as usual.
+// at rest are ship frames, so a segment an older build wrote — here one a
+// version-4 build wrote, whose BEGIN and DML entries carry their txn ID
+// and timestamp — fails ErrVersion at its first frame. Open truncates it
+// to an empty range and counts one truncation; the spool then takes new
+// epochs as usual.
 func TestSpoolTruncatesOlderVersion(t *testing.T) {
 	encs := testEncs(t, 6)
 	dir, reg := t.TempDir(), metrics.NewRegistry()
 	seg := filepath.Join(dir, fmt.Sprintf("%s%020d%s", spoolPrefix, 0, spoolSuffix))
-	if err := os.WriteFile(seg, restampFrames(t, segmentImage(encs), ship.Version-1, 0), 0o644); err != nil {
+	if err := os.WriteFile(seg, v4Segment(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sp := openTestSpool(t, dir, SpoolConfig{Metrics: reg})

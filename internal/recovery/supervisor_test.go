@@ -13,7 +13,6 @@ import (
 	"aets/internal/metrics"
 	"aets/internal/primary"
 	"aets/internal/reference"
-	"aets/internal/ship"
 	"aets/internal/wal"
 	"aets/internal/workload"
 )
@@ -143,9 +142,9 @@ func TestSupervisorRestoreAcrossRestart(t *testing.T) {
 
 // TestSupervisorUpgradeResumesFromCheckpoint is the upgrade rule end to
 // end: a replica restarted on a build whose frame version moved on finds
-// its spool stamped ship.Version-1 (3, whose entries carry their LSNs).
-// The spool truncates to nothing, the newest checkpoint (rows, not WAL)
-// restores its cursor, and the epochs a
+// its spool stamped 4, the version whose BEGIN and DML entries carry
+// their txn ID and timestamp. The spool truncates to nothing, the newest
+// checkpoint (rows, not WAL) restores its cursor, and the epochs a
 // primary re-ships from that cursor bring the node to the digest of the
 // serial reference.
 func TestSupervisorUpgradeResumesFromCheckpoint(t *testing.T) {
@@ -175,7 +174,7 @@ func TestSupervisorUpgradeResumesFromCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(seg, restampFrames(t, data, ship.Version-1, 0), 0o644); err != nil {
+		if err := os.WriteFile(seg, restampFrames(t, data, 4, 0), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

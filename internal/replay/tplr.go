@@ -351,7 +351,7 @@ func (e *Engine) translate(gb *dispatch.GroupBatch, bs *batchState, i int, tc *t
 		cols = cols[len(entry.Columns):]
 		rec := e.tableFor(tc, entry.Table).GetOrCreate(entry.RowKey)
 		v := &vers[j]
-		v.TxnID = entry.TxnID
+		v.TxnID = p.TxnID
 		v.Deleted = entry.Type == wal.TypeDelete
 		v.Columns = entry.Columns
 		cells[j] = cell{rec: rec, ver: v}

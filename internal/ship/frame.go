@@ -48,7 +48,9 @@
 // bufCRC is verified only after a compressed buf is inflated, where the
 // frame CRC vouches for the flate stream but not for what the decoder
 // made of it. firstLSN is the LSN of buf's first entry, and entry i's is
-// firstLSN+i: a wal entry carries no LSN either.
+// firstLSN+i: a wal entry carries no LSN either. Nor do BEGIN and DML
+// entries carry a txn ID or timestamp: those are written once, on the
+// transaction's COMMIT (internal/wal).
 //
 // When both ends advertise CapSnapshot, the WELCOME's req bits may ask
 // for an immediate snapshot (bit 0), and the sender may interpose a
@@ -86,7 +88,7 @@ import (
 )
 
 // Version is the protocol version stamped on every frame written.
-const Version = 4
+const Version = 5
 
 // Frame header flag bits.
 const (
@@ -389,7 +391,7 @@ func DecodeEpochFrame(flags byte, p []byte) (*epoch.Encoded, error) {
 	}
 	// Counts must be sane relative to the buf: every transaction and
 	// every entry occupies at least one buf byte (a wal entry frame is
-	// ≥4 bytes), so a hostile header claiming ~4B entries over a tiny
+	// ≥2 bytes), so a hostile header claiming ~4B entries over a tiny
 	// buf is rejected here instead of poisoning consumers that trust
 	// EntryCount for preallocation or accounting.
 	if uint64(enc.TxnCount) > uint64(n) || uint64(enc.EntryCount) > uint64(n) {

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -241,6 +243,25 @@ func restamp(frame []byte, ver, flags byte) []byte {
 	return out
 }
 
+// v4Frame returns the first of three EPOCH frames in testdata/v4-epochs.bin,
+// written by a version-4 build (the last whose BEGIN and DML entries carry
+// their txn ID and timestamp, and DML entries their row's previous
+// writer) from
+// primary.New(workload.NewTPCC(1), 4).GenerateEncoded(6, 2), each framed
+// by AppendFrame(…, KindEpoch, 0, EncodeEpoch(…)) as its sender and spool
+// did.
+func v4Frame(tb testing.TB) []byte {
+	tb.Helper()
+	seg, err := os.ReadFile(filepath.Join("testdata", "v4-epochs.bin"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if seg[1] != 4 {
+		tb.Fatalf("v4-epochs.bin stamped %d", seg[1])
+	}
+	return seg[:frameHdrSize+int(binary.LittleEndian.Uint32(seg[4:]))+4]
+}
+
 // TestReadFrameVersionByte pins the one-version rule: Version is
 // accepted with any known flags, and every other byte — the previous
 // version's included, raw or compressed — is ErrVersion whatever else
@@ -261,6 +282,7 @@ func TestReadFrameVersionByte(t *testing.T) {
 		{"current compressed", comp, nil},
 		{"previous raw", restamp(raw, Version-1, 0), ErrVersion},
 		{"previous compressed", restamp(comp, Version-1, FlagCompressed), ErrVersion},
+		{"version 4 as written", v4Frame(t), ErrVersion},
 		{"zero", restamp(raw, 0, 0), ErrVersion},
 		{"next", restamp(raw, Version+1, 0), ErrVersion},
 		{"next with flags", restamp(comp, Version+1, FlagCompressed), ErrVersion},

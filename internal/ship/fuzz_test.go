@@ -11,7 +11,7 @@ import (
 )
 
 // fuzzSeeds are valid frames of every kind plus pathological inputs.
-func fuzzSeeds() [][]byte {
+func fuzzSeeds(tb testing.TB) [][]byte {
 	rng := rand.New(rand.NewSource(11))
 	enc := testEpoch(rng, 5)
 	seeds := [][]byte{
@@ -39,6 +39,9 @@ func fuzzSeeds() [][]byte {
 		restamp(v3, 3, 0),
 		restamp(full, Version+1, 0),
 	)
+	// A genuine version-4 epoch (txn ID and timestamp in every entry),
+	// as that build stamped it: refused on its version byte.
+	seeds = append(seeds, v4Frame(tb))
 	// A compressed epoch, a compressed epoch with a mangled flate
 	// stream, and hostile count/length headers.
 	cenc := testEpoch(rng, 6)
@@ -128,7 +131,7 @@ func checkReadFrame(t *testing.T, data []byte) {
 // returns a typed ErrCorrupt/ErrShortFrame/ErrVersion (mirrors
 // internal/wal's codec fuzz).
 func FuzzReadFrame(f *testing.F) {
-	for _, s := range fuzzSeeds() {
+	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -23,8 +23,7 @@ func Calibrate() Costs {
 	frames := make([][]byte, samples)
 	for i := range entries {
 		entries[i] = wal.Entry{
-			Type: wal.TypeUpdate, TxnID: uint64(i/10 + 1),
-			Timestamp: int64(i), Table: wal.TableID(rng.Intn(8) + 1),
+			Type: wal.TypeUpdate, Table: wal.TableID(rng.Intn(8) + 1),
 			RowKey: rng.Uint64() % 100000,
 			Columns: []wal.Column{
 				{ID: 1, Value: make([]byte, 8)},

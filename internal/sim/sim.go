@@ -109,7 +109,7 @@ type Trace struct {
 // form under the given plan.
 func BuildTrace(txns []wal.Txn, plan *grouping.Plan, epochSize int) *Trace {
 	tr := &Trace{Plan: plan, EpochSize: epochSize}
-	lastWriter := make(map[uint64]int) // row hash → trace index
+	priorWriter := make(map[uint64]int) // row hash → trace index
 	for i := range txns {
 		t := &txns[i]
 		st := Txn{ID: t.ID, Entries: len(t.Entries), PerGroup: make(map[int]int)}
@@ -121,10 +121,10 @@ func BuildTrace(txns []wal.Txn, plan *grouping.Plan, epochSize int) *Trace {
 			}
 			h := rowKey(e.Table, e.RowKey)
 			st.Rows = append(st.Rows, h)
-			if p, ok := lastWriter[h]; ok && p != i {
+			if p, ok := priorWriter[h]; ok && p != i {
 				predSet[p] = struct{}{}
 			}
-			lastWriter[h] = i
+			priorWriter[h] = i
 		}
 		for p := range predSet {
 			st.Preds = append(st.Preds, p)

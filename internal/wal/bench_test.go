@@ -11,8 +11,7 @@ func benchEntries(n int) ([]Entry, [][]byte) {
 	frames := make([][]byte, n)
 	for i := range entries {
 		entries[i] = Entry{
-			Type: TypeUpdate, TxnID: uint64(i/10 + 1),
-			Timestamp: int64(i) * 1000, Table: TableID(rng.Intn(8) + 1),
+			Type: TypeUpdate, Table: TableID(rng.Intn(8) + 1),
 			RowKey: rng.Uint64() % 100000, WriteSeq: uint64(i),
 			Columns: []Column{
 				{ID: 1, Value: make([]byte, 8)},
@@ -28,8 +27,7 @@ func BenchmarkEncode(b *testing.B) {
 	entries, _ := benchEntries(1024)
 	buf := make([]byte, 0, 1<<16)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		buf = AppendEncode(buf[:0], &entries[i%len(entries)])
 	}
 }
@@ -37,8 +35,7 @@ func BenchmarkEncode(b *testing.B) {
 func BenchmarkDecode(b *testing.B) {
 	_, frames := benchEntries(1024)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if _, _, err := Decode(frames[i%len(frames)]); err != nil {
 			b.Fatal(err)
 		}
@@ -48,8 +45,7 @@ func BenchmarkDecode(b *testing.B) {
 func BenchmarkDecodeHeader(b *testing.B) {
 	_, frames := benchEntries(1024)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if _, _, err := DecodeHeader(frames[i%len(frames)]); err != nil {
 			b.Fatal(err)
 		}

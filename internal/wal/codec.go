@@ -7,20 +7,29 @@ import (
 	"slices"
 )
 
-// Binary layout of one encoded entry:
+// Binary layout of one encoded entry, in one of three shapes:
+//
+//	BEGIN   frameLen | type
+//	DML     frameLen | type | tableID | rowKey | writeSeq | ncols | cols
+//	COMMIT  frameLen | type | txnID | commitTS
 //
 //	frameLen  uvarint   length of everything after this field
 //	type      uint8
-//	txnID     uvarint
-//	timestamp varint
-//	tableID   uvarint   (DML only)
-//	rowKey    uvarint   (DML only)
-//	prevTxn   uvarint   (DML only)
-//	writeSeq  uvarint   (DML only)
-//	ncols     uvarint   (DML only)
+//	tableID   uvarint
+//	rowKey    uvarint
+//	writeSeq  uvarint
+//	ncols     uvarint
 //	cols      ncols × (uvarint id, uvarint len, bytes value)
+//	txnID     uvarint
+//	commitTS  varint
 //
 // The frame length allows a reader to skip entries without decoding them.
+// A transaction's identity is written once, on its COMMIT: its BEGIN and
+// DML entries belong to it by position, between its BEGIN and its COMMIT.
+// A single-frame decode of a BEGIN or DML entry therefore reports TxnID
+// and Timestamp 0; DecodeStream fills both in from the COMMIT, and the
+// stream readers (dispatch, the baselines) name a transaction when they
+// reach its COMMIT.
 // Entries only travel and rest inside an epoch buffer, so an entry carries
 // neither an LSN nor a checksum: entry i's LSN is the epoch header's
 // firstLSN+i (epoch.Encoded.FirstLSN), and the EPOCH frame is checked once
@@ -64,12 +73,13 @@ func payloadOf(buf []byte) ([]byte, int, error) {
 func AppendEncode(buf []byte, e *Entry) []byte {
 	start := len(buf)
 	buf = append(buf, 0, byte(e.Type)) // one frameLen byte holds a payload under 128
-	buf = binary.AppendUvarint(buf, e.TxnID)
-	buf = binary.AppendVarint(buf, e.Timestamp)
-	if e.Type.IsDML() {
+	switch {
+	case e.Type == TypeCommit:
+		buf = binary.AppendUvarint(buf, e.TxnID)
+		buf = binary.AppendVarint(buf, e.Timestamp)
+	case e.Type.IsDML():
 		buf = binary.AppendUvarint(buf, uint64(e.Table))
 		buf = binary.AppendUvarint(buf, e.RowKey)
-		buf = binary.AppendUvarint(buf, e.PrevTxn)
 		buf = binary.AppendUvarint(buf, e.WriteSeq)
 		buf = binary.AppendUvarint(buf, uint64(len(e.Columns)))
 		for _, c := range e.Columns {
@@ -134,12 +144,13 @@ func decode(buf []byte, window []Column, alias bool) (Entry, int, error) {
 	}
 	r := reader{buf: payload}
 	e.Type = LogType(r.byte())
-	e.TxnID = r.uvarint()
-	e.Timestamp = r.varint()
-	if e.Type.IsDML() {
+	switch {
+	case e.Type == TypeCommit:
+		e.TxnID = r.uvarint()
+		e.Timestamp = r.varint()
+	case e.Type.IsDML():
 		e.Table = TableID(r.uvarint())
 		e.RowKey = r.uvarint()
-		e.PrevTxn = r.uvarint()
 		e.WriteSeq = r.uvarint()
 		ncols := r.uvarint()
 		if ncols > maxColumns(len(payload)) {
@@ -203,7 +214,7 @@ func (r *reader) uvarint() uint64 {
 }
 
 // skipUvarints advances past n uvarints without decoding them: dispatch's
-// header scan steps over three fields it does not route on, for every DML
+// header scan steps over two fields it does not route on, for every DML
 // entry of every epoch. It does not police over-long encodings; the full
 // decode of the same bytes does.
 func (r *reader) skipUvarints(n int) {

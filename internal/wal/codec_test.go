@@ -10,18 +10,18 @@ import (
 	"testing/quick"
 )
 
-// genEntry builds a random valid entry.
+// genEntry builds a random valid entry as a single frame carries it: a
+// COMMIT with its txn ID and commit timestamp, a BEGIN or DML entry
+// without either.
 func genEntry(r *rand.Rand) Entry {
 	types := []LogType{TypeBegin, TypeCommit, TypeInsert, TypeUpdate, TypeDelete}
-	e := Entry{
-		Type:      types[r.Intn(len(types))],
-		TxnID:     r.Uint64(),
-		Timestamp: r.Int63(),
+	e := Entry{Type: types[r.Intn(len(types))]}
+	if e.Type == TypeCommit {
+		e.TxnID, e.Timestamp = r.Uint64(), r.Int63()
 	}
 	if e.Type.IsDML() {
 		e.Table = TableID(r.Uint32())
 		e.RowKey = r.Uint64()
-		e.PrevTxn = r.Uint64()
 		e.WriteSeq = r.Uint64()
 		if e.Type != TypeDelete {
 			n := 1 + r.Intn(6)
@@ -39,8 +39,7 @@ func genEntry(r *rand.Rand) Entry {
 func entriesEqual(a, b Entry) bool {
 	if a.Type != b.Type || a.LSN != b.LSN || a.TxnID != b.TxnID ||
 		a.Timestamp != b.Timestamp || a.Table != b.Table ||
-		a.RowKey != b.RowKey || a.PrevTxn != b.PrevTxn ||
-		a.WriteSeq != b.WriteSeq || len(a.Columns) != len(b.Columns) {
+		a.RowKey != b.RowKey || a.WriteSeq != b.WriteSeq || len(a.Columns) != len(b.Columns) {
 		return false
 	}
 	for i := range a.Columns {
@@ -87,7 +86,7 @@ func TestDecodeHeaderMatchesFullDecode(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	e := Entry{Type: TypeInsert, TxnID: 9, Timestamp: 9, Table: 1, RowKey: 2,
+	e := Entry{Type: TypeInsert, Table: 1, RowKey: 2,
 		Columns: []Column{{ID: 1, Value: []byte("abcdef")}}}
 	buf := Encode(&e)
 	for cut := 0; cut < len(buf); cut++ {
@@ -98,7 +97,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsInvalidType(t *testing.T) {
-	e := Entry{Type: TypeBegin, TxnID: 1, Timestamp: 1}
+	e := Entry{Type: TypeBegin}
 	buf := Encode(&e)
 	buf[1] = 0xee // the type byte leads the payload, after a one-byte frameLen
 	if _, _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
@@ -200,7 +199,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	// An UPDATE claiming 2^40 columns over a payload of a few bytes: the
 	// header scan must refuse it before its count sizes anything, and so
 	// must Decode.
-	over := []byte{byte(TypeUpdate), 1, 2, 1, 1, 0, 0}
+	over := []byte{byte(TypeUpdate), 1, 1, 0} // table, row key, write seq
 	over = binary.AppendUvarint(over, 1<<40)
 	frame := append(binary.AppendUvarint(nil, uint64(len(over))), over...)
 	if _, _, err := DecodeHeader(frame); !errors.Is(err, ErrCorrupt) {
@@ -215,7 +214,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 // encodes the same whatever its LSN, and a single-frame decode leaves the
 // LSN 0 (DecodeStream numbers a stream; see TestStreamEncodeDecode).
 func TestEncodeDropsLSN(t *testing.T) {
-	e := Entry{Type: TypeUpdate, TxnID: 3, Timestamp: 4, Table: 1, RowKey: 2,
+	e := Entry{Type: TypeUpdate, Table: 1, RowKey: 2,
 		Columns: []Column{{ID: 1, Value: []byte("v")}}}
 	numbered := e
 	numbered.LSN = 1 << 40
@@ -235,7 +234,7 @@ func TestEncodeDropsLSN(t *testing.T) {
 // overflows 64 bits or claims more than the buffer holds.
 func TestFrameLenPrefix(t *testing.T) {
 	for _, size := range []int{0, 1, 100, 127, 128, 300, 16383, 16384, 70000} {
-		e := Entry{Type: TypeInsert, TxnID: 1, Timestamp: 1, Table: 1, RowKey: 1,
+		e := Entry{Type: TypeInsert, Table: 1, RowKey: 1,
 			Columns: []Column{{ID: 1, Value: bytes.Repeat([]byte{7}, size)}}}
 		buf := Encode(&e)
 		n, k := binary.Uvarint(buf)
@@ -246,7 +245,7 @@ func TestFrameLenPrefix(t *testing.T) {
 			t.Fatalf("value %d bytes: %v", size, err)
 		}
 	}
-	body := Encode(&Entry{Type: TypeBegin, TxnID: 1, Timestamp: 1})[1:]
+	body := Encode(&Entry{Type: TypeCommit, TxnID: 1, Timestamp: 1})[1:]
 	for name, frame := range map[string][]byte{
 		"empty":        {},
 		"cut prefix":   {0x80},

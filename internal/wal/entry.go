@@ -1,12 +1,14 @@
 // Package wal defines the replication value-log format used by AETS.
 //
 // The format follows Figure 2 of the paper: every entry has a log type, a
-// log sequence number (LSN, implied by its position in the epoch), the ID
-// of the transaction that produced it, the creation timestamp, and — for
-// DML entries — the table it modifies, the row key, and the list of
-// (column ID, new value) pairs. The log is a value log in the style of
-// SiloR: it records physical after-images, never commands, so replaying it
-// requires no re-execution and no rollback.
+// log sequence number (LSN), the ID of the transaction that produced it,
+// its commit timestamp, and — for DML entries — the table it modifies, the
+// row key, and the list of (column ID, new value) pairs. Fields a position
+// implies are not written: the LSN is the entry's position in its epoch,
+// and the transaction ID and timestamp are written once, on the COMMIT
+// that closes the entries between it and their BEGIN. The log is a value
+// log in the style of SiloR: it records physical after-images, never
+// commands, so replaying it requires no re-execution and no rollback.
 package wal
 
 import "fmt"
@@ -61,10 +63,12 @@ type Column struct {
 // Entry is a single replication log entry.
 //
 // TxnID is monotonically increasing on the primary and represents the commit
-// order of transactions; Timestamp is the primary's creation time of the
-// entry in nanoseconds. For framing entries (Begin/Commit) the Table, RowKey
-// and Columns fields are zero. LSN is not encoded: DecodeStream numbers a
-// stream from its epoch's first LSN, and a single-frame Decode leaves it 0.
+// order of transactions; Timestamp is the transaction's commit timestamp in
+// nanoseconds. For framing entries (Begin/Commit) the Table, RowKey
+// and Columns fields are zero. LSN is never encoded, and TxnID and
+// Timestamp only on a COMMIT: DecodeStream numbers a stream from its
+// epoch's first LSN and fills the other two in from each transaction's
+// COMMIT, and a single-frame Decode leaves them 0.
 type Entry struct {
 	Type      LogType
 	LSN       uint64
@@ -74,19 +78,16 @@ type Entry struct {
 	RowKey    uint64
 	Columns   []Column
 
-	// PrevTxn is the ID of the previous transaction that modified this row
-	// on the primary, or 0 for the first write.
-	PrevTxn uint64
-
 	// WriteSeq is the number of committed writes this row had received on
-	// the primary before this entry. Together with PrevTxn it is the
-	// compressed equivalent of the before-image that value logs such as
-	// ATR's carry: comparing the record's current state against the
-	// before-image answers exactly "have all my predecessors been
-	// applied?", which the pair answers directly. (TxnID alone is not
-	// enough: a transaction may write the same row twice, and a successor
-	// must not be admitted between those two writes.) AETS and C5 ignore
-	// both; the ATR baseline's operation sequence check depends on them.
+	// the primary before this entry. It is the compressed equivalent of the
+	// before-image that value logs such as ATR's carry: comparing the
+	// record's current state against the before-image answers exactly
+	// "have all my predecessors been applied?", and so does comparing the
+	// record's installed-version count against WriteSeq. (A writer's TxnID
+	// is not enough: a transaction may write the same row twice, and a
+	// successor must not be admitted between those two writes.) AETS and
+	// C5 ignore it; the ATR baseline's operation sequence check depends on
+	// it.
 	WriteSeq uint64
 }
 
@@ -119,11 +120,11 @@ func (e *Entry) Validate() error {
 	switch e.Type {
 	case TypeBegin, TypeCommit:
 		if len(e.Columns) != 0 {
-			return fmt.Errorf("wal: %s entry of txn %d carries %d columns", e.Type, e.TxnID, len(e.Columns))
+			return fmt.Errorf("wal: %s entry carries %d columns", e.Type, len(e.Columns))
 		}
 	case TypeInsert, TypeUpdate:
 		if len(e.Columns) == 0 {
-			return fmt.Errorf("wal: %s entry of txn %d has no columns", e.Type, e.TxnID)
+			return fmt.Errorf("wal: %s entry has no columns", e.Type)
 		}
 	case TypeDelete:
 		// A delete carries only the row key.

@@ -67,7 +67,9 @@ func checkDecodeInto(t *testing.T, buf []byte) bool {
 }
 
 // FuzzDecode drives checkDecodeInto with arbitrary bytes, seeded with
-// valid frames of every entry type, an empty buffer, a frame whose length
+// valid frames of every entry type (random ones, then the smallest frame
+// of each of the three shapes: BEGIN, a column-less DELETE, COMMIT), an
+// empty buffer, a frame whose length
 // prefix claims no payload at all, and hostile length prefixes: an
 // 11-byte over-long uvarint, a length one past the buffer, and 2^64-1.
 func FuzzDecode(f *testing.F) {
@@ -76,7 +78,10 @@ func FuzzDecode(f *testing.F) {
 		e := genEntry(rng)
 		f.Add(Encode(&e))
 	}
-	body := Encode(&Entry{Type: TypeBegin, TxnID: 1, Timestamp: 1})[1:] // after a one-byte prefix
+	for _, e := range []Entry{{Type: TypeBegin}, {Type: TypeDelete}, {Type: TypeCommit}} {
+		f.Add(Encode(&e))
+	}
+	body := Encode(&Entry{Type: TypeCommit, TxnID: 1, Timestamp: 1})[1:] // after a one-byte prefix
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add(append(append(bytes.Repeat([]byte{0x80}, 10), 0), body...))

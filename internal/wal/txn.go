@@ -74,7 +74,8 @@ func AssembleTxns(entries []Entry) ([]Txn, error) {
 }
 
 // FlattenTxns is the inverse of AssembleTxns: it re-frames transactions into
-// a flat entry stream with BEGIN/COMMIT markers.
+// a flat entry stream with BEGIN/COMMIT markers, every entry carrying its
+// transaction's ID and commit timestamp as DecodeStream attributes them.
 func FlattenTxns(txns []Txn) []Entry {
 	var out []Entry
 	for i := range txns {
@@ -82,7 +83,7 @@ func FlattenTxns(txns []Txn) []Entry {
 		out = append(out, Entry{Type: TypeBegin, TxnID: t.ID, Timestamp: t.CommitTS})
 		for j := range t.Entries {
 			e := t.Entries[j]
-			e.TxnID = t.ID
+			e.TxnID, e.Timestamp = t.ID, t.CommitTS
 			out = append(out, e)
 		}
 		out = append(out, Entry{Type: TypeCommit, TxnID: t.ID, Timestamp: t.CommitTS})
