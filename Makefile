@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz chaos chaos-cluster smoke bench-smoke ci bench-json bench-diff bench-e2e
+.PHONY: all build vet gofmt deadcode test race fuzz chaos chaos-cluster smoke bench-smoke ci bench-json bench-diff bench-e2e
 
 all: ci
 
@@ -9,6 +9,16 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail on any file gofmt would rewrite.
+gofmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# Fail on any function under internal/ that no product binary links,
+# unless tools/deadcode/allow.txt names it with the test that needs it
+# (and on an allowlist entry that is linked or gone).
+deadcode:
+	$(GO) run ./tools/deadcode
 
 test:
 	$(GO) test ./...
@@ -36,8 +46,7 @@ race:
 # in-tree DEFLATE encoder (its body is the size it planned, both
 # decoders reproduce the input, and only a body not smaller than the
 # input falls back to raw), the memtable scan variants (Scan/ScanAny vs
-# a flat-map reference), the columnar segment decoder
-# (hostile length prefixes must fail cleanly), the read planner
+# a flat-map reference), the read planner
 # differential (the columnar and both empty-base executors vs a
 # planner-free oracle across random freeze schedules), the checkpoint
 # reader (corrupt or truncated files must fail cleanly), the spool
@@ -54,7 +63,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzInflate -fuzztime=10s ./internal/ship/
 	$(GO) test -run='^$$' -fuzz=FuzzDeflate -fuzztime=10s ./internal/ship/
 	$(GO) test -run='^$$' -fuzz=FuzzScanVariants -fuzztime=10s ./internal/memtable/
-	$(GO) test -run='^$$' -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/colstore/
 	$(GO) test -run='^$$' -fuzz=FuzzColumnarScan -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=10s ./internal/checkpoint/
 	$(GO) test -run='^$$' -fuzz=FuzzScanSegment -fuzztime=10s ./internal/recovery/
@@ -150,4 +158,4 @@ bench-diff:
 bench-e2e:
 	$(GO) run ./bench
 
-ci: build vet test race chaos chaos-cluster bench-smoke smoke
+ci: build vet gofmt deadcode test race chaos chaos-cluster bench-smoke smoke

@@ -210,10 +210,9 @@ func predictorSeries() ([][]float64, [][]float64) {
 func BenchmarkTable3Predictors(b *testing.B) {
 	series, adj := predictorSeries()
 	models := map[string]func() predictor.Predictor{
-		"HA":          func() predictor.Predictor { return predictor.NewHA() },
-		"ARIMA":       func() predictor.Predictor { return predictor.NewARIMA() },
-		"HoltWinters": func() predictor.Predictor { return predictor.NewHoltWinters(workload.BusDayPeriod) },
-		"QB5000":      func() predictor.Predictor { q := predictor.NewQB5000(); q.Epochs = 3; return q },
+		"HA":     func() predictor.Predictor { return predictor.NewHA() },
+		"ARIMA":  func() predictor.Predictor { return predictor.NewARIMA() },
+		"QB5000": func() predictor.Predictor { q := predictor.NewQB5000(); q.Epochs = 3; return q },
 		"DTGM": func() predictor.Predictor {
 			cfg := predictor.DefaultDTGMConfig(15)
 			cfg.Hidden, cfg.Epochs = 12, 4
@@ -222,7 +221,7 @@ func BenchmarkTable3Predictors(b *testing.B) {
 	}
 	for name, mk := range models {
 		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				mape, err := predictor.Evaluate(mk(), series, 300, 60, 15)
 				if err != nil {
 					b.Fatal(err)
@@ -241,7 +240,7 @@ func BenchmarkTable4GCNAblation(b *testing.B) {
 			name = "DTGM-wo-gcn"
 		}
 		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				cfg := predictor.DefaultDTGMConfig(15)
 				cfg.Hidden, cfg.Epochs, cfg.UseGCN = 12, 4, useGCN
 				mape, err := predictor.Evaluate(predictor.NewDTGM(adj, cfg), series, 300, 60, 15)

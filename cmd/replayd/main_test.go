@@ -197,7 +197,7 @@ func TestMaintenanceFollowsLiveNode(t *testing.T) {
 	before := tgt.Node()
 	waitFor("original node compacted", func() bool { return frozen[before] > 0 })
 
-	cursor, size, rc, err := src.Snapshot()
+	cursor, size, rc, err := (&htap.NodeSnapshotSource{N: src.Node()}).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,15 @@ import (
 	"testing/quick"
 )
 
+// linearUrgency uses λ = r directly — the numerically unstable alternative
+// the paper argues against (a rate of 1000 would grab 1000× the threads).
+func linearUrgency(rate float64) float64 { return max(rate, 1) }
+
 // TestUrgencyOrderingProperty: across random loads, a group's allocation
 // never decreases when its rate increases (everything else fixed) — for
 // the log urgency the paper argues for and the linear variant it rejects.
 func TestUrgencyOrderingProperty(t *testing.T) {
-	for _, u := range []UrgencyFunc{LogUrgency, LinearUrgency} {
+	for _, u := range []UrgencyFunc{LogUrgency, linearUrgency} {
 		f := func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))
 			n := 2 + r.Intn(8)
@@ -42,7 +46,7 @@ func TestLinearUrgencyStarvation(t *testing.T) {
 		{Unreplayed: 1 << 20, Rate: 10},
 		{Unreplayed: 1 << 20, Rate: 10},
 	}
-	linear := Allocate(24, groups, LinearUrgency)
+	linear := Allocate(24, groups, linearUrgency)
 	logd := Allocate(24, groups, LogUrgency)
 
 	if linear[1] != 1 || linear[2] != 1 {

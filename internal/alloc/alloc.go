@@ -24,16 +24,6 @@ func LogUrgency(rate float64) float64 {
 	return math.Log10(rate)
 }
 
-// LinearUrgency uses λ = r directly — the numerically unstable alternative
-// the paper argues against (a rate of 1000 would grab 1000× the threads).
-// Kept for the ablation benchmark.
-func LinearUrgency(rate float64) float64 {
-	if rate < 1 {
-		return 1
-	}
-	return rate
-}
-
 // NoURgency ignores the access rate entirely (λ = 1): the AETS-NOAC
 // configuration of Fig 13, which allocates threads by log size only.
 func NoURgency(float64) float64 { return 1 }

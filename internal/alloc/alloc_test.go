@@ -119,9 +119,6 @@ func TestUrgencyFunctions(t *testing.T) {
 	if LogUrgency(5) != 1 {
 		t.Fatalf("LogUrgency(5) = %v, want clamp to 1", LogUrgency(5))
 	}
-	if LinearUrgency(1000) != 1000 || LinearUrgency(0.1) != 1 {
-		t.Fatal("LinearUrgency broken")
-	}
 	if NoURgency(12345) != 1 {
 		t.Fatal("NoURgency must ignore rate")
 	}

@@ -43,9 +43,6 @@ type ATR struct {
 	errMu  sync.Mutex
 	err    error
 	failed atomic.Bool // err is set: a sequence check may wait on writes that never come
-
-	txns    atomic.Int64
-	entries atomic.Int64
 }
 
 // atrTxn is one dispatched transaction. done is closed by the worker after
@@ -72,9 +69,6 @@ func NewATR(mt *memtable.Memtable, workers int) *ATR {
 
 // Name implements the Replayer interface.
 func (a *ATR) Name() string { return "ATR" }
-
-// Memtable returns the replayer's storage engine.
-func (a *ATR) Memtable() *memtable.Memtable { return a.mt }
 
 // Start launches the dispatcher, worker and visibility goroutines.
 // Idempotent; a stopped replayer cannot be restarted.
@@ -120,9 +114,6 @@ func (a *ATR) Err() error {
 	defer a.errMu.Unlock()
 	return a.err
 }
-
-// Stats returns totals replayed since Start.
-func (a *ATR) Stats() (txns, entries int64) { return a.txns.Load(), a.entries.Load() }
 
 // WaitVisible blocks until the snapshot timestamp reaches qts. ATR has no
 // table groups, so the table set is ignored: everything becomes visible in
@@ -224,9 +215,7 @@ func (a *ATR) worker(q chan *atrTxn) {
 				Deleted:  e.Type == wal.TypeDelete,
 				Columns:  e.Columns,
 			})
-			a.entries.Add(1)
 		}
-		a.txns.Add(1)
 		close(t.done)
 	}
 }

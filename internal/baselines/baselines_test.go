@@ -22,7 +22,6 @@ type replayerUnderTest interface {
 	WaitVisible(int64, []wal.TableID)
 	GlobalTS() int64
 	Err() error
-	Memtable() *memtable.Memtable
 }
 
 func runBaseline(t *testing.T, r replayerUnderTest, txns []wal.Txn, epochSize int) {

@@ -43,9 +43,6 @@ type C5 struct {
 
 	errMu sync.Mutex
 	err   error
-
-	txns    atomic.Int64
-	entries atomic.Int64
 }
 
 // paddedTS and paddedCount avoid false sharing between per-worker counters.
@@ -87,9 +84,6 @@ func NewC5(mt *memtable.Memtable, workers int, period time.Duration) *C5 {
 
 // Name implements the Replayer interface.
 func (c *C5) Name() string { return "C5" }
-
-// Memtable returns the replayer's storage engine.
-func (c *C5) Memtable() *memtable.Memtable { return c.mt }
 
 // Start launches the dispatcher, workers and snapshot ticker. Idempotent;
 // a stopped replayer cannot be restarted.
@@ -137,9 +131,6 @@ func (c *C5) Err() error {
 	defer c.errMu.Unlock()
 	return c.err
 }
-
-// Stats returns totals replayed since Start.
-func (c *C5) Stats() (txns, entries int64) { return c.txns.Load(), c.entries.Load() }
 
 // WaitVisible blocks until the periodic snapshot reaches qts; C5's
 // visibility is global, so the table set is ignored.
@@ -208,7 +199,6 @@ func (c *C5) dispatchEpoch(enc *epoch.Encoded) error {
 				c.queues[w] <- c5Item{entry: pending[i], commitTS: e.Timestamp, ep: ep}
 			}
 			c.lastDispatched.Store(e.Timestamp)
-			c.txns.Add(1)
 			inTxn = false
 		default:
 			if !inTxn {
@@ -250,7 +240,6 @@ func (c *C5) worker(i int) {
 			Deleted:  e.Type == wal.TypeDelete,
 			Columns:  e.Columns,
 		})
-		c.entries.Add(1)
 		c.applied[i].v.Store(item.commitTS)
 		c.backlog[i].v.Add(-1)
 		c.epochDone(item.ep, item.ep.remaining.Add(-1))

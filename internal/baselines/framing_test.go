@@ -36,7 +36,7 @@ func TestFramingErrorsRejected(t *testing.T) {
 		if _, err := wal.DecodeStream(enc.Buf, enc.FirstLSN); err == nil {
 			t.Errorf("%s: wal.DecodeStream accepted it", name)
 		}
-		if _, err := dispatch.Dispatch(enc, plan); err == nil {
+		if _, err := dispatch.NewBuffers().Dispatch(enc, plan); err == nil {
 			t.Errorf("%s: dispatch accepted it", name)
 		}
 		for _, r := range []replayerUnderTest{NewATR(memtable.New(), 2), NewC5(memtable.New(), 2, time.Millisecond)} {

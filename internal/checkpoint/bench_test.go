@@ -24,7 +24,7 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 	mt, meta := benchState(b)
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := Write(io.Discard, mt, meta); err != nil {
+		if err := WriteWith(io.Discard, mt, meta, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 func BenchmarkCheckpointRead(b *testing.B) {
 	mt, meta := benchState(b)
 	var buf bytes.Buffer
-	if err := Write(&buf, mt, meta); err != nil {
+	if err := WriteWith(&buf, mt, meta, nil); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()

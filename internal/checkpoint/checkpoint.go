@@ -78,16 +78,13 @@ func (m Meta) NextEpochSeq() uint64 {
 // exactly this signature).
 type FrozenFunc func(table wal.TableID, key uint64) (txn uint64, ts int64, deleted bool, cols []wal.Column, ok bool)
 
-// Write serialises the Memtable and meta to w. The caller must ensure no
-// concurrent replay is committing while the checkpoint is cut (quiesce at
-// an epoch boundary — the natural point, since epochs commit atomically
-// with respect to Drain).
-func Write(w io.Writer, mt *memtable.Memtable, meta Meta) error {
-	return WriteWith(w, mt, meta, nil)
-}
-
-// WriteWith is Write for columnar nodes: frozen (may be nil) supplies the
-// base-segment image of each record. A record whose chain was emptied by a
+// WriteWith serialises the Memtable and meta to w. The caller must ensure
+// no concurrent replay is committing while the checkpoint is cut (quiesce
+// at an epoch boundary — the natural point, since epochs commit
+// atomically with respect to Drain).
+//
+// On columnar nodes frozen supplies the base-segment image of each record;
+// row-wise nodes pass nil. A record whose chain was emptied by a
 // freeze is emitted as that single image; a record frozen and then
 // re-dirtied gets the image prepended as its oldest version (the chain
 // alone would silently drop columns a read fills down from the segment).
@@ -253,7 +250,7 @@ func Read(r io.Reader) (*memtable.Memtable, Meta, error) {
 	if err != nil {
 		return nil, meta, fmt.Errorf("%w: flags", ErrCorrupt)
 	}
-	if flags &^ 1 != 0 {
+	if flags&^1 != 0 {
 		return nil, meta, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags)
 	}
 	meta.Fed = flags&1 != 0

@@ -46,7 +46,7 @@ func TestNextEpochSeq(t *testing.T) {
 func TestFedFlagRoundTrip(t *testing.T) {
 	for _, fed := range []bool{false, true} {
 		var buf bytes.Buffer
-		if err := Write(&buf, memtable.New(), Meta{Fed: fed}); err != nil {
+		if err := WriteWith(&buf, memtable.New(), Meta{Fed: fed}, nil); err != nil {
 			t.Fatal(err)
 		}
 		_, meta, err := Read(&buf)
@@ -68,7 +68,7 @@ func TestFedFlagRoundTrip(t *testing.T) {
 
 func TestUnknownFlagsRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, memtable.New(), Meta{}); err != nil {
+	if err := WriteWith(&buf, memtable.New(), Meta{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -86,7 +86,7 @@ func TestUnknownFlagsRejected(t *testing.T) {
 func TestRoundTrip(t *testing.T) {
 	mt, meta := populatedMemtable(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, mt, meta); err != nil {
+	if err := WriteWith(&buf, mt, meta, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, gotMeta, err := Read(&buf)
@@ -116,7 +116,7 @@ func TestWriteIndependentOfShardCount(t *testing.T) {
 	for i, shards := range []int{1, 8} {
 		mt := memtable.NewWithShards(shards)
 		reference.Apply(mt, txns)
-		if err := Write(&out[i], mt, meta); err != nil {
+		if err := WriteWith(&out[i], mt, meta, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestWriteIndependentOfShardCount(t *testing.T) {
 
 func TestEmptyMemtableRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, memtable.New(), Meta{LastEpochSeq: 7}); err != nil {
+	if err := WriteWith(&buf, memtable.New(), Meta{LastEpochSeq: 7}, nil); err != nil {
 		t.Fatal(err)
 	}
 	mt, meta, err := Read(&buf)
@@ -142,7 +142,7 @@ func TestEmptyMemtableRoundTrip(t *testing.T) {
 func TestCorruptionRejected(t *testing.T) {
 	mt, meta := populatedMemtable(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, mt, meta); err != nil {
+	if err := WriteWith(&buf, mt, meta, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -166,7 +166,7 @@ func TestCorruptionRejected(t *testing.T) {
 func TestCorruptionErrorType(t *testing.T) {
 	mt, meta := populatedMemtable(t)
 	var buf bytes.Buffer
-	_ = Write(&buf, mt, meta)
+	_ = WriteWith(&buf, mt, meta, nil)
 	data := buf.Bytes()
 	data[len(data)/3] ^= 0x55
 	_, _, err := Read(bytes.NewReader(data))
@@ -190,7 +190,7 @@ func TestResumeReplayAfterRestore(t *testing.T) {
 	nodeA := memtable.New()
 	reference.Apply(nodeA, txns[:500])
 	var buf bytes.Buffer
-	if err := Write(&buf, nodeA, Meta{LastTxnID: txns[499].ID, LastCommitTS: txns[499].CommitTS}); err != nil {
+	if err := WriteWith(&buf, nodeA, Meta{LastTxnID: txns[499].ID, LastCommitTS: txns[499].CommitTS}, nil); err != nil {
 		t.Fatal(err)
 	}
 

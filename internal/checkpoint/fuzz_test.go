@@ -25,7 +25,7 @@ func fuzzSeedV2(tb testing.TB) []byte {
 	mt.Table(5).GetOrCreate(42).Append(&memtable.Version{TxnID: 3, CommitTS: 30,
 		Columns: []wal.Column{{ID: 1, Value: nil}}})
 	var buf bytes.Buffer
-	if err := Write(&buf, mt, Meta{LastEpochSeq: 4, LastTxnID: 3, LastCommitTS: 30, Fed: true}); err != nil {
+	if err := WriteWith(&buf, mt, Meta{LastEpochSeq: 4, LastTxnID: 3, LastCommitTS: 30, Fed: true}, nil); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -67,7 +67,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(fuzzSeedV2(f))
 	f.Add(fuzzSeedV1(f))
 	var empty bytes.Buffer
-	if err := Write(&empty, memtable.New(), Meta{}); err != nil {
+	if err := WriteWith(&empty, memtable.New(), Meta{}, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
@@ -84,7 +84,7 @@ func FuzzRead(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, mt, meta); err != nil {
+		if err := WriteWith(&buf, mt, meta, nil); err != nil {
 			t.Fatalf("re-write of accepted stream: %v", err)
 		}
 		if _, _, err := Read(&buf); err != nil {

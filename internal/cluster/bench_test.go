@@ -15,8 +15,7 @@ func BenchmarkRouteQuery(b *testing.B) {
 	for _, n := range []int{1, 3, 8, 64} {
 		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
 			m := cluster.NewMetrics(metrics.NewRegistry())
-			sim, err := cluster.NewSimulator(cluster.SimConfig{
-				Replicas: n, Seed: 42, MaxLag: 1000, Metrics: m})
+			sim, err := cluster.NewSimulator(cluster.SimConfig{Replicas: n, Seed: 42, MaxLag: 1000})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -68,13 +68,16 @@ func (l *chaosListener) kill() {
 // chaosReplica is one replica process stand-in: a recovery supervisor
 // over its own durable spool/checkpoint dirs, fed by a ship.Receiver
 // behind a killable listener. Restarting builds a brand-new supervisor
-// from the same dirs and swaps it into the long-lived membership entry.
+// from the same dirs. It is its own long-lived routing entry
+// (cluster.Replica and cluster.Snapshotter): down while killed, then
+// backed by the current life's supervisor.
 type chaosReplica struct {
 	id       string
 	spoolDir string
 	ckptDir  string
 	reg      *metrics.Registry
-	rep      *cluster.SupervisorReplica
+	down     atomic.Bool
+	cur      atomic.Pointer[cluster.SupervisorReplica]
 
 	// compress advertises CapFlate, fixed for all of the replica's lives.
 	compress bool
@@ -103,8 +106,19 @@ func newChaosReplica(t *testing.T, id string, compress bool) *chaosReplica {
 		t.Fatal(err)
 	}
 	cr.start(t)
-	cr.rep = cluster.NewSupervisorReplica(id, cr.sup)
 	return cr
+}
+
+func (cr *chaosReplica) ID() string       { return cr.id }
+func (cr *chaosReplica) VisibleTS() int64 { return cr.cur.Load().VisibleTS() }
+func (cr *chaosReplica) Healthy() bool    { return !cr.down.Load() && cr.cur.Load().Healthy() }
+
+func (cr *chaosReplica) WaitVisible(qts int64, tables []wal.TableID) bool {
+	return cr.cur.Load().WaitVisible(qts, tables)
+}
+
+func (cr *chaosReplica) Query(qts int64, tables ...wal.TableID) *query.Snapshot {
+	return cr.cur.Load().Query(qts, tables...)
 }
 
 // start opens (or reopens) the replica: supervisor restored from
@@ -157,6 +171,7 @@ func (cr *chaosReplica) start(t *testing.T) {
 	}
 	ln := &chaosListener{Listener: base}
 	cr.spool, cr.sup, cr.ln = spool, sup, ln
+	cr.cur.Store(cluster.NewSupervisorReplica(cr.id, sup))
 	cr.addr.Store(ln.Addr().String())
 	cr.serveWG.Add(1)
 	go func() {
@@ -178,9 +193,9 @@ func (cr *chaosReplica) start(t *testing.T) {
 // kill hard-crashes the replica: mark it down for routing, sever every
 // connection, abandon the supervisor with no drain and no parting
 // checkpoint. Durability is whatever spool + checkpoints already hold.
-func (cr *chaosReplica) kill(t *testing.T, members *cluster.Membership) {
+func (cr *chaosReplica) kill(t *testing.T) {
 	t.Helper()
-	members.SetDown(cr.id, true)
+	cr.down.Store(true)
 	cr.addr.Store("")
 	cr.ln.kill()
 	cr.serveWG.Wait()
@@ -195,11 +210,10 @@ func (cr *chaosReplica) kill(t *testing.T, members *cluster.Membership) {
 // restart recovers the replica from its durable state and rejoins it to
 // the cluster; the fan-out's sender for this peer reconnects on its own
 // and resumes from the receiver's restored cursor.
-func (cr *chaosReplica) restart(t *testing.T, members *cluster.Membership) {
+func (cr *chaosReplica) restart(t *testing.T) {
 	t.Helper()
 	cr.start(t)
-	cr.rep.Swap(cr.sup)
-	members.SetDown(cr.id, false)
+	cr.down.Store(false)
 }
 
 // dial targets the replica's current listener; while down it fails fast
@@ -242,14 +256,14 @@ func snapDigest(t *testing.T, sn *query.Snapshot, tables []wal.TableID) string {
 
 // waitCaughtUp blocks until every live replica's visible watermark
 // reaches ts (the fan-out senders' heartbeats push idle links forward).
-func waitCaughtUp(t *testing.T, members *cluster.Membership, ts int64) {
+func waitCaughtUp(t *testing.T, reps []*chaosReplica, ts int64) {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for {
 		behind := ""
-		for _, st := range members.Snapshot() {
-			if !st.Down && st.Healthy && st.VisibleTS < ts {
-				behind = fmt.Sprintf("%s at %d/%d", st.ID, st.VisibleTS, ts)
+		for _, cr := range reps {
+			if vis := cr.VisibleTS(); cr.Healthy() && vis < ts {
+				behind = fmt.Sprintf("%s at %d/%d", cr.id, vis, ts)
 				break
 			}
 		}
@@ -257,7 +271,7 @@ func waitCaughtUp(t *testing.T, members *cluster.Membership, ts int64) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("cluster never caught up: %s (members %+v)", behind, members.Snapshot())
+			t.Fatalf("cluster never caught up: %s", behind)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -299,13 +313,13 @@ func TestClusterChaosRoutedQueriesStayCorrect(t *testing.T) {
 		t.Log("chaos leg: mixed-capability fleet (r0 raw, r1/r2 flate)")
 	}
 	m := cluster.NewMetrics(metrics.NewRegistry())
-	members := cluster.NewMembership(m)
+	members := cluster.NewMembership(nil)
 	reps := make([]*chaosReplica, 3)
 	peers := make([]cluster.Peer, 3)
 	for i := range reps {
 		cr := newChaosReplica(t, fmt.Sprintf("r%d", i), mixed && i > 0)
 		reps[i] = cr
-		if err := members.Add(cr.rep); err != nil {
+		if err := members.Add(cr); err != nil {
 			t.Fatal(err)
 		}
 		peers[i] = cluster.Peer{ID: cr.id, Sender: ship.SenderConfig{
@@ -370,13 +384,13 @@ func TestClusterChaosRoutedQueriesStayCorrect(t *testing.T) {
 	assertZeroBlock := func() {
 		t.Helper()
 		minVis := int64(-1)
-		for _, st := range members.Snapshot() {
-			if !st.Down && st.Healthy && (minVis < 0 || st.VisibleTS < minVis) {
-				minVis = st.VisibleTS
+		for _, cr := range reps {
+			if vis := cr.VisibleTS(); cr.Healthy() && (minVis < 0 || vis < minVis) {
+				minVis = vis
 			}
 		}
 		if minVis <= 0 {
-			t.Fatalf("no live replica with data (members %+v)", members.Snapshot())
+			t.Fatal("no live replica with data")
 		}
 		hits, waits := m.RouteHits.Load(), m.RouteWaits.Load()
 		adm, err := router.Admit(minVis, tables...)
@@ -415,18 +429,18 @@ func TestClusterChaosRoutedQueriesStayCorrect(t *testing.T) {
 			// Hard-kill a random replica mid-stream, route around it,
 			// then bring it back through recovery.
 			victim := rng.Intn(len(reps))
-			reps[victim].kill(t, members)
+			reps[victim].kill(t)
 			kills++
 			// Query immediately, before the survivors have caught up: a
 			// qts ahead of their watermarks parks on the freshest replica
 			// (the wait path) and must still come back reference-equal.
 			verify(sentTS, 2)
-			waitCaughtUp(t, members, sentTS)
+			waitCaughtUp(t, reps, sentTS)
 			verify(sentTS, 4)
 			assertZeroBlock()
-			reps[victim].restart(t, members)
+			reps[victim].restart(t)
 		} else {
-			waitCaughtUp(t, members, sentTS)
+			waitCaughtUp(t, reps, sentTS)
 			verify(sentTS, 4)
 			assertZeroBlock()
 		}
@@ -439,7 +453,7 @@ func TestClusterChaosRoutedQueriesStayCorrect(t *testing.T) {
 	// every kill) must reach the final watermark and match the serial
 	// reference record-for-record.
 	lastTS := encs[len(encs)-1].LastCommitTS
-	waitCaughtUp(t, members, lastTS)
+	waitCaughtUp(t, reps, lastTS)
 	verify(lastTS, 8)
 	assertZeroBlock()
 
@@ -551,16 +565,11 @@ func TestClusterChaosSnapshotCatchup(t *testing.T) {
 	mirror := fanNode(t)
 	defer mirror.Close()
 
-	m := cluster.NewMetrics(metrics.NewRegistry())
-	members := cluster.NewMembership(m)
 	reps := make([]*chaosReplica, 3)
 	peers := make([]cluster.Peer, 3)
 	for i := range reps {
 		cr := newChaosReplica(t, fmt.Sprintf("r%d", i), false)
 		reps[i] = cr
-		if err := members.Add(cr.rep); err != nil {
-			t.Fatal(err)
-		}
 		peers[i] = cluster.Peer{ID: cr.id, Sender: ship.SenderConfig{
 			Dial:           cr.dial,
 			Schema:         fanSchema(),
@@ -599,11 +608,11 @@ func TestClusterChaosSnapshotCatchup(t *testing.T) {
 	q := len(encs) / 4
 
 	// Phase 1 — warm-up, everyone keeps up.
-	waitCaughtUp(t, members, send(0, q))
+	waitCaughtUp(t, reps, send(0, q))
 
 	// Phase 2 — r2 is held down while the stream runs a quarter past its
 	// divergence budget: the queue must shed (counted), not drop the peer.
-	reps[2].kill(t, members)
+	reps[2].kill(t)
 	ts := send(q, 2*q)
 	ovf := freg.Counter(metrics.WithLabel("cluster_peer_overflow_total", "peer", "r2"))
 	if ovf.Load() < 1 {
@@ -612,12 +621,12 @@ func TestClusterChaosSnapshotCatchup(t *testing.T) {
 	if fan.Live() != 3 {
 		t.Fatalf("live peers = %d after shed, want 3", fan.Live())
 	}
-	waitCaughtUp(t, members, ts) // survivors unaffected
+	waitCaughtUp(t, reps, ts) // survivors unaffected
 
 	// Phase 3 — r2 returns and must rejoin via wire snapshot with zero
 	// operator action: no cursor munging, no manual reseed.
-	reps[2].restart(t, members)
-	waitCaughtUp(t, members, send(2*q, 3*q))
+	reps[2].restart(t)
+	waitCaughtUp(t, reps, send(2*q, 3*q))
 	restored2 := reps[2].reg.Counter(metrics.WithLabel("cluster_snapshot_restored_total", "peer", "r2"))
 	if restored2.Load() < 1 {
 		t.Fatalf("cluster_snapshot_restored_total{r2} = %d, want >= 1", restored2.Load())
@@ -628,12 +637,6 @@ func TestClusterChaosSnapshotCatchup(t *testing.T) {
 	for _, st := range fan.Stats() {
 		if st.Err != nil {
 			t.Fatalf("peer %s terminal error: %v", st.ID, st.Err)
-		}
-	}
-	fan.SyncLinkErrs(members)
-	for _, st := range members.Snapshot() {
-		if st.LinkErr != "" {
-			t.Fatalf("replica %s link error %q, want none", st.ID, st.LinkErr)
 		}
 	}
 
@@ -705,7 +708,7 @@ func TestClusterChaosSnapshotCatchup(t *testing.T) {
 	// The mismatch dropped the link; the remaining traffic (at least the
 	// reserve) reconnects it, the WELCOME requests repair, and the
 	// snapshot restores. Resume from i — every epoch ships exactly once.
-	waitCaughtUp(t, members, send(i, len(encs)))
+	waitCaughtUp(t, reps, send(i, len(encs)))
 	deadline := time.Now().Add(60 * time.Second)
 	for restored1.Load() <= resBase {
 		if time.Now().After(deadline) {

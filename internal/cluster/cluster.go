@@ -4,12 +4,9 @@
 //   - Fan-out shipping (Fanout): one epoch stream feeding N downstream
 //     replicas through independent ship.Senders — per-peer cursors,
 //     windows and reconnect state, so a slow or dead replica never
-//     stalls its siblings. A Relay lets a replica re-ship the stream it
-//     applies, turning the star into a tree.
+//     stalls its siblings.
 //
-//   - Membership: the roster of replicas with per-replica health
-//     (visible watermark, primary watermark, replay lag — the node's
-//     PrimaryTS/ReplayLag signals) and in-flight query load.
+//   - Membership: the roster of replicas and their in-flight query load.
 //
 //   - Freshness-aware routing (Router): given a query's snapshot
 //     timestamp and table set, pick the least-loaded live replica whose
@@ -24,7 +21,6 @@
 package cluster
 
 import (
-	"sync/atomic"
 	"time"
 
 	"aets/internal/query"
@@ -42,9 +38,6 @@ type Replica interface {
 	// VisibleTS is the replica's global visible watermark: every commit
 	// at or below it is readable (Algorithm 3's global timestamp).
 	VisibleTS() int64
-	// PrimaryTS is the newest primary commit watermark the replica has
-	// seen; PrimaryTS-VisibleTS is its replay lag.
-	PrimaryTS() int64
 	// Healthy reports whether the replica can serve queries. Routing
 	// skips unhealthy replicas.
 	Healthy() bool
@@ -86,26 +79,16 @@ func pollWait(qts int64, visible func() int64, healthy func() bool) bool {
 
 // SupervisorReplica adapts a recovery.Supervisor — a crash-recovering
 // replica whose inner node is rebuilt across failures — to the Replica
-// interface. Swap supports processes that replace the supervisor
-// wholesale (a hard restart restoring from spool + checkpoint): the
-// membership entry survives, only the backing supervisor changes.
+// interface.
 type SupervisorReplica struct {
 	id  string
-	sup atomic.Pointer[recovery.Supervisor]
+	sup *recovery.Supervisor
 }
 
 // NewSupervisorReplica wraps a supervisor under the given replica ID.
 func NewSupervisorReplica(id string, sup *recovery.Supervisor) *SupervisorReplica {
-	r := &SupervisorReplica{id: id}
-	r.sup.Store(sup)
-	return r
+	return &SupervisorReplica{id: id, sup: sup}
 }
-
-// Swap replaces the backing supervisor after a restart.
-func (r *SupervisorReplica) Swap(sup *recovery.Supervisor) { r.sup.Store(sup) }
-
-// Supervisor returns the current backing supervisor.
-func (r *SupervisorReplica) Supervisor() *recovery.Supervisor { return r.sup.Load() }
 
 // ID implements Replica.
 func (r *SupervisorReplica) ID() string { return r.id }
@@ -113,16 +96,8 @@ func (r *SupervisorReplica) ID() string { return r.id }
 // VisibleTS implements Replica (0 while the supervisor has no live node,
 // e.g. mid-rebuild).
 func (r *SupervisorReplica) VisibleTS() int64 {
-	if n := r.sup.Load().Node(); n != nil {
+	if n := r.sup.Node(); n != nil {
 		return n.VisibleTS()
-	}
-	return 0
-}
-
-// PrimaryTS implements Replica.
-func (r *SupervisorReplica) PrimaryTS() int64 {
-	if n := r.sup.Load().Node(); n != nil {
-		return n.PrimaryTS()
 	}
 	return 0
 }
@@ -131,8 +106,7 @@ func (r *SupervisorReplica) PrimaryTS() int64 {
 // node and has not exhausted its retry budget. Degraded (quarantined
 // epochs) still serves — same policy as /healthz.
 func (r *SupervisorReplica) Healthy() bool {
-	sup := r.sup.Load()
-	return sup.State() != recovery.StateFatal && sup.Node() != nil
+	return r.sup.State() != recovery.StateFatal && r.sup.Node() != nil
 }
 
 // WaitVisible implements Replica with a bounded poll.
@@ -144,5 +118,5 @@ func (r *SupervisorReplica) WaitVisible(qts int64, tables []wal.TableID) bool {
 // successful admission (the router guarantees the node exists and the
 // watermark covers qts).
 func (r *SupervisorReplica) Query(qts int64, tables ...wal.TableID) *query.Snapshot {
-	return r.sup.Load().Node().Query(qts, tables...)
+	return r.sup.Node().Query(qts, tables...)
 }

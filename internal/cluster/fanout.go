@@ -25,12 +25,12 @@ var ErrAllPeersDown = errors.New("cluster: all fan-out peers down")
 // Peer configures one downstream replication link of a Fanout.
 type Peer struct {
 	// ID names the replica this link feeds; it labels the link's ship_*
-	// metrics (peer="<ID>") and joins fan-out state to membership.
+	// metrics (peer="<ID>").
 	ID string
 	// Sender is the link configuration (Dial, Schema, Window, retry
 	// policy...). Sender.Metrics defaults to per-peer labelled metrics
 	// in the fan-out's registry; Sender.HeartbeatTS defaults to the
-	// peer's handed-off watermark so relayed heartbeats never advertise
+	// peer's handed-off watermark so heartbeats never advertise
 	// timestamps ahead of what this link has shipped.
 	Sender ship.SenderConfig
 }
@@ -85,7 +85,7 @@ type FanoutConfig struct {
 // marked failed and skipped; the rest of the fan-out continues.
 //
 // Send may be called from one producer goroutine (the same contract as
-// ship.Sender.Send); Stats, Heartbeat and Close are safe from any.
+// ship.Sender.Send); Stats and Close are safe from any.
 type Fanout struct {
 	peers []*fanPeer
 
@@ -123,7 +123,7 @@ type fanPeer struct {
 	// hbTS is the commit watermark through which this link's stream is
 	// complete: everything at or below it was handed to s.Send. The
 	// sender's heartbeat loop advertises it (only while its window is
-	// empty), so relayed heartbeats stay behind shipped data.
+	// empty), so heartbeats stay behind shipped data.
 	hbTS atomic.Int64
 
 	done chan struct{}
@@ -212,25 +212,6 @@ func (f *Fanout) Send(enc *epoch.Encoded) error {
 	return nil
 }
 
-// Heartbeat advances the fan-out's idle-stream watermark: each peer
-// whose queue is fully handed off advertises ts through its sender's
-// heartbeat loop. Peers still draining keep their own handed-off
-// watermark — a heartbeat must never run ahead of unshipped epochs.
-// Upstream guarantees the stream is complete through ts (the
-// ship.SenderConfig.HeartbeatTS contract), which makes this safe to
-// forward at relays.
-func (f *Fanout) Heartbeat(ts int64) {
-	for _, p := range f.peers {
-		p.mu.Lock()
-		if !p.closed && p.err == nil && len(p.queue) == 0 && !p.busy {
-			if ts > p.hbTS.Load() {
-				p.hbTS.Store(ts)
-			}
-		}
-		p.mu.Unlock()
-	}
-}
-
 // PeerStats is one link's progress snapshot.
 type PeerStats struct {
 	ID string
@@ -290,21 +271,6 @@ func (f *Fanout) Close() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// SyncLinkErrs publishes every peer's terminal link error — or its
-// absence — into the membership under the matching replica ID. Routing
-// keeps serving a replica whose feed died (its state is still valid,
-// just frozen), but operators see "replica up, feed dead" in Status
-// and /varz instead of silent staleness. Peers without a membership
-// entry are skipped.
-func (f *Fanout) SyncLinkErrs(m *Membership) {
-	for _, p := range f.peers {
-		p.mu.Lock()
-		err := p.err
-		p.mu.Unlock()
-		m.SetLinkErr(p.id, err)
-	}
 }
 
 // errSummary renders the terminal errors for ErrAllPeersDown.

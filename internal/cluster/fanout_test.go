@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -323,117 +322,4 @@ func TestFanoutQueueOverflow(t *testing.T) {
 		t.Fatalf("no peer reports ErrPeerOverflow: %+v", f.Stats())
 	}
 	_ = f.Close()
-}
-
-// TestFanoutRelayTree: primary → relay → leaf. The relay applies the
-// stream to its own node and re-ships it downstream; both tiers end
-// reference-equal, and upstream heartbeats propagate through the relay
-// to advance the leaf's visible watermark past the last commit.
-func TestFanoutRelayTree(t *testing.T) {
-	encs := fanEncoded(2048, 128)
-	want := fanDirect(t, encs)
-	reg := metrics.NewRegistry()
-
-	// Leaf tier: an ordinary receiver node.
-	leaf := startFanReceiver(t, fanNode(t), reg, "leaf", false)
-
-	// Relay tier: applies locally, fans out to the leaf.
-	relayNode := fanNode(t)
-	downstream, err := cluster.NewFanout(cluster.FanoutConfig{
-		Registry: reg,
-		Peers: []cluster.Peer{{ID: "leaf", Sender: ship.SenderConfig{
-			Dial:           fanDialer(leaf.addr),
-			Schema:         fanSchema(),
-			HeartbeatEvery: 5 * time.Millisecond,
-		}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	relay := cluster.NewRelay(relayNode, downstream)
-	relayRcv, err := ship.NewReceiver(ship.ReceiverConfig{
-		Schema:  fanSchema(),
-		Applier: relay,
-		Drain:   func() error { relayNode.Drain(); return relayNode.Err() },
-		Metrics: ship.NewPeerMetrics(reg, "relay"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	relayLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	relayDone := make(chan struct{})
-	go func() {
-		defer close(relayDone)
-		defer relayLn.Close()
-		for {
-			conn, err := relayLn.Accept()
-			if err != nil {
-				return
-			}
-			finished, _ := relayRcv.Serve(conn)
-			if finished {
-				return
-			}
-		}
-	}()
-
-	// Primary tier: one sender into the relay, heartbeating beyond the
-	// stream's last commit once everything has been handed off.
-	lastTS := encs[len(encs)-1].LastCommitTS
-	hbTarget := lastTS + 1000
-	var handedOff atomic.Bool
-	up, err := ship.NewSender(ship.SenderConfig{
-		Dial:           fanDialer(relayLn.Addr().String()),
-		Schema:         fanSchema(),
-		HeartbeatEvery: 5 * time.Millisecond,
-		HeartbeatTS: func() int64 {
-			// The stream is complete through hbTarget only after the last
-			// Send returned; before that, advertise nothing extra.
-			if handedOff.Load() {
-				return hbTarget
-			}
-			return 0
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range encs {
-		if err := up.Send(&encs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	handedOff.Store(true)
-
-	// The heartbeat must ripple primary → relay → leaf.
-	deadline := time.Now().Add(30 * time.Second)
-	for leaf.node.VisibleTS() < hbTarget || relayNode.VisibleTS() < hbTarget {
-		if time.Now().After(deadline) {
-			t.Fatalf("heartbeat did not propagate: relay=%d leaf=%d want ≥%d",
-				relayNode.VisibleTS(), leaf.node.VisibleTS(), hbTarget)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	if err := up.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-relayDone:
-	case <-time.After(60 * time.Second):
-		t.Fatal("relay receiver did not finish")
-	}
-	if err := relay.Err(); err != nil {
-		t.Fatalf("relay downstream error: %v", err)
-	}
-	if err := downstream.Close(); err != nil {
-		t.Fatal(err)
-	}
-	leaf.wait(t)
-
-	fanAssertSame(t, relayNode, want, "relay tier")
-	fanAssertSame(t, leaf.node, want, "leaf tier")
 }

@@ -7,14 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// Membership is the roster of cluster replicas: who exists, whether the
-// operator (or a failure detector) has marked them down, how fresh each
-// one is, and how many routed queries each is currently serving. It is
-// the router's candidate source and the observability surface for
-// per-replica health.
+// Membership is the roster of cluster replicas: who exists and how many
+// routed queries each is currently serving. It is the router's candidate
+// source.
 type Membership struct {
-	m *Metrics
-
 	mu      sync.RWMutex
 	members map[string]*member
 	order   []*member // sorted by ID: deterministic candidate iteration
@@ -26,37 +22,12 @@ type Membership struct {
 type member struct {
 	r    Replica
 	load atomic.Int64
-	down atomic.Bool
-	// linkErr holds the replication link's terminal error text ("" while
-	// healthy), reported by whoever drives the fan-out. It rides in
-	// Status so /varz shows not just that a replica is stale but why its
-	// feed stopped.
-	linkErr atomic.Value // string
 }
 
-func (m *member) alive() bool { return !m.down.Load() && m.r.Healthy() }
-
-// Status is one replica's row in a membership snapshot.
-type Status struct {
-	ID        string
-	VisibleTS int64
-	PrimaryTS int64
-	ReplayLag int64 // PrimaryTS - VisibleTS, clamped at 0
-	Healthy   bool  // the replica's own report
-	Down      bool  // the membership-level override
-	Load      int64 // routed queries currently admitted and not yet done
-	// LinkErr is the replica's replication-link terminal error, empty
-	// while the link is live (or when nothing reports link state).
-	LinkErr string
-}
-
-// NewMembership returns an empty roster reporting into m (cluster
-// metrics registered in metrics.Default when nil).
-func NewMembership(m *Metrics) *Membership {
-	if m == nil {
-		m = NewMetrics(nil)
-	}
-	return &Membership{m: m, members: make(map[string]*member)}
+// NewMembership returns an empty roster. The roster reports no metrics of
+// its own; the argument is ignored.
+func NewMembership(*Metrics) *Membership {
+	return &Membership{members: make(map[string]*member)}
 }
 
 // Add registers a replica. Duplicate IDs are an error: identity is the
@@ -75,83 +46,6 @@ func (ms *Membership) Add(r Replica) error {
 	return nil
 }
 
-// Remove drops a replica from the roster. In-flight admissions against
-// it are unaffected (snapshots stay valid); it just stops receiving new
-// queries.
-func (ms *Membership) Remove(id string) bool {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if _, ok := ms.members[id]; !ok {
-		return false
-	}
-	delete(ms.members, id)
-	for i, m := range ms.order {
-		if m.r.ID() == id {
-			ms.order = append(ms.order[:i], ms.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// SetDown marks a replica administratively down (true) or back up
-// (false) without removing it: the failure-detector hook. A down replica
-// is skipped by routing even if it still reports healthy.
-func (ms *Membership) SetDown(id string, down bool) bool {
-	ms.mu.RLock()
-	m, ok := ms.members[id]
-	ms.mu.RUnlock()
-	if ok {
-		m.down.Store(down)
-	}
-	return ok
-}
-
-// SetLinkErr records a replica's replication-link terminal error (nil
-// clears it). Fan-out drivers call it when a peer's sender gives up, so
-// membership snapshots can say why a replica stopped receiving epochs.
-func (ms *Membership) SetLinkErr(id string, err error) bool {
-	ms.mu.RLock()
-	m, ok := ms.members[id]
-	ms.mu.RUnlock()
-	if ok {
-		s := ""
-		if err != nil {
-			s = err.Error()
-		}
-		m.linkErr.Store(s)
-	}
-	return ok
-}
-
-// Get returns the replica registered under id.
-func (ms *Membership) Get(id string) (Replica, bool) {
-	ms.mu.RLock()
-	defer ms.mu.RUnlock()
-	m, ok := ms.members[id]
-	if !ok {
-		return nil, false
-	}
-	return m.r, true
-}
-
-// Size returns the roster size (live or not).
-func (ms *Membership) Size() int {
-	ms.mu.RLock()
-	defer ms.mu.RUnlock()
-	return len(ms.members)
-}
-
-// Load returns the current routed-query load of one replica.
-func (ms *Membership) Load(id string) int64 {
-	ms.mu.RLock()
-	defer ms.mu.RUnlock()
-	if m, ok := ms.members[id]; ok {
-		return m.load.Load()
-	}
-	return 0
-}
-
 // alive returns the routable members in ID order. The slice is freshly
 // allocated; callers may not mutate members through it beyond load
 // accounting.
@@ -160,41 +54,9 @@ func (ms *Membership) alive() []*member {
 	defer ms.mu.RUnlock()
 	out := make([]*member, 0, len(ms.order))
 	for _, m := range ms.order {
-		if m.alive() {
+		if m.r.Healthy() {
 			out = append(out, m)
 		}
 	}
-	return out
-}
-
-// Snapshot reports every member's freshness, health and load, sorted by
-// ID, and refreshes the cluster_replicas_live gauge.
-func (ms *Membership) Snapshot() []Status {
-	ms.mu.RLock()
-	order := append([]*member(nil), ms.order...)
-	ms.mu.RUnlock()
-	out := make([]Status, 0, len(order))
-	live := 0
-	for _, m := range order {
-		st := Status{
-			ID:        m.r.ID(),
-			VisibleTS: m.r.VisibleTS(),
-			PrimaryTS: m.r.PrimaryTS(),
-			Healthy:   m.r.Healthy(),
-			Down:      m.down.Load(),
-			Load:      m.load.Load(),
-		}
-		if le, _ := m.linkErr.Load().(string); le != "" {
-			st.LinkErr = le
-		}
-		if lag := st.PrimaryTS - st.VisibleTS; lag > 0 {
-			st.ReplayLag = lag
-		}
-		if st.Healthy && !st.Down {
-			live++
-		}
-		out = append(out, st)
-	}
-	ms.m.ReplicasLive.Set(float64(live))
 	return out
 }

@@ -2,7 +2,7 @@ package cluster
 
 import "aets/internal/metrics"
 
-// Metrics holds the cluster's routing and membership series.
+// Metrics holds the cluster's routing series.
 type Metrics struct {
 	// RouteHits counts zero-block admissions: a live replica's visible
 	// watermark already satisfied the query timestamp.
@@ -16,9 +16,6 @@ type Metrics struct {
 	// RouteErrors counts admissions that failed outright (no live
 	// replicas, or the failover budget was exhausted).
 	RouteErrors *metrics.Counter
-	// ReplicasLive is the number of healthy, not-down members at the
-	// last membership snapshot.
-	ReplicasLive *metrics.Gauge
 	// AdmitWait is the distribution of blocked admission waits (the
 	// RouteWaits path only; hits never enter it).
 	AdmitWait *metrics.Histogram
@@ -35,7 +32,6 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		RouteWaits:     r.Counter("cluster_route_waits"),
 		RouteFailovers: r.Counter("cluster_route_failovers"),
 		RouteErrors:    r.Counter("cluster_route_errors"),
-		ReplicasLive:   r.Gauge("cluster_replicas_live"),
 		AdmitWait:      r.Histogram("cluster_admit_wait_seconds"),
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aets/internal/query"
 	"aets/internal/wal"
 )
 
@@ -45,17 +44,11 @@ type RouterConfig struct {
 // lightly loaded fleet still spreads reads instead of herding every
 // query onto one replica; watermark ties (the wait path) break toward
 // the smallest replica ID.
-//
-// Router also satisfies query.Visibility, so code written against a
-// single node's Algorithm 3 admission can run unchanged against a
-// cluster; prefer Admit/Query, which name the replica and account load.
 type Router struct {
 	cfg RouterConfig
 	m   *Metrics
 	rr  atomic.Uint64
 }
-
-var _ query.Visibility = (*Router)(nil)
 
 // NewRouter returns a Router over the given roster.
 func NewRouter(cfg RouterConfig) (*Router, error) {
@@ -143,10 +136,10 @@ func (r *Router) Admit(qts int64, tables ...wal.TableID) (*Admission, error) {
 		t0 := time.Now()
 		ok := m.r.WaitVisible(qts, tables)
 		r.m.AdmitWait.Observe(time.Since(t0))
-		if ok && m.alive() {
+		if ok && m.r.Healthy() {
 			return &Admission{Replica: m.r, TS: qts, Waited: true, Failovers: failovers, mem: m}, nil
 		}
-		// The replica died (or was marked down) mid-wait: fail over.
+		// The replica died mid-wait: fail over.
 		m.load.Add(-1)
 		r.m.RouteFailovers.Inc()
 		failovers++
@@ -154,53 +147,6 @@ func (r *Router) Admit(qts int64, tables ...wal.TableID) (*Admission, error) {
 			r.m.RouteErrors.Inc()
 			return nil, fmt.Errorf("cluster: admission failed after %d failovers (qts %d)", failovers, qts)
 		}
-	}
-}
-
-// Query admits and begins a snapshot read in one step. The chosen
-// replica must implement Snapshotter (real nodes do; simulator replicas
-// do not). The returned Admission is already load-accounted; call Done
-// when the snapshot is no longer in use.
-func (r *Router) Query(qts int64, tables ...wal.TableID) (*query.Snapshot, *Admission, error) {
-	adm, err := r.Admit(qts, tables...)
-	if err != nil {
-		return nil, nil, err
-	}
-	sn, ok := adm.Replica.(Snapshotter)
-	if !ok {
-		adm.Done()
-		return nil, nil, fmt.Errorf("cluster: replica %q cannot serve snapshots", adm.Replica.ID())
-	}
-	// The watermark already covers adm.TS, so Begin's own Algorithm 3
-	// wait is a no-op: this is the zero-block read the routing promised.
-	return sn.Query(adm.TS, tables...), adm, nil
-}
-
-// GlobalTS implements query.Visibility: the cluster-wide freshest
-// visible watermark (the maximum over live replicas; 0 when none).
-func (r *Router) GlobalTS() int64 {
-	var max int64
-	for _, m := range r.cfg.Members.alive() {
-		if ts := m.r.VisibleTS(); ts > max {
-			max = ts
-		}
-	}
-	return max
-}
-
-// WaitVisible implements query.Visibility: block until some live replica
-// makes qts visible for the tables. It admits and immediately releases;
-// callers that need the replica (to actually read) should use Admit.
-func (r *Router) WaitVisible(qts int64, tables []wal.TableID) {
-	for {
-		adm, err := r.Admit(qts, tables...)
-		if err == nil {
-			adm.Done()
-			return
-		}
-		// No live replicas right now: a Visibility wait has no error
-		// channel, so hold on until membership recovers.
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"errors"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +19,7 @@ import (
 func testRouter(t *testing.T, n int) (*Router, []*SimReplica, *Metrics) {
 	t.Helper()
 	m := NewMetrics(metrics.NewRegistry())
-	members := NewMembership(m)
+	members := NewMembership(nil)
 	reps := make([]*SimReplica, n)
 	for i := range reps {
 		reps[i] = NewSimReplica(string(rune('a' + i)))
@@ -189,33 +189,8 @@ func TestAdmitNoReplicas(t *testing.T) {
 	}
 }
 
-func TestMembershipSetDownSkipsRouting(t *testing.T) {
-	r, reps, _ := testRouter(t, 2)
-	reps[0].AdvanceTo(100)
-	reps[1].AdvanceTo(100)
-	if !r.cfg.Members.SetDown("a", true) {
-		t.Fatal("SetDown(a) did not find the member")
-	}
-	for i := 0; i < 4; i++ {
-		adm, err := r.Admit(50, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if adm.Replica.ID() == "a" {
-			t.Fatal("routed to a down replica")
-		}
-		adm.Done()
-	}
-	r.cfg.Members.SetDown("a", false)
-	snap := r.cfg.Members.Snapshot()
-	if len(snap) != 2 || snap[0].ID != "a" || snap[0].Down {
-		t.Fatalf("snapshot %+v, want a back up", snap)
-	}
-}
-
-func TestMembershipSnapshotLag(t *testing.T) {
-	m := NewMetrics(metrics.NewRegistry())
-	members := NewMembership(m)
+func TestMembershipRejectsDuplicate(t *testing.T) {
+	members := NewMembership(nil)
 	rep := NewSimReplica("r")
 	if err := members.Add(rep); err != nil {
 		t.Fatal(err)
@@ -223,19 +198,16 @@ func TestMembershipSnapshotLag(t *testing.T) {
 	if err := members.Add(rep); err == nil {
 		t.Fatal("duplicate Add must fail")
 	}
-	rep.SetPrimaryTS(100)
-	rep.AdvanceTo(60)
-	snap := members.Snapshot()
-	if len(snap) != 1 || snap[0].ReplayLag != 40 {
-		t.Fatalf("snapshot %+v, want lag 40", snap)
-	}
-	if m.ReplicasLive.Load() != 1 {
-		t.Fatalf("live gauge %v, want 1", m.ReplicasLive.Load())
-	}
-	if !members.Remove("r") || members.Size() != 0 {
-		t.Fatal("Remove failed")
-	}
 }
+
+// downReplica lets a test take a real replica out of routing without
+// closing it.
+type downReplica struct {
+	*SupervisorReplica
+	down atomic.Bool
+}
+
+func (d *downReplica) Healthy() bool { return !d.down.Load() && d.SupervisorReplica.Healthy() }
 
 // TestRouterQueryEndToEnd routes real snapshot reads over two supervised
 // replicas at different replay points and checks the rows come from a
@@ -298,8 +270,8 @@ func TestRouterQueryEndToEnd(t *testing.T) {
 	feed(staleSup, 0, 1)
 
 	m := NewMetrics(metrics.NewRegistry())
-	members := NewMembership(m)
-	fresh := NewSupervisorReplica("fresh", freshSup)
+	members := NewMembership(nil)
+	fresh := &downReplica{SupervisorReplica: NewSupervisorReplica("fresh", freshSup)}
 	stale := NewSupervisorReplica("stale", staleSup)
 	if err := members.Add(fresh); err != nil {
 		t.Fatal(err)
@@ -317,8 +289,11 @@ func TestRouterQueryEndToEnd(t *testing.T) {
 		err error
 	}
 	read := func(qts int64) routed {
-		s, adm, err := r.Query(qts, 1)
-		return routed{s, adm, err}
+		adm, err := r.Admit(qts, 1)
+		if err != nil {
+			return routed{err: err}
+		}
+		return routed{adm.Replica.(Snapshotter).Query(adm.TS, 1), adm, nil}
 	}
 	// check asserts a routed read of row 1 landed on wantID ("" = any)
 	// and saw the value want, then releases its admission.
@@ -360,11 +335,11 @@ func TestRouterQueryEndToEnd(t *testing.T) {
 	}
 	// With fresh marked down, the closed replica is no fallback: the
 	// admission errors instead of reading from it.
-	members.SetDown("fresh", true)
-	if _, _, err := r.Query(40, 1); !errors.Is(err, ErrNoReplicas) {
-		t.Fatalf("qts=40 with only a closed replica: err %v, want ErrNoReplicas", err)
+	fresh.down.Store(true)
+	if got := read(40); !errors.Is(got.err, ErrNoReplicas) {
+		t.Fatalf("qts=40 with only a closed replica: err %v, want ErrNoReplicas", got.err)
 	}
-	members.SetDown("fresh", false)
+	fresh.down.Store(false)
 	// With fresh back, the read parks on it until it covers ts 40 itself.
 	done := make(chan routed, 1)
 	go func() { done <- read(40) }()
@@ -382,39 +357,5 @@ func TestRouterQueryEndToEnd(t *testing.T) {
 	}
 	if m.RouteWaits.Load() != 1 {
 		t.Fatalf("waits=%d, want 1 (the parked qts=40 read)", m.RouteWaits.Load())
-	}
-
-	// SimReplicas cannot serve snapshots: Query must reject, not panic.
-	// The sim is advanced past both real replicas, so a qts only it
-	// satisfies routes there regardless of the load-tie rotation.
-	if err := members.Add(NewSimReplica("0sim")); err != nil {
-		t.Fatal(err)
-	}
-	sim, _ := members.Get("0sim")
-	sim.(*SimReplica).AdvanceTo(1000)
-	if _, _, err := r.Query(500, 1); err == nil {
-		t.Fatal("Query on a non-Snapshotter replica must fail")
-	}
-}
-
-// TestRouterVisibilityInterface drives the Router through the
-// query.Visibility surface it promises to be compatible with.
-func TestRouterVisibilityInterface(t *testing.T) {
-	r, reps, _ := testRouter(t, 2)
-	reps[0].AdvanceTo(70)
-	reps[1].AdvanceTo(30)
-	if got := r.GlobalTS(); got != 70 {
-		t.Fatalf("GlobalTS %d, want 70 (max over live replicas)", got)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r.WaitVisible(90, []wal.TableID{1})
-	}()
-	reps[1].AdvanceTo(95)
-	wg.Wait()
-	if got := r.GlobalTS(); got < 90 {
-		t.Fatalf("GlobalTS %d after WaitVisible(90)", got)
 	}
 }

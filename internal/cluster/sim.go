@@ -39,7 +39,8 @@ func (r *SimReplica) VisibleTS() int64 {
 	return r.visible
 }
 
-// PrimaryTS implements Replica.
+// PrimaryTS is the primary clock the replica last replayed toward;
+// PrimaryTS-VisibleTS is its replay lag.
 func (r *SimReplica) PrimaryTS() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -107,8 +108,6 @@ type SimConfig struct {
 	// ~MaxLag — the "one fresh replica, many stale ones" shape a real
 	// read fleet settles into. Default 1000.
 	MaxLag int64
-	// Metrics receives the membership gauge; nil registers defaults.
-	Metrics *Metrics
 }
 
 // Simulator drives a deterministic multi-replica topology: a virtual
@@ -143,7 +142,7 @@ func NewSimulator(cfg SimConfig) (*Simulator, error) {
 	s := &Simulator{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		members: NewMembership(cfg.Metrics),
+		members: NewMembership(nil),
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		r := NewSimReplica(fmt.Sprintf("sim-%03d", i))

@@ -22,7 +22,7 @@ func TestSimRouterInvariantUnderConcurrency(t *testing.T) {
 		t.Run(string(rune('0'+n/10))+string(rune('0'+n%10))+"replicas", func(t *testing.T) {
 			t.Parallel()
 			m := NewMetrics(metrics.NewRegistry())
-			sim, err := NewSimulator(SimConfig{Replicas: n, Seed: int64(n), MaxLag: 2000, Metrics: m})
+			sim, err := NewSimulator(SimConfig{Replicas: n, Seed: int64(n), MaxLag: 2000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,13 +90,13 @@ func TestSimRouterInvariantUnderConcurrency(t *testing.T) {
 			}
 			wg.Wait()
 
-			snap := sim.Members().Snapshot()
-			if len(snap) != n {
-				t.Fatalf("membership %d, want %d", len(snap), n)
+			members := sim.Members().order
+			if len(members) != n {
+				t.Fatalf("membership %d, want %d", len(members), n)
 			}
-			for _, st := range snap {
-				if st.Load != 0 {
-					t.Fatalf("leaked load slot on %s: %+v", st.ID, st)
+			for _, m := range members {
+				if l := m.load.Load(); l != 0 {
+					t.Fatalf("leaked %d load slots on %s", l, m.r.ID())
 				}
 			}
 			// Deterministic zero-block check (the racing queriers above may
@@ -120,7 +120,7 @@ func TestSimRouterInvariantUnderConcurrency(t *testing.T) {
 // admitted without blocking — observed through the hit/wait counters.
 func TestSimSatisfiedQueryNeverBlocks(t *testing.T) {
 	m := NewMetrics(metrics.NewRegistry())
-	sim, err := NewSimulator(SimConfig{Replicas: 8, Seed: 7, MaxLag: 5000, Metrics: m})
+	sim, err := NewSimulator(SimConfig{Replicas: 8, Seed: 7, MaxLag: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +133,9 @@ func TestSimSatisfiedQueryNeverBlocks(t *testing.T) {
 		// The laggiest live replica's watermark: satisfied by every live
 		// replica, so admission must be a hit even if routed anywhere.
 		minVis := int64(-1)
-		for _, st := range sim.Members().Snapshot() {
-			if st.Healthy && !st.Down && (minVis < 0 || st.VisibleTS < minVis) {
-				minVis = st.VisibleTS
+		for _, r := range sim.Replicas() {
+			if vis := r.VisibleTS(); r.Healthy() && (minVis < 0 || vis < minVis) {
+				minVis = vis
 			}
 		}
 		if minVis <= 0 {
@@ -160,8 +160,7 @@ func TestSimSatisfiedQueryNeverBlocks(t *testing.T) {
 // TestSimDeterminism: the same seed must replay the same lag trajectory.
 func TestSimDeterminism(t *testing.T) {
 	run := func() []int64 {
-		sim, err := NewSimulator(SimConfig{Replicas: 16, Seed: 99, MaxLag: 3000,
-			Metrics: NewMetrics(metrics.NewRegistry())})
+		sim, err := NewSimulator(SimConfig{Replicas: 16, Seed: 99, MaxLag: 3000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,6 +169,9 @@ func TestSimDeterminism(t *testing.T) {
 		}
 		out := make([]int64, 0, 16)
 		for _, r := range sim.Replicas() {
+			if r.PrimaryTS() != sim.Now() || r.VisibleTS() > r.PrimaryTS() {
+				t.Fatalf("replica %s: visible %d, primary %d, clock %d", r.ID(), r.VisibleTS(), r.PrimaryTS(), sim.Now())
+			}
 			out = append(out, r.VisibleTS())
 		}
 		return out

@@ -210,79 +210,3 @@ func TestFanoutAntiEntropyDigests(t *testing.T) {
 	}
 	fanAssertSame(t, peer.sup.Node(), want, "replica")
 }
-
-// TestMembershipLinkErr: SetLinkErr surfaces in Status and clears with
-// nil; unknown IDs are rejected.
-func TestMembershipLinkErr(t *testing.T) {
-	members := cluster.NewMembership(cluster.NewMetrics(metrics.NewRegistry()))
-	if err := members.Add(cluster.NewSimReplica("r0")); err != nil {
-		t.Fatal(err)
-	}
-
-	if !members.SetLinkErr("r0", errors.New("dial budget exhausted")) {
-		t.Fatal("SetLinkErr rejected a known replica")
-	}
-	if members.SetLinkErr("ghost", errors.New("x")) {
-		t.Fatal("SetLinkErr accepted an unknown replica")
-	}
-	st := members.Snapshot()
-	if len(st) != 1 || st[0].LinkErr != "dial budget exhausted" {
-		t.Fatalf("status %+v, want LinkErr surfaced", st)
-	}
-	if !members.SetLinkErr("r0", nil) {
-		t.Fatal("clearing SetLinkErr rejected")
-	}
-	if st := members.Snapshot(); st[0].LinkErr != "" {
-		t.Fatalf("LinkErr %q after clear, want empty", st[0].LinkErr)
-	}
-}
-
-// TestFanoutSyncLinkErrs: a peer that dies terminally (bounded queue,
-// no snapshot source) is published into membership by SyncLinkErrs.
-func TestFanoutSyncLinkErrs(t *testing.T) {
-	members := cluster.NewMembership(cluster.NewMetrics(metrics.NewRegistry()))
-	if err := members.Add(cluster.NewSimReplica("stuck")); err != nil {
-		t.Fatal(err)
-	}
-
-	encs := fanEncoded(512, 64)
-	stuck := func() (net.Conn, error) { return nil, errors.New("no route") }
-	f, err := cluster.NewFanout(cluster.FanoutConfig{
-		Registry: metrics.NewRegistry(),
-		MaxQueue: 2,
-		Peers: []cluster.Peer{{ID: "stuck", Sender: ship.SenderConfig{
-			Dial: stuck, Schema: fanSchema(),
-			MaxAttempts: 1000, RetryBase: 50 * time.Millisecond, RetryMax: 50 * time.Millisecond}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range encs {
-		if err := f.Send(&encs[i]); err != nil {
-			break
-		}
-	}
-	f.SyncLinkErrs(members)
-	st := members.Snapshot()
-	if len(st) != 1 || st[0].LinkErr == "" {
-		t.Fatalf("status %+v, want the overflow surfaced as LinkErr", st)
-	}
-	_ = f.Close()
-
-	// A recovered link clears the surfaced error on the next sync.
-	// (Simulate by syncing a fresh fan-out whose peer is live-less but
-	// unfailed: err == nil publishes the clear.)
-	f2, err := cluster.NewFanout(cluster.FanoutConfig{
-		Registry: metrics.NewRegistry(),
-		Peers: []cluster.Peer{{ID: "stuck", Sender: ship.SenderConfig{
-			Dial: stuck, Schema: fanSchema(), MaxAttempts: 1}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2.SyncLinkErrs(members)
-	if st := members.Snapshot(); st[0].LinkErr != "" {
-		t.Fatalf("LinkErr %q after clean sync, want empty", st[0].LinkErr)
-	}
-	_ = f2.Close()
-}

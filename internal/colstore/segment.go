@@ -52,11 +52,6 @@ type Column struct {
 	Idx     []uint32
 }
 
-// has reports whether row carries this column.
-func (c *Column) has(row int) bool {
-	return c.Present[row>>6]>>(uint(row)&63)&1 == 1
-}
-
 // Value returns the column's value for the given row, or ok=false when the
 // row does not carry it. The returned slice aliases the segment's blob and
 // must not be mutated. O(1).
@@ -301,9 +296,6 @@ func (b *Builder) Add(key uint64, ts int64, txn uint64, deleted bool, cols []wal
 		b.cols[c.ID] = append(cells, cell{row: row, val: c.Value})
 	}
 }
-
-// Len returns the number of rows added so far.
-func (b *Builder) Len() int { return len(b.keys) }
 
 // Build materialises the segment: bitmaps, per-column encodings, rank
 // indexes and footer stats.

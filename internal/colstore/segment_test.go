@@ -1,9 +1,7 @@
 package colstore
 
 import (
-	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
 	"aets/internal/wal"
@@ -97,44 +95,6 @@ func TestSegmentFindValue(t *testing.T) {
 	}
 }
 
-func TestSegmentRoundTrip(t *testing.T) {
-	s := buildTestSegment(t)
-	enc := s.Encode()
-	d, err := Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d.Encode(), enc) {
-		t.Fatal("decode→encode is not stable")
-	}
-	if d.Live != s.Live || d.MaxLiveTS != s.MaxLiveTS || d.Sum(1) != s.Sum(1) {
-		t.Fatal("recomputed stats disagree with the original")
-	}
-	for i := 0; i < s.Len(); i++ {
-		want := s.AppendRowColumns(i, nil)
-		got := d.AppendRowColumns(i, nil)
-		if len(want) != len(got) {
-			t.Fatalf("row %d column count mismatch", i)
-		}
-		for j := range want {
-			if want[j].ID != got[j].ID || !bytes.Equal(want[j].Value, got[j].Value) {
-				t.Fatalf("row %d col %d mismatch", i, want[j].ID)
-			}
-		}
-	}
-}
-
-func TestSegmentEmpty(t *testing.T) {
-	s := NewBuilder(1, 0).Build()
-	d, err := Decode(s.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 0 || d.Live != 0 {
-		t.Fatal("empty segment must round-trip empty")
-	}
-}
-
 func TestMaxLiveTSExcluding(t *testing.T) {
 	b := NewBuilder(1, 0)
 	for i := 0; i < 130; i++ { // spans three bitmap words
@@ -164,44 +124,4 @@ func TestBuilderPanicsOnUnsortedKeys(t *testing.T) {
 	b := NewBuilder(1, 0)
 	b.Add(5, 1, 1, false, nil)
 	b.Add(5, 2, 2, false, nil)
-}
-
-// FuzzSegmentDecode throws mutated segment streams at Decode. Purely
-// defensive: Decode must return (not panic, not OOM on a hostile length
-// prefix), and an accepted stream must re-encode canonically — the
-// re-encoding decodes and encodes to the identical bytes. (Byte-identity
-// with the input is too strong: ReadUvarint tolerates non-minimal
-// varints the canonical encoder never writes.)
-func FuzzSegmentDecode(f *testing.F) {
-	f.Add(buildTestSegment(f).Encode())
-	f.Add(NewBuilder(1, 0).Build().Encode())
-	// Sentinel keys at the domain edges, single row, zero-length values.
-	b := NewBuilder(2, 2)
-	b.Add(0, 1, 1, false, []wal.Column{{ID: 0, Value: nil}})
-	b.Add(^uint64(0), 2, 2, true, nil)
-	f.Add(b.Build().Encode())
-	// CRC-valid corruption: scramble a body byte, re-trailer. The decoder
-	// must catch it structurally.
-	hostile := append([]byte(nil), buildTestSegment(f).Encode()...)
-	hostile[len(hostile)-6] ^= 0x55
-	binary.LittleEndian.PutUint32(hostile[len(hostile)-4:], crc32.ChecksumIEEE(hostile[:len(hostile)-4]))
-	f.Add(hostile)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(data)
-		if err != nil {
-			return
-		}
-		re := s.Encode()
-		s2, err := Decode(re)
-		if err != nil {
-			t.Fatalf("re-encoding of accepted stream rejected: %v", err)
-		}
-		if !bytes.Equal(s2.Encode(), re) {
-			t.Fatal("re-encoding is not a canonical fixed point")
-		}
-		if s2.Live != s.Live || s2.MaxLiveTS != s.MaxLiveTS || s2.Len() != s.Len() {
-			t.Fatal("round-trip changed recomputed stats")
-		}
-	})
 }

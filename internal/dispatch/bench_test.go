@@ -23,7 +23,7 @@ func BenchmarkDispatchTPCC(b *testing.B) {
 	b.SetBytes(int64(len(enc.Buf)))
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := Dispatch(enc, plan); err != nil {
+		if _, err := NewBuffers().Dispatch(enc, plan); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkDispatchManyGroups(b *testing.B) {
 	b.SetBytes(int64(len(enc.Buf)))
 	b.ReportAllocs()
 	for b.Loop() {
-		res, err := Dispatch(enc, plan)
+		res, err := NewBuffers().Dispatch(enc, plan)
 		if err != nil {
 			b.Fatal(err)
 		}

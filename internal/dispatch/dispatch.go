@@ -215,10 +215,3 @@ func (b *Buffers) Dispatch(enc *epoch.Encoded, plan *grouping.Plan) (*Result, er
 	}
 	return res, nil
 }
-
-// Dispatch routes one encoded epoch according to plan with fresh,
-// single-use buffers. Steady-state callers should hold a Buffers and use
-// its Dispatch method instead.
-func Dispatch(enc *epoch.Encoded, plan *grouping.Plan) (*Result, error) {
-	return NewBuffers().Dispatch(enc, plan)
-}

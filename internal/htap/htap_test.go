@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"aets/internal/memtable"
+	"aets/internal/primary"
 	"aets/internal/reference"
 	"aets/internal/workload"
 )
@@ -109,7 +110,7 @@ func TestReplayEquivalenceAcrossKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		encs := exp.Encoded()
+		encs := primary.New(exp.NewGen(), exp.Seed).GenerateEncoded(exp.Txns, exp.EpochSize)
 		r.Start()
 		for i := range encs {
 			r.Feed(&encs[i])

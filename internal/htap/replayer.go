@@ -41,8 +41,6 @@ type Replayer interface {
 	GlobalTS() int64
 	// Err returns the first fatal replay error, if any.
 	Err() error
-	// Memtable returns the backup storage engine.
-	Memtable() *memtable.Memtable
 }
 
 // Kind selects a replay algorithm.
@@ -109,7 +107,7 @@ func NewReplayer(kind Kind, mt *memtable.Memtable, plan *grouping.Plan, opts Opt
 			TwoStage: false, Breakdown: opts.Breakdown,
 			Pipeline: opts.Pipeline, Registry: opts.Metrics,
 		})
-		return engineReplayer{e, mt}, nil
+		return e, nil
 	case KindATR:
 		return baselines.NewATR(mt, opts.Workers), nil
 	case KindC5:
@@ -121,33 +119,14 @@ func NewReplayer(kind Kind, mt *memtable.Memtable, plan *grouping.Plan, opts Opt
 
 // NewAETS builds the full AETS engine (two-stage, grouped, adaptive).
 // The returned value also satisfies Replayer.
-func NewAETS(mt *memtable.Memtable, plan *grouping.Plan, opts Options) *AETSEngine {
+func NewAETS(mt *memtable.Memtable, plan *grouping.Plan, opts Options) *replay.Engine {
 	e := replay.New("AETS", mt, plan, replay.Config{
 		Workers: opts.Workers, Urgency: opts.Urgency,
 		TwoStage: true, Breakdown: opts.Breakdown,
 		Pipeline: opts.Pipeline, Registry: opts.Metrics,
 	})
-	return &AETSEngine{Engine: e, mt: mt}
+	return e
 }
-
-// AETSEngine wraps the replay engine with its Memtable so it satisfies
-// Replayer while still exposing SetPlan/GroupTS for adaptive experiments.
-type AETSEngine struct {
-	*replay.Engine
-	mt *memtable.Memtable
-}
-
-// Memtable implements Replayer.
-func (e *AETSEngine) Memtable() *memtable.Memtable { return e.mt }
-
-// engineReplayer adapts a plain replay.Engine (TPLR mode) to Replayer.
-type engineReplayer struct {
-	*replay.Engine
-	m *memtable.Memtable
-}
-
-// Memtable implements Replayer.
-func (e engineReplayer) Memtable() *memtable.Memtable { return e.m }
 
 func planTables(p *grouping.Plan) []wal.TableID {
 	var out []wal.TableID

@@ -62,10 +62,6 @@ func (r *Record) FreezeCommit(h0 *Version, watermark int64) (froze bool, release
 	return false, r.Vacuum(watermark)
 }
 
-// Hot reports whether the record is currently on its shard's hot list.
-// Test helper.
-func (r *Record) Hot() bool { return r.hotFlag.Load() }
-
 // HotRecords appends every hot record of the table to buf and returns it.
 // The result is unordered and may contain recently-frozen stragglers and
 // duplicates (see the file comment); callers sort by key and dedupe.
@@ -77,19 +73,6 @@ func (t *Table) HotRecords(buf []*Record) []*Record {
 		s.hotMu.Unlock()
 	}
 	return buf
-}
-
-// HotLen returns the current hot-list length across all shards (including
-// stragglers not yet pruned). Monitoring helper.
-func (t *Table) HotLen() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.hotMu.Lock()
-		n += len(s.hot)
-		s.hotMu.Unlock()
-	}
-	return n
 }
 
 // PruneHot compacts the hot lists, dropping entries whose records were

@@ -100,3 +100,19 @@ func TestGetOrCreateHitPathAllocs(t *testing.T) {
 		t.Fatalf("GetOrCreate hit path allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// Hot reports whether the record is currently on its shard's hot list.
+func (r *Record) Hot() bool { return r.hotFlag.Load() }
+
+// HotLen returns the current hot-list length across all shards (including
+// stragglers not yet pruned).
+func (t *Table) HotLen() int {
+	n := 0
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.hotMu.Lock()
+		n += len(s.hot)
+		s.hotMu.Unlock()
+	}
+	return n
+}

@@ -273,9 +273,6 @@ func (t *Table) shardOf(key uint64) uint64 {
 	return key & t.mask
 }
 
-// Shards returns the number of key-hash shards. Test and monitoring helper.
-func (t *Table) Shards() int { return len(t.shards) }
-
 // Get returns the record with the given row key, or nil.
 func (t *Table) Get(key uint64) *Record {
 	s := &t.shards[t.shardOf(key)]

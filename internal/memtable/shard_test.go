@@ -14,14 +14,14 @@ import (
 // bounds respected and early stop honoured.
 func TestShardedScanOrder(t *testing.T) {
 	tab := NewWithShards(8).Table(1)
-	if tab.Shards() != 8 {
-		t.Fatalf("Shards = %d, want 8", tab.Shards())
+	if len(tab.shards) != 8 {
+		t.Fatalf("Shards = %d, want 8", len(tab.shards))
 	}
 	rng := rand.New(rand.NewSource(7))
 	seen := map[uint64]bool{}
 	var keys []uint64
 	for i := 0; i < 5000; i++ {
-		k := uint64(rng.Intn(1 << 20)) + 1
+		k := uint64(rng.Intn(1<<20)) + 1
 		if seen[k] {
 			continue
 		}

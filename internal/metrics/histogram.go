@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -50,12 +49,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observed latencies.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
-
 // HistogramBucket is one cumulative bucket of a snapshot: the number of
 // observations at or below UpperSeconds.
 type HistogramBucket struct {
@@ -93,35 +86,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	s.Count = c
 	return s
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) in seconds from the
-// snapshot's buckets: the upper bound of the first bucket whose cumulative
-// count reaches q·Count, log-interpolated within the bucket. Good to ~2×,
-// which is all a monitoring endpoint needs.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Buckets) == 0 {
-		return 0
-	}
-	target := q * float64(s.Count)
-	prevCount := int64(0)
-	for i, b := range s.Buckets {
-		if float64(b.Count) >= target {
-			lower := 0.0
-			if i > 0 {
-				lower = s.Buckets[i-1].UpperSeconds
-			}
-			in := b.Count - prevCount
-			if in <= 0 {
-				return b.UpperSeconds
-			}
-			frac := (target - float64(prevCount)) / float64(in)
-			return lower + (b.UpperSeconds-lower)*math.Min(1, math.Max(0, frac))
-		}
-		prevCount = b.Count
-	}
-	// Above the last bound (+Inf bucket): report the last finite bound.
-	return s.Buckets[len(s.Buckets)-1].UpperSeconds
 }
 
 func bucketUpperSeconds(i int) float64 {

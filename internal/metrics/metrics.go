@@ -4,43 +4,17 @@
 package metrics
 
 import (
-	"fmt"
-	"math"
-	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ReservoirSize is the sample cap of a bounded DelayRecorder: enough for
-// stable p99 estimates, small enough that a replayd process serving a
-// multi-day stream holds a constant ~32 KB per recorder instead of one
-// float per query ever issued.
-const ReservoirSize = 4096
-
 // DelayRecorder accumulates visibility-delay samples. Safe for concurrent
 // use by many query goroutines.
-//
-// The zero value keeps at most ReservoirSize samples via reservoir
-// sampling (Vitter's Algorithm R): Count and Mean stay exact, quantiles
-// become uniform estimates over the whole stream. The experiment harness,
-// which reports the paper's exact percentiles over bounded runs, opts out
-// with NewExactDelayRecorder.
 type DelayRecorder struct {
-	mu      sync.Mutex
-	exact   bool
-	count   int64
-	sum     float64   // microseconds
-	samples []float64 // microseconds; full stream when exact, reservoir otherwise
-	rng     *rand.Rand
-}
-
-// NewExactDelayRecorder returns a recorder that retains every sample, so
-// quantiles are exact. Memory grows with the sample count — for bounded
-// experiment runs only, never for long-running daemons.
-func NewExactDelayRecorder() *DelayRecorder {
-	return &DelayRecorder{exact: true}
+	mu    sync.Mutex
+	count int64
+	sum   float64 // microseconds
 }
 
 // Record adds one sample.
@@ -49,31 +23,17 @@ func (r *DelayRecorder) Record(d time.Duration) {
 	r.mu.Lock()
 	r.count++
 	r.sum += us
-	switch {
-	case r.exact || len(r.samples) < ReservoirSize:
-		r.samples = append(r.samples, us)
-	default:
-		// Algorithm R: sample i (1-based) replaces a random slot with
-		// probability ReservoirSize/i, keeping the reservoir uniform.
-		if r.rng == nil {
-			r.rng = rand.New(rand.NewSource(0x5eed5eed))
-		}
-		if j := r.rng.Int63n(r.count); j < ReservoirSize {
-			r.samples[j] = us
-		}
-	}
 	r.mu.Unlock()
 }
 
-// Count returns the number of samples recorded (not the number retained).
+// Count returns the number of samples recorded.
 func (r *DelayRecorder) Count() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return int(r.count)
 }
 
-// Mean returns the mean delay in microseconds (0 when empty). Exact in
-// both modes: the sum is accumulated outside the reservoir.
+// Mean returns the mean delay in microseconds (0 when empty).
 func (r *DelayRecorder) Mean() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -81,43 +41,6 @@ func (r *DelayRecorder) Mean() float64 {
 		return 0
 	}
 	return r.sum / float64(r.count)
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) in microseconds — exact when
-// every sample was retained, a reservoir estimate otherwise. The retained
-// samples are copied under the lock but sorted outside it, so a slow
-// quantile query does not stall Record callers.
-func (r *DelayRecorder) Quantile(q float64) float64 {
-	r.mu.Lock()
-	s := append([]float64(nil), r.samples...)
-	r.mu.Unlock()
-	if len(s) == 0 {
-		return 0
-	}
-	sort.Float64s(s)
-	idx := q * float64(len(s)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := idx - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Reset discards all samples.
-func (r *DelayRecorder) Reset() {
-	r.mu.Lock()
-	r.count = 0
-	r.sum = 0
-	r.samples = nil
-	r.mu.Unlock()
-}
-
-// Summary renders count/mean/p50/p95/p99 for log output.
-func (r *DelayRecorder) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.1fus p50=%.1fus p95=%.1fus p99=%.1fus",
-		r.Count(), r.Mean(), r.Quantile(0.5), r.Quantile(0.95), r.Quantile(0.99))
 }
 
 // Breakdown accumulates the per-phase time shares of Table II. The three
@@ -160,17 +83,8 @@ func (b *Breakdown) Reset() {
 
 // Throughput describes one replay run for reporting.
 type Throughput struct {
-	Entries int
 	Txns    int
 	Elapsed time.Duration
-}
-
-// EntriesPerSec returns replayed log entries per second.
-func (t Throughput) EntriesPerSec() float64 {
-	if t.Elapsed <= 0 {
-		return 0
-	}
-	return float64(t.Entries) / t.Elapsed.Seconds()
 }
 
 // TxnsPerSec returns replayed transactions per second.

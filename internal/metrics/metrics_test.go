@@ -18,19 +18,6 @@ func TestDelayRecorderStats(t *testing.T) {
 	if m := r.Mean(); math.Abs(m-50.5) > 1e-9 {
 		t.Fatalf("mean %v, want 50.5", m)
 	}
-	if p := r.Quantile(0.5); math.Abs(p-50.5) > 1 {
-		t.Fatalf("p50 %v", p)
-	}
-	if p := r.Quantile(0); p != 1 {
-		t.Fatalf("min %v", p)
-	}
-	if p := r.Quantile(1); p != 100 {
-		t.Fatalf("max %v", p)
-	}
-	r.Reset()
-	if r.Count() != 0 || r.Mean() != 0 || r.Quantile(0.9) != 0 {
-		t.Fatal("reset incomplete")
-	}
 }
 
 func TestDelayRecorderConcurrent(t *testing.T) {
@@ -48,15 +35,6 @@ func TestDelayRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 	if r.Count() != 8000 {
 		t.Fatalf("count %d", r.Count())
-	}
-}
-
-func TestDelayRecorderSummary(t *testing.T) {
-	var r DelayRecorder
-	r.Record(10 * time.Microsecond)
-	s := r.Summary()
-	if s == "" || len(s) < 10 {
-		t.Fatalf("summary: %q", s)
 	}
 }
 
@@ -80,12 +58,12 @@ func TestBreakdownShares(t *testing.T) {
 }
 
 func TestThroughput(t *testing.T) {
-	tp := Throughput{Entries: 1000, Txns: 100, Elapsed: time.Second}
-	if tp.EntriesPerSec() != 1000 || tp.TxnsPerSec() != 100 {
-		t.Fatalf("%v %v", tp.EntriesPerSec(), tp.TxnsPerSec())
+	tp := Throughput{Txns: 100, Elapsed: time.Second}
+	if tp.TxnsPerSec() != 100 {
+		t.Fatalf("%v", tp.TxnsPerSec())
 	}
 	zero := Throughput{}
-	if zero.EntriesPerSec() != 0 || zero.TxnsPerSec() != 0 {
+	if zero.TxnsPerSec() != 0 {
 		t.Fatal("zero elapsed must give zero rates")
 	}
 }

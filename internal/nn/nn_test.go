@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// ZeroGrad clears the gradient buffer.
+func (t *Tensor) ZeroGrad() {
+	for i := range t.Grad {
+		t.Grad[i] = 0
+	}
+}
+
 // numGrad computes a numerical gradient of loss() w.r.t. p via central
 // differences and compares it to p.Grad filled by Backward.
 func checkGrad(t *testing.T, name string, p *Tensor, loss func() *Tensor) {
@@ -49,7 +56,6 @@ func TestElementwiseGradients(t *testing.T) {
 		"tanh":    Tanh,
 		"sigmoid": Sigmoid,
 		"relu":    ReLU,
-		"scale":   func(a *Tensor) *Tensor { return Scale(a, 1.7) },
 	} {
 		loss := func() *Tensor { return MSE(f(x), target) }
 		checkGrad(t, name, x, loss)
@@ -117,12 +123,12 @@ func TestCausalConvIsCausal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	l := NewCausalConv1D(rng, 1, 1, 2, 1)
 	x := Zeros(1, 1, 6)
-	base := l.Apply(x).Clone()
+	base := append([]float64(nil), l.Apply(x).Data...)
 	// Perturbing the future must not change earlier outputs.
 	x.Data[5] = 10
 	pert := l.Apply(x)
 	for t0 := 0; t0 < 5; t0++ {
-		if pert.Data[t0] != base.Data[t0] {
+		if pert.Data[t0] != base[t0] {
 			t.Fatalf("output at t=%d changed by a future input", t0)
 		}
 	}
@@ -145,18 +151,6 @@ func TestSliceOpsGradient(t *testing.T) {
 	checkGrad(t, "slicelast", x, func() *Tensor { return MSE(SliceLast(x, -1), target) })
 	target2 := Randn(rng, 1, 3, 2)
 	checkGrad(t, "slicecols", x, func() *Tensor { return MSE(SliceCols(x, 1, 3), target2) })
-}
-
-func TestConcatGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := Param(Randn(rng, 1, 2, 3))
-	b := Param(Randn(rng, 1, 2, 2))
-	target := Randn(rng, 1, 2, 5)
-	loss := func() *Tensor { return MSE(Concat(a, b), target) }
-	checkGrad(t, "concat/a", a, loss)
-	b.ZeroGrad()
-	a.ZeroGrad()
-	checkGrad(t, "concat/b", b, loss)
 }
 
 func TestLSTMCellGradientAndShapes(t *testing.T) {

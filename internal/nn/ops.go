@@ -52,23 +52,6 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Scale returns a * k.
-func Scale(a *Tensor, k float64) *Tensor {
-	data := make([]float64, len(a.Data))
-	for i := range data {
-		data[i] = a.Data[i] * k
-	}
-	out := result(data, a.Shape, a)
-	if out.requiresGrad {
-		out.back = func() {
-			for i := range out.Grad {
-				a.Grad[i] += out.Grad[i] * k
-			}
-		}
-	}
-	return out
-}
-
 // Tanh applies tanh element-wise.
 func Tanh(a *Tensor) *Tensor {
 	data := make([]float64, len(a.Data))
@@ -213,46 +196,6 @@ func AddBias(a, bias *Tensor) *Tensor {
 	return out
 }
 
-// Concat concatenates two tensors along the last dimension; leading
-// dimensions must match. Used by the LSTM cell ([x ; h]).
-func Concat(a, b *Tensor) *Tensor {
-	if len(a.Shape) != len(b.Shape) {
-		panic("nn: Concat rank mismatch")
-	}
-	for i := 0; i < len(a.Shape)-1; i++ {
-		if a.Shape[i] != b.Shape[i] {
-			panic("nn: Concat leading shape mismatch")
-		}
-	}
-	la, lb := a.Shape[len(a.Shape)-1], b.Shape[len(b.Shape)-1]
-	rows := len(a.Data) / la
-	shape := append([]int(nil), a.Shape...)
-	shape[len(shape)-1] = la + lb
-	data := make([]float64, rows*(la+lb))
-	for r := 0; r < rows; r++ {
-		copy(data[r*(la+lb):], a.Data[r*la:(r+1)*la])
-		copy(data[r*(la+lb)+la:], b.Data[r*lb:(r+1)*lb])
-	}
-	out := result(data, shape, a, b)
-	if out.requiresGrad {
-		out.back = func() {
-			for r := 0; r < rows; r++ {
-				if a.requiresGrad {
-					for i := 0; i < la; i++ {
-						a.Grad[r*la+i] += out.Grad[r*(la+lb)+i]
-					}
-				}
-				if b.requiresGrad {
-					for i := 0; i < lb; i++ {
-						b.Grad[r*lb+i] += out.Grad[r*(la+lb)+la+i]
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // SliceLast returns a[..., idx] dropping the last (time) dimension — used
 // to take the final timestep of a TCN stack.
 func SliceLast(a *Tensor, idx int) *Tensor {
@@ -270,25 +213,6 @@ func SliceLast(a *Tensor, idx int) *Tensor {
 		out.back = func() {
 			for r := 0; r < rows; r++ {
 				a.Grad[r*last+idx] += out.Grad[r]
-			}
-		}
-	}
-	return out
-}
-
-// Mean returns the scalar mean of all elements.
-func Mean(a *Tensor) *Tensor {
-	s := 0.0
-	for _, v := range a.Data {
-		s += v
-	}
-	n := float64(len(a.Data))
-	out := result([]float64{s / n}, []int{1}, a)
-	if out.requiresGrad {
-		out.back = func() {
-			g := out.Grad[0] / n
-			for i := range a.Grad {
-				a.Grad[i] += g
 			}
 		}
 	}

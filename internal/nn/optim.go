@@ -50,13 +50,6 @@ func (a *Adam) Step() {
 	}
 }
 
-// ZeroGrad clears all parameter gradients without stepping.
-func (a *Adam) ZeroGrad() {
-	for _, p := range a.params {
-		p.ZeroGrad()
-	}
-}
-
 // DecayLR multiplies the learning rate by factor (the ×0.1-every-20-epochs
 // schedule).
 func (a *Adam) DecayLR(factor float64) { a.LR *= factor }

@@ -8,7 +8,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -53,29 +52,6 @@ func Param(t *Tensor) *Tensor {
 	t.requiresGrad = true
 	t.Grad = make([]float64, len(t.Data))
 	return t
-}
-
-// Numel returns the number of elements.
-func (t *Tensor) Numel() int { return len(t.Data) }
-
-// At returns the element at the given indices.
-func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
-
-// Set assigns the element at the given indices.
-func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("nn: %d indices into rank-%d tensor", len(idx), len(t.Shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("nn: index %d out of bounds for dim %d (size %d)", x, i, t.Shape[i]))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
 }
 
 // result builds an operator output tensor that needs gradients when any
@@ -151,27 +127,4 @@ func sameShape(op string, a, b *Tensor) {
 			panic(fmt.Sprintf("nn: %s shape mismatch %v vs %v", op, a.Shape, b.Shape))
 		}
 	}
-}
-
-// ZeroGrad clears the gradient buffer.
-func (t *Tensor) ZeroGrad() {
-	for i := range t.Grad {
-		t.Grad[i] = 0
-	}
-}
-
-// Clone returns a detached copy of the tensor's data.
-func (t *Tensor) Clone() *Tensor {
-	d := make([]float64, len(t.Data))
-	copy(d, t.Data)
-	return NewTensor(d, t.Shape...)
-}
-
-// L2 returns the Euclidean norm of the data — handy in tests.
-func (t *Tensor) L2() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

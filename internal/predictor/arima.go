@@ -285,9 +285,3 @@ func residuals(x, ar, ma []float64) []float64 {
 	}
 	return eps
 }
-
-// DebugAR exposes the fitted AR coefficients of one table (test helper).
-func (a *ARIMA) DebugAR(j int) []float64 { return a.ar[j] }
-
-// DebugMA exposes the fitted MA coefficients of one table (test helper).
-func (a *ARIMA) DebugMA(j int) []float64 { return a.ma[j] }

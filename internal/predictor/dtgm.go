@@ -241,12 +241,6 @@ func (d *DTGM) pack(history [][]float64, starts []int, atBase int) (x, y *nn.Ten
 	return nn.NewTensor(xd, len(starts)*n, ch, w), nn.NewTensor(yd, len(starts)*n, hz)
 }
 
-// SetSlot tells the model the absolute slot index of the *next* value to
-// forecast, anchoring the time-of-cycle features. Evaluate-style rolling
-// prediction should call it before each Predict; when unset, the model
-// assumes prediction continues right after the fitted history.
-func (d *DTGM) SetSlot(slot int) { d.nextSlot = slot }
-
 // Predict implements Predictor.
 func (d *DTGM) Predict(recent [][]float64, horizon int) [][]float64 {
 	n := len(d.adj)

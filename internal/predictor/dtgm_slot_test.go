@@ -9,7 +9,7 @@ import (
 
 // TestDTGMSlotAnchoring verifies the time-of-cycle feature plumbing: after
 // Fit, the model's forecast slot continues from the end of the history and
-// advances with each Predict; SetSlot rewinds it for re-evaluation.
+// advances with each Predict; setting nextSlot rewinds it for re-evaluation.
 func TestDTGMSlotAnchoring(t *testing.T) {
 	bt := workload.NewBusTracker()
 	series, _ := bt.RateSeries(320)
@@ -23,12 +23,12 @@ func TestDTGMSlotAnchoring(t *testing.T) {
 
 	recent := series[240:300]
 	p1 := d.Predict(recent, 10)
-	d.SetSlot(300)
+	d.nextSlot = 300
 	p2 := d.Predict(recent, 10)
 	for s := range p1 {
 		for j := range p1[s] {
 			if math.Abs(p1[s][j]-p2[s][j]) > 1e-9 {
-				t.Fatalf("SetSlot did not restore determinism at [%d][%d]: %v vs %v",
+				t.Fatalf("rewinding nextSlot did not restore determinism at [%d][%d]: %v vs %v",
 					s, j, p1[s][j], p2[s][j])
 			}
 		}
@@ -36,7 +36,7 @@ func TestDTGMSlotAnchoring(t *testing.T) {
 
 	// A different anchor slot must change the time features and thus the
 	// forecast (at least somewhere).
-	d.SetSlot(300 + 36) // half a cycle later (BusDayPeriod=72)
+	d.nextSlot = 300 + 36 // half a cycle later (BusDayPeriod=72)
 	p3 := d.Predict(recent, 10)
 	moved := false
 	for s := range p1 {
@@ -64,7 +64,7 @@ func TestDTGMWithoutPeriodIgnoresSlot(t *testing.T) {
 	}
 	recent := series[140:200]
 	p1 := d.Predict(recent, 5)
-	d.SetSlot(12345)
+	d.nextSlot = 12345
 	p2 := d.Predict(recent, 5)
 	for s := range p1 {
 		for j := range p1[s] {

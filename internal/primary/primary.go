@@ -61,9 +61,6 @@ func New(gen workload.Generator, seed int64) *Primary {
 	return p
 }
 
-// Generator returns the workload behind the primary.
-func (p *Primary) Generator() workload.Generator { return p.gen }
-
 // NextTxn executes one transaction and returns its committed value-log
 // form.
 func (p *Primary) NextTxn() wal.Txn {
@@ -139,15 +136,4 @@ func (p *Primary) GenerateEpochs(totalTxns, epochSize int) []*epoch.Epoch {
 // replication stream, one Encoded per epoch.
 func (p *Primary) GenerateEncoded(totalTxns, epochSize int) []epoch.Encoded {
 	return epoch.EncodeAll(p.GenerateEpochs(totalTxns, epochSize))
-}
-
-// Heartbeat returns a dummy empty epoch carrying the current primary
-// timestamp: the idle-primary heartbeat of paper §V-B that keeps
-// global_cmt_ts advancing on the backup.
-func (p *Primary) Heartbeat(seq uint64) epoch.Encoded {
-	p.mu.Lock()
-	ts := p.lastTS + 1
-	p.lastTS = ts
-	p.mu.Unlock()
-	return epoch.Encoded{Seq: seq, LastCommitTS: ts}
 }

@@ -131,26 +131,6 @@ func TestDeterministicForSameSeed(t *testing.T) {
 	}
 }
 
-func TestHeartbeatAdvancesTimestamp(t *testing.T) {
-	p := New(workload.NewTPCC(1), 8)
-	p.GenerateTxns(10)
-	before := p.LastCommitTS()
-	hb := p.Heartbeat(99)
-	if hb.TxnCount != 0 || len(hb.Buf) != 0 {
-		t.Fatalf("heartbeat carries payload: %+v", hb)
-	}
-	if hb.LastCommitTS <= before {
-		t.Fatal("heartbeat timestamp did not advance")
-	}
-	if hb.Seq != 99 {
-		t.Fatalf("heartbeat seq %d", hb.Seq)
-	}
-	txn := p.NextTxn()
-	if txn.CommitTS <= hb.LastCommitTS {
-		t.Fatal("post-heartbeat txn timestamp did not advance past heartbeat")
-	}
-}
-
 func TestCustomClock(t *testing.T) {
 	p := New(workload.NewTPCC(1), 9)
 	now := int64(1_000_000)

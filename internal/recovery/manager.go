@@ -82,7 +82,7 @@ func OpenManager(dir string, retain int, reg *metrics.Registry) (*Manager, error
 }
 
 // Write cuts one checkpoint: cut streams the content (a
-// checkpoint.Write call, typically via htap.Node.Checkpoint), and Write
+// checkpoint.WriteWith call, typically via htap.Node.Checkpoint), and Write
 // makes it durable atomically, then prunes beyond the retention count.
 // The final path is returned.
 func (m *Manager) Write(cut func(w io.Writer) error) (string, error) {
@@ -140,15 +140,6 @@ func (m *Manager) List() ([]string, error) {
 		out = append(out, m.path(gens[i]))
 	}
 	return out, nil
-}
-
-// Newest returns the newest checkpoint path, or "" when none exists.
-func (m *Manager) Newest() (string, error) {
-	paths, err := m.List()
-	if err != nil || len(paths) == 0 {
-		return "", err
-	}
-	return paths[0], nil
 }
 
 func (m *Manager) pruneLocked() error {

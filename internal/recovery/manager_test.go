@@ -101,3 +101,12 @@ func TestManagerRemovesStaleTmpOnOpen(t *testing.T) {
 		t.Fatalf("stale tmp survived open: %v", err)
 	}
 }
+
+// Newest returns the newest checkpoint path, or "" when none exists.
+func (m *Manager) Newest() (string, error) {
+	paths, err := m.List()
+	if err != nil || len(paths) == 0 {
+		return "", err
+	}
+	return paths[0], nil
+}

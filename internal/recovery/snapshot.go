@@ -5,11 +5,9 @@ package recovery
 // its whole state replaced by a snapshot streamed from upstream — the
 // path a replica takes when its resume cursor predates the sender's
 // retained history, or when a state-digest comparison caught silent
-// divergence — and can itself serve snapshots to stale downstream
-// peers when relaying.
+// divergence.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -22,11 +20,10 @@ import (
 	"aets/internal/ship"
 )
 
-// The supervisor restores and serves snapshots and verifies digests.
+// The supervisor restores snapshots and verifies digests.
 var (
 	_ ship.SnapshotApplier = (*Supervisor)(nil)
 	_ ship.DigestApplier   = (*Supervisor)(nil)
-	_ ship.SnapshotSource  = (*Supervisor)(nil)
 )
 
 // RestoreSnapshot implements ship.SnapshotApplier: it replaces the
@@ -174,44 +171,6 @@ func (s *Supervisor) NeedSnapshot() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.needSnap
-}
-
-// Snapshot implements ship.SnapshotSource for supervised relays: a
-// downstream peer too stale to serve from the spool gets a fresh
-// checkpoint cut from the live node. Cutting fresh (rather than
-// shipping the newest retained checkpoint file) is what upholds the
-// source contract — the snapshot covers every epoch this supervisor
-// has applied, so the relay sender may retire its whole pending window
-// at the returned cursor.
-func (s *Supervisor) Snapshot() (uint64, int64, io.ReadCloser, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, 0, nil, ErrSpoolClosed
-	}
-	if s.node == nil {
-		return 0, 0, nil, errors.New("recovery: no live node to snapshot")
-	}
-	f, err := os.CreateTemp(s.cfg.Spool.cfg.Dir, "snapshot-outbound-*.tmp")
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	_ = os.Remove(f.Name())
-	meta, err := s.node.Checkpoint(f)
-	if err != nil {
-		f.Close()
-		return 0, 0, nil, err
-	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return 0, 0, nil, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return 0, 0, nil, err
-	}
-	return meta.NextEpochSeq(), size, f, nil
 }
 
 // parseQuarantineSeq extracts the sequence from a quarantine sidecar

@@ -1,9 +1,10 @@
 package recovery
 
-// Tests for the supervisor's snapshot catch-up surface: serving a
-// snapshot, restoring one (durably, surviving restart), refusing torn
-// or corrupt transfers without disturbing the live node, anti-entropy
-// digest verification, and quarantine healing on restore.
+// Tests for the supervisor's snapshot catch-up surface: restoring a
+// snapshot cut from another supervisor's node (durably, surviving
+// restart), refusing torn or corrupt transfers without disturbing the
+// live node, anti-entropy digest verification, and quarantine healing
+// on restore.
 
 import (
 	"bytes"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"aets/internal/epoch"
+	"aets/internal/htap"
 	"aets/internal/ship"
 )
 
@@ -44,7 +46,7 @@ func TestSupervisorSnapshotRoundTrip(t *testing.T) {
 	tgt := openSup(t, tgtSpool, tgtCkpt, nil)
 	feedAll(t, tgt.sup, encs, 0, half)
 
-	cursor, size, rc, err := src.sup.Snapshot()
+	cursor, size, rc, err := (&htap.NodeSnapshotSource{N: src.sup.Node()}).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestSupervisorRestoreRejectsTornAndCorrupt(t *testing.T) {
 	feedAll(t, tgt.sup, encs, 0, half)
 
 	// Torn: half the snapshot bytes then an error.
-	cursor, _, rc, err := src.sup.Snapshot()
+	cursor, _, rc, err := (&htap.NodeSnapshotSource{N: src.sup.Node()}).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,7 @@ func TestSupervisorDigestRepairFlow(t *testing.T) {
 	}
 
 	// The repair snapshot clears the latch.
-	cursor, size, rc, err := src.sup.Snapshot()
+	cursor, size, rc, err := (&htap.NodeSnapshotSource{N: src.sup.Node()}).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestSupervisorRestoreHealsQuarantine(t *testing.T) {
 
 	// The snapshot covers the quarantined sequence: restoring it heals
 	// the hole and the degradation.
-	cursor, size, rc, err := src.sup.Snapshot()
+	cursor, size, rc, err := (&htap.NodeSnapshotSource{N: src.sup.Node()}).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,9 +116,9 @@ type SpoolConfig struct {
 // segment an older build wrote truncates to nothing, and the replica
 // resumes from its checkpoint.
 //
-// Append, AppendWire, TruncateBefore and Compact are safe for
-// concurrent use; Replay must not run concurrently with Append or
-// Compact (the supervisor serializes them).
+// Append, AppendWire and Compact are safe for concurrent use; Replay
+// must not run concurrently with Append or Compact (the supervisor
+// serializes them).
 type Spool struct {
 	cfg SpoolConfig
 
@@ -310,15 +310,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Range returns the replayable range: the first spooled epoch seq and
-// the next seq Append accepts (end of range). ok is false when the
-// spool is empty (both values are then meaningless).
-func (sp *Spool) Range() (first, next uint64, ok bool) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.first, sp.next, sp.have
-}
-
 // End returns the next epoch seq the spool will accept (0 when empty
 // and unaligned).
 func (sp *Spool) End() uint64 {
@@ -397,13 +388,6 @@ func (sp *Spool) syncLocked() error {
 	sp.lastTry = time.Now()
 	sp.cSyncs.Inc()
 	return nil
-}
-
-// Sync forces an fsync of the current segment regardless of policy.
-func (sp *Spool) Sync() error {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.syncLocked()
 }
 
 // syncLoop bounds the SyncInterval loss window even when appends stop.
@@ -486,37 +470,6 @@ func (sp *Spool) AlignTo(seq uint64) error {
 	return nil
 }
 
-// TruncateBefore removes whole segments that contain only epochs below
-// keep (typically the checkpoint cursor). The active segment is never
-// removed. Returns the number of files removed.
-func (sp *Spool) TruncateBefore(keep uint64) (int, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.closed {
-		return 0, ErrSpoolClosed
-	}
-	segs, err := sp.segments()
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i+1] <= keep {
-			if err := os.Remove(sp.path(segs[i])); err != nil {
-				return removed, err
-			}
-			removed++
-		}
-	}
-	if removed > 0 && len(segs) > removed {
-		if sp.first < segs[removed] {
-			sp.first = segs[removed]
-		}
-	}
-	sp.publishGauges()
-	return removed, nil
-}
-
 // compactTmpSuffix marks a boundary segment mid-rewrite; recover()
 // discards leftovers (the original is intact until the rename).
 const compactTmpSuffix = ".tmp"
@@ -525,8 +478,6 @@ const compactTmpSuffix = ".tmp"
 // checkpoint cursor NextEpochSeq): segments wholly below it are
 // removed — including the active one — and the boundary segment
 // containing keep is rewritten in place without the dead prefix.
-// Unlike TruncateBefore it reclaims disk as soon as the cursor moves,
-// not only when a whole 16MB segment falls under it.
 //
 // Crash safety: whole-segment removals preserve contiguity at any
 // prefix, and the boundary rewrite goes through write-tmp, fsync,

@@ -130,7 +130,7 @@ func TestSpoolDuplicateAndGap(t *testing.T) {
 	}
 }
 
-func TestSpoolRotationAndTruncateBefore(t *testing.T) {
+func TestSpoolRotationAndCompact(t *testing.T) {
 	dir := t.TempDir()
 	// A tiny segment cap forces one rotation per epoch.
 	sp := openTestSpool(t, dir, SpoolConfig{MaxSegmentBytes: 1})
@@ -144,16 +144,15 @@ func TestSpoolRotationAndTruncateBefore(t *testing.T) {
 	if len(segs) != len(encs) {
 		t.Fatalf("%d segments, want %d (one per epoch)", len(segs), len(encs))
 	}
-	removed, err := sp.TruncateBefore(5)
-	if err != nil {
+	if _, err := sp.Compact(5); err != nil {
 		t.Fatal(err)
 	}
-	if removed != 5 {
-		t.Fatalf("removed %d segments, want 5", removed)
+	if segs, err = sp.segments(); err != nil || len(segs) != 3 {
+		t.Fatalf("%d segments after compacting to 5, want 3 (err %v)", len(segs), err)
 	}
 	got := collect(t, sp, 5)
 	if len(got) != 3 || got[0].Seq != 5 {
-		t.Fatalf("post-truncate replay: %d epochs from %d, want 3 from 5", len(got), got[0].Seq)
+		t.Fatalf("post-compact replay: %d epochs from %d, want 3 from 5", len(got), got[0].Seq)
 	}
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
@@ -319,4 +318,13 @@ func TestSpoolBitFlipTruncatesAndDropsLaterSegments(t *testing.T) {
 	if v := reg.Counter("recovery_spool_truncated_total").Load(); v != 1 {
 		t.Fatalf("truncated counter %d, want 1", v)
 	}
+}
+
+// Range returns the replayable range: the first spooled epoch seq and
+// the next seq Append accepts (end of range). ok is false when the
+// spool is empty (both values are then meaningless).
+func (sp *Spool) Range() (first, next uint64, ok bool) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return sp.first, sp.next, sp.have
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -393,9 +392,8 @@ func (s *Supervisor) checkpointLocked() error {
 	}
 	s.sinceCkpt = 0
 	s.lastCkpt = time.Now()
-	// Compact, not TruncateBefore: the spool drops dead epochs as soon as
-	// the cursor moves — including the active segment's prefix — instead
-	// of waiting for whole segments to age out. But only below the OLDEST
+	// Compact drops dead epochs as soon as the cursor moves — including
+	// the active segment's prefix. But only below the OLDEST
 	// retained checkpoint's cursor: restore falls back across corrupt
 	// checkpoints, and an older checkpoint is only usable while the spool
 	// still covers [its cursor, End). Cursors of checkpoints written
@@ -653,18 +651,6 @@ func (s *Supervisor) loadQuarantineLocked() {
 		s.nQuarant.Store(int64(len(s.quarantined)))
 		s.setState(StateDegraded)
 	}
-}
-
-// QuarantinedSeqs returns the quarantined epoch sequences, ascending.
-func (s *Supervisor) QuarantinedSeqs() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]uint64, 0, len(s.quarantined))
-	for seq := range s.quarantined {
-		out = append(out, seq)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func (s *Supervisor) setState(st State) {

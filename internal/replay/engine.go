@@ -261,9 +261,6 @@ func (e *Engine) SetPlan(p *grouping.Plan) {
 	e.planMu.Unlock()
 }
 
-// Plan returns the currently active plan.
-func (e *Engine) Plan() *grouping.Plan { return e.vis.Load().plan }
-
 func (e *Engine) installPlan(p *grouping.Plan, ts int64) {
 	vs := &visState{plan: p, tg: make([]atomic.Int64, len(p.Groups))}
 	for i := range vs.tg {

@@ -279,7 +279,7 @@ func TestUrgencyConfigRespected(t *testing.T) {
 	ref := memtable.New()
 	reference.Apply(ref, txns)
 	for _, depth := range depths {
-		for _, u := range []alloc.UrgencyFunc{alloc.LogUrgency, alloc.LinearUrgency, alloc.NoURgency} {
+		for _, u := range []alloc.UrgencyFunc{alloc.LogUrgency, func(r float64) float64 { return max(r, 1) }, alloc.NoURgency} {
 			plan := buildTPCCPlan(gen, 5000)
 			mt := runEngine(t, Config{Workers: 4, TwoStage: true, Urgency: u, Pipeline: depth}, plan, txns, 100)
 			if err := reference.Equal(ref, mt, workload.TableIDs(gen.Tables())); err != nil {
@@ -443,4 +443,17 @@ func TestEngineConcurrentFeedStop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// Plan returns the currently active plan.
+func (e *Engine) Plan() *grouping.Plan { return e.vis.Load().plan }
+
+// GroupTS returns the tg_cmt_ts of the group currently holding table t, or
+// the global timestamp if the table is unknown to the plan.
+func (e *Engine) GroupTS(t wal.TableID) int64 {
+	vs := e.vis.Load()
+	if gi, ok := vs.plan.GroupOf(t); ok {
+		return vs.tg[gi].Load()
+	}
+	return e.global.Load()
 }

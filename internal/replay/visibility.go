@@ -49,16 +49,6 @@ func (e *Engine) wake() {
 // timestamp of fully replayed epochs (and heartbeats).
 func (e *Engine) GlobalTS() int64 { return e.global.Load() }
 
-// GroupTS returns the tg_cmt_ts of the group currently holding table t, or
-// the global timestamp if the table is unknown to the plan.
-func (e *Engine) GroupTS(t wal.TableID) int64 {
-	vs := e.vis.Load()
-	if gi, ok := vs.plan.GroupOf(t); ok {
-		return vs.tg[gi].Load()
-	}
-	return e.global.Load()
-}
-
 // visibleAt reports whether a query at qts over tables can proceed.
 func (e *Engine) visibleAt(qts int64, tables []wal.TableID) bool {
 	if e.global.Load() >= qts {

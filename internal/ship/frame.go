@@ -352,24 +352,18 @@ func (f *Frame) wire(compressed bool, built *metrics.Counter) []byte {
 	return f.raw
 }
 
-// DecodeEpoch parses an uncompressed EPOCH frame payload. Malformed
-// payloads return ErrCorrupt, never panic.
-//
-// Ownership: the returned enc.Buf ALIASES p — no copy is made on this
-// hot path. The caller must not reuse or mutate p while the epoch is
-// retained. Both wire paths uphold this: ReadFrameFlags allocates a
-// fresh payload per frame, and spool replay allocates per epoch.
-func DecodeEpoch(p []byte) (*epoch.Encoded, error) {
-	return DecodeEpochFrame(0, p)
-}
-
 // DecodeEpochFrame parses an EPOCH frame payload under the frame's
 // header flags. With FlagCompressed set, the buf bytes after the clear
 // epoch header are inflated into a freshly allocated buffer of exactly
 // bufLen bytes (which therefore never aliases p); the stream must
 // inflate to exactly that size, and to bytes whose CRC32-C is bufCRC.
-// Malformed or truncated compressed payloads return ErrCorrupt, never
-// panic.
+// Malformed or truncated payloads return ErrCorrupt, never panic.
+//
+// Ownership: without FlagCompressed the returned enc.Buf ALIASES p — no
+// copy is made on this hot path. The caller must not reuse or mutate p
+// while the epoch is retained. Both wire paths uphold this:
+// ReadFrameFlags allocates a fresh payload per frame, and spool replay
+// allocates per epoch.
 func DecodeEpochFrame(flags byte, p []byte) (*epoch.Encoded, error) {
 	if flags&^FlagCompressed != 0 {
 		return nil, fmt.Errorf("%w: unknown frame flags 0x%02x", ErrCorrupt, flags)

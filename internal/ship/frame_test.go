@@ -23,7 +23,7 @@ import (
 func testEpoch(rng *rand.Rand, seq uint64) *epoch.Encoded {
 	buf := make([]byte, 10+rng.Intn(200))
 	rng.Read(buf)
-	// Counts stay ≤ len(buf): DecodeEpoch rejects epochs claiming more
+	// Counts stay ≤ len(buf): DecodeEpochFrame rejects epochs claiming more
 	// transactions or entries than the buf could possibly hold.
 	return &epoch.Encoded{
 		Seq:          seq,
@@ -100,7 +100,7 @@ func TestEpochPayloadRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
 		want := testEpoch(rng, uint64(i))
-		got, err := DecodeEpoch(EncodeEpoch(want))
+		got, err := DecodeEpochFrame(0, EncodeEpoch(want))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,16 +306,16 @@ func TestReadFrameVersionByte(t *testing.T) {
 }
 
 func TestDecodeEpochRejectsDamage(t *testing.T) {
-	if _, err := DecodeEpoch(nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeEpochFrame(0, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("nil payload: %v", err)
 	}
 	p := EncodeEpoch(testEpoch(rand.New(rand.NewSource(3)), 0))
-	if _, err := DecodeEpoch(p[:20]); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeEpochFrame(0, p[:20]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short payload: %v", err)
 	}
 	// Declared buf length disagreeing with the payload size.
 	p[32] ^= 0xff
-	if _, err := DecodeEpoch(p); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeEpochFrame(0, p); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bufLen mismatch: %v", err)
 	}
 }
@@ -371,7 +371,7 @@ func TestDecodeEpochRejectsAbsurdCounts(t *testing.T) {
 		p := EncodeEpoch(base)
 		binary.LittleEndian.PutUint32(p[8:], tc.txns)
 		binary.LittleEndian.PutUint32(p[28:], tc.ents)
-		_, err := DecodeEpoch(p)
+		_, err := DecodeEpochFrame(0, p)
 		if tc.ok && err != nil {
 			t.Fatalf("%s: unexpected reject: %v", tc.name, err)
 		}
@@ -383,27 +383,27 @@ func TestDecodeEpochRejectsAbsurdCounts(t *testing.T) {
 	empty := &epoch.Encoded{Seq: 1, LastCommitTS: 1}
 	p := EncodeEpoch(empty)
 	binary.LittleEndian.PutUint32(p[28:], 4_000_000_000)
-	if _, err := DecodeEpoch(p); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeEpochFrame(0, p); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("entries over empty buf: %v", err)
 	}
 }
 
-// DecodeEpoch's documented sharp edge: the decoded Buf aliases the
-// frame payload (no copy on the hot path). Retention sites rely on
-// ReadFrameFlags allocating a fresh payload per frame; both contracts
-// are pinned here so a "harmless" buffer-reuse optimization cannot
-// silently corrupt a queued epoch.
+// DecodeEpochFrame's documented sharp edge: an uncompressed frame's
+// decoded Buf aliases the frame payload (no copy on the hot path).
+// Retention sites rely on ReadFrameFlags allocating a fresh payload per
+// frame; both contracts are pinned here so a "harmless" buffer-reuse
+// optimization cannot silently corrupt a queued epoch.
 func TestDecodeEpochAliasingContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	enc := testEpoch(rng, 0)
 	p := EncodeEpoch(enc)
-	got, err := DecodeEpoch(p)
+	got, err := DecodeEpochFrame(0, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p[epochHdrSize] ^= 0xff
 	if got.Buf[0] != p[epochHdrSize] {
-		t.Fatal("DecodeEpoch no longer aliases the payload; update the ownership docs and retention-site audit")
+		t.Fatal("DecodeEpochFrame no longer aliases the payload; update the ownership docs and retention-site audit")
 	}
 
 	// Two frames read from one stream must not share backing memory.
@@ -415,7 +415,7 @@ func TestDecodeEpochAliasingContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0, err := DecodeEpoch(p0)
+	d0, err := DecodeEpochFrame(0, p0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,6 +163,6 @@ func TestReadFrameNeverPanicsOnRandomBytes(t *testing.T) {
 		buf := make([]byte, rng.Intn(300))
 		rng.Read(buf)
 		checkReadFrame(t, buf)
-		_, _ = DecodeEpoch(buf)
+		_, _ = DecodeEpochFrame(0, buf)
 	}
 }

@@ -27,7 +27,7 @@ type Applier interface {
 }
 
 // FrameApplier is an optional Applier extension for consumers that
-// persist the stream (the recovery supervisor's spool, relay hops):
+// persist the stream (the recovery supervisor's spool):
 // the receiver hands over the wire frame alongside the decoded epoch,
 // so a compressed frame can be stored as received instead of being
 // inflated and re-deflated.
@@ -133,12 +133,9 @@ func (r *Receiver) capsOffered() uint64 {
 	}
 	// Snapshot catch-up is offered exactly when the applier can restore
 	// one; advertising it without the ability would strand the link
-	// mid-stream. Wrapping appliers refine the static check at runtime
-	// via SnapshotCapable.
+	// mid-stream.
 	if _, ok := r.cfg.Applier.(SnapshotApplier); ok {
-		if c, ok := r.cfg.Applier.(SnapshotCapable); !ok || c.SnapshotCapable() {
-			caps |= CapSnapshot
-		}
+		caps |= CapSnapshot
 	}
 	return caps
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
 
@@ -77,5 +78,36 @@ func TestReceiverSettlesSeqBeforeInflating(t *testing.T) {
 	}
 	if st := rcv.Stats(); st.Duplicates != 1 || st.Cursor != 2 {
 		t.Fatalf("receiver stats %+v, want 1 duplicate, cursor 2", st)
+	}
+}
+
+// snapSeqApplier is a seqApplier that can also restore snapshots.
+type snapSeqApplier struct{ seqApplier }
+
+func (a *snapSeqApplier) RestoreSnapshot(uint64, int64, io.Reader) error { return nil }
+
+// TestReceiverCapsOffered pins what a receiver advertises in WELCOME:
+// CapSnapshot exactly when its Applier can restore a snapshot, CapFlate
+// exactly when Compress is set.
+func TestReceiverCapsOffered(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		applier  Applier
+		compress bool
+		want     uint64
+	}{
+		{"plain applier", &seqApplier{}, false, 0},
+		{"snapshot applier", &snapSeqApplier{}, false, CapSnapshot},
+		{"compress", &seqApplier{}, true, CapFlate},
+		{"snapshot applier, compress", &snapSeqApplier{}, true, CapSnapshot | CapFlate},
+	} {
+		rcv, err := NewReceiver(ReceiverConfig{Schema: 7, Applier: c.applier, Compress: c.compress,
+			Metrics: NewMetrics(metrics.NewRegistry())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rcv.capsOffered(); got != c.want {
+			t.Errorf("%s: caps %#x, want %#x", c.name, got, c.want)
+		}
 	}
 }

@@ -21,8 +21,7 @@ var ErrDigestMismatch = errors.New("ship: state digest mismatch")
 var ErrSnapshotUnsupported = errors.New("ship: snapshot catch-up unsupported on this link")
 
 // SnapshotSource serves full-state snapshots for catch-up. The primary
-// uses the live node's checkpoint cut; a supervised relay serves the
-// recovery manager's newest valid checkpoint.
+// uses the live node's checkpoint cut.
 type SnapshotSource interface {
 	// Snapshot returns a consistent full-state snapshot stream and the
 	// cursor it covers (the next epoch sequence after the snapshot).
@@ -43,16 +42,6 @@ type SnapshotApplier interface {
 	// error the prior state must remain intact and queryable. After a
 	// nil return the receiver's cursor becomes cursor.
 	RestoreSnapshot(cursor uint64, size int64, r io.Reader) error
-}
-
-// SnapshotCapable is an optional refinement for wrapping appliers (a
-// cluster relay): a type that statically implements SnapshotApplier
-// but merely delegates to an inner applier reports here whether the
-// inner one can actually restore. The receiver advertises CapSnapshot
-// only when it reports true; appliers without the method advertise by
-// implementing SnapshotApplier alone.
-type SnapshotCapable interface {
-	SnapshotCapable() bool
 }
 
 // DigestApplier is an optional Applier extension for receivers that

@@ -125,16 +125,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	e := Entry{Type: TypeUpdate, Table: 1, RowKey: 2,
-		Columns: []Column{{ID: 1, Value: []byte{1, 2, 3}}}}
-	c := e.Clone()
-	c.Columns[0].Value[0] = 99
-	if e.Columns[0].Value[0] == 99 {
-		t.Fatal("Clone shares column memory")
-	}
-}
-
 func TestEntrySizeCountsColumns(t *testing.T) {
 	e := Entry{Type: TypeUpdate, Columns: []Column{{ID: 1, Value: make([]byte, 100)}}}
 	small := Entry{Type: TypeUpdate, Columns: []Column{{ID: 1, Value: make([]byte, 1)}}}

@@ -91,19 +91,6 @@ type Entry struct {
 	WriteSeq uint64
 }
 
-// Clone returns a deep copy of the entry; the returned entry shares no
-// memory with the receiver.
-func (e *Entry) Clone() Entry {
-	c := *e
-	if e.Columns != nil {
-		c.Columns = make([]Column, len(e.Columns))
-		for i, col := range e.Columns {
-			c.Columns[i] = Column{ID: col.ID, Value: append([]byte(nil), col.Value...)}
-		}
-	}
-	return c
-}
-
 // Size returns the approximate in-memory size of the entry in bytes. The
 // adaptive thread allocator uses it as the per-group un-replayed log size
 // n_gi (paper §IV-B).

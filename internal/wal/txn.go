@@ -12,29 +12,6 @@ type Txn struct {
 	Entries  []Entry // DML entries only; framing entries are stripped
 }
 
-// Size returns the total encoded-ish size of the transaction's DML entries.
-func (t *Txn) Size() int {
-	n := 0
-	for i := range t.Entries {
-		n += t.Entries[i].Size()
-	}
-	return n
-}
-
-// Tables returns the distinct set of tables the transaction modifies.
-func (t *Txn) Tables() []TableID {
-	seen := make(map[TableID]struct{}, 4)
-	var out []TableID
-	for i := range t.Entries {
-		id := t.Entries[i].Table
-		if _, ok := seen[id]; !ok {
-			seen[id] = struct{}{}
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // AssembleTxns groups a flat, log-ordered entry stream into transactions.
 // It enforces the framing protocol: every transaction must open with BEGIN,
 // carry zero or more DML entries, and close with COMMIT; transactions may

@@ -86,29 +86,6 @@ func TestAssembleRejectsForeignDML(t *testing.T) {
 	}
 }
 
-func TestTxnTablesDeduplicates(t *testing.T) {
-	txn := Txn{ID: 1, Entries: []Entry{
-		{Type: TypeUpdate, Table: 3, Columns: []Column{{}}},
-		{Type: TypeUpdate, Table: 3, Columns: []Column{{}}},
-		{Type: TypeUpdate, Table: 5, Columns: []Column{{}}},
-	}}
-	tables := txn.Tables()
-	if len(tables) != 2 || tables[0] != 3 || tables[1] != 5 {
-		t.Fatalf("Tables() = %v, want [3 5]", tables)
-	}
-}
-
-func TestTxnSizeSumsEntries(t *testing.T) {
-	txn := Txn{Entries: []Entry{
-		{Type: TypeUpdate, Columns: []Column{{ID: 1, Value: make([]byte, 10)}}},
-		{Type: TypeUpdate, Columns: []Column{{ID: 1, Value: make([]byte, 20)}}},
-	}}
-	want := txn.Entries[0].Size() + txn.Entries[1].Size()
-	if txn.Size() != want {
-		t.Fatalf("Size() = %d, want %d", txn.Size(), want)
-	}
-}
-
 func TestStreamEncodeDecode(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	txns := genTxns(r, 50)
