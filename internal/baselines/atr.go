@@ -100,12 +100,14 @@ func (a *ATR) Feed(enc *epoch.Encoded) error {
 // Drain blocks until every fed epoch is fully visible.
 func (a *ATR) Drain() { a.inflight.Wait() }
 
-// Stop drains and shuts down all goroutines. The replayer cannot be
+// Stop drains and shuts down all goroutines, then releases WaitGlobal
+// waiters the final snapshot does not cover. The replayer cannot be
 // restarted; Feed after Stop returns an error.
 func (a *ATR) Stop() {
 	if a.life.stopOnce(func() { close(a.feed) }) {
 		a.wg.Wait()
 	}
+	a.snapshot.Close()
 }
 
 // Err returns the first fatal replay error.
@@ -119,6 +121,10 @@ func (a *ATR) Err() error {
 // table groups, so the table set is ignored: everything becomes visible in
 // one global order.
 func (a *ATR) WaitVisible(qts int64, _ []wal.TableID) { a.snapshot.Wait(qts) }
+
+// WaitGlobal blocks until the snapshot timestamp reaches qts (true) or
+// the replayer stops short of it (false).
+func (a *ATR) WaitGlobal(qts int64) bool { return a.snapshot.WaitOpen(qts) }
 
 // GlobalTS returns the current snapshot timestamp.
 func (a *ATR) GlobalTS() int64 { return a.snapshot.Load() }

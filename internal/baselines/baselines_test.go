@@ -20,6 +20,7 @@ type replayerUnderTest interface {
 	Drain()
 	Stop()
 	WaitVisible(int64, []wal.TableID)
+	WaitGlobal(int64) bool
 	GlobalTS() int64
 	Err() error
 }
@@ -261,5 +262,47 @@ func TestBaselineLifecycleErrors(t *testing.T) {
 		if err := r2.Feed(enc); err != errStopped {
 			t.Fatalf("%s: Feed after Stop-without-Start: got %v, want errStopped", name, err)
 		}
+	}
+}
+
+// TestBaselineWaitGlobal: the routed-read wait returns true once the
+// snapshot timestamp covers it and false once the replayer stops short
+// of it, started or not.
+func TestBaselineWaitGlobal(t *testing.T) {
+	for name, mk := range map[string]func(mt *memtable.Memtable) replayerUnderTest{
+		"ATR": func(mt *memtable.Memtable) replayerUnderTest { return NewATR(mt, 2) },
+		"C5":  func(mt *memtable.Memtable) replayerUnderTest { return NewC5(mt, 2, time.Millisecond) },
+	} {
+		wait := func(r replayerUnderTest, qts int64) chan bool {
+			out := make(chan bool, 1)
+			go func() { out <- r.WaitGlobal(qts) }()
+			return out
+		}
+		expect := func(out chan bool, want bool) {
+			t.Helper()
+			select {
+			case got := <-out:
+				if got != want {
+					t.Fatalf("%s: WaitGlobal = %v, want %v", name, got, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: WaitGlobal never returned", name)
+			}
+		}
+		r := mk(memtable.New())
+		r.Start()
+		covered := wait(r, 300)
+		if err := r.Feed(&epoch.Encoded{Seq: 0, LastCommitTS: 300}); err != nil {
+			t.Fatal(err)
+		}
+		expect(covered, true)
+		stranded := wait(r, 301)
+		r.Stop()
+		expect(stranded, false)
+
+		never := mk(memtable.New())
+		stranded = wait(never, 1)
+		never.Stop()
+		expect(stranded, false)
 	}
 }

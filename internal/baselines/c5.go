@@ -117,12 +117,14 @@ func (c *C5) Feed(enc *epoch.Encoded) error {
 // Drain blocks until every fed epoch is fully applied and visible.
 func (c *C5) Drain() { c.inflight.Wait() }
 
-// Stop drains and shuts down all goroutines. The replayer cannot be
+// Stop drains and shuts down all goroutines, then releases WaitGlobal
+// waiters the final snapshot does not cover. The replayer cannot be
 // restarted; Feed after Stop returns an error.
 func (c *C5) Stop() {
 	if c.life.stopOnce(func() { close(c.feed) }) {
 		c.wg.Wait()
 	}
+	c.snapshot.Close()
 }
 
 // Err returns the first fatal replay error.
@@ -135,6 +137,10 @@ func (c *C5) Err() error {
 // WaitVisible blocks until the periodic snapshot reaches qts; C5's
 // visibility is global, so the table set is ignored.
 func (c *C5) WaitVisible(qts int64, _ []wal.TableID) { c.snapshot.Wait(qts) }
+
+// WaitGlobal blocks until the snapshot timestamp reaches qts (true) or
+// the replayer stops short of it (false).
+func (c *C5) WaitGlobal(qts int64) bool { return c.snapshot.WaitOpen(qts) }
 
 // GlobalTS returns the current snapshot timestamp.
 func (c *C5) GlobalTS() int64 { return c.snapshot.Load() }

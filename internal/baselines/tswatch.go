@@ -19,6 +19,7 @@ type tsWatch struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	waiters atomic.Int64
+	closed  bool // guarded by mu: the replayer stopped, ts is final
 }
 
 func newTSWatch() *tsWatch {
@@ -50,15 +51,34 @@ func (w *tsWatch) Advance(v int64) {
 }
 
 // Wait blocks until the timestamp is ≥ qts.
-func (w *tsWatch) Wait(qts int64) {
+func (w *tsWatch) Wait(qts int64) { w.wait(qts, false) }
+
+// WaitOpen blocks until the timestamp is ≥ qts, returning true, or until
+// the watch is closed short of it, returning false.
+func (w *tsWatch) WaitOpen(qts int64) bool { return w.wait(qts, true) }
+
+func (w *tsWatch) wait(qts int64, untilClosed bool) bool {
 	if w.ts.Load() >= qts {
-		return
+		return true
 	}
 	w.waiters.Add(1)
 	defer w.waiters.Add(-1)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for w.ts.Load() < qts {
+		if untilClosed && w.closed {
+			return false
+		}
 		w.cond.Wait()
 	}
+	return true
+}
+
+// Close marks the timestamp final and releases WaitOpen waiters it does
+// not cover. Idempotent.
+func (w *tsWatch) Close() {
+	w.mu.Lock()
+	w.closed = true
+	w.cond.Broadcast()
+	w.mu.Unlock()
 }

@@ -21,7 +21,7 @@
 package cluster
 
 import (
-	"time"
+	"fmt"
 
 	"aets/internal/query"
 	"aets/internal/recovery"
@@ -41,11 +41,15 @@ type Replica interface {
 	// Healthy reports whether the replica can serve queries. Routing
 	// skips unhealthy replicas.
 	Healthy() bool
-	// WaitVisible blocks until the replica's visible watermark reaches
-	// qts for the given tables, returning true, or until the replica
-	// stops being a viable target (unhealthy), returning false so the
-	// router can fail over. Unlike the node-level Algorithm 3 wait it
-	// must not block forever on a dead replica.
+	// WaitVisible blocks until the replica's global visible watermark
+	// (VisibleTS) reaches qts, returning true, or until the replica stops
+	// being a viable target (unhealthy), returning false so the router
+	// can fail over. Unlike the node-level Algorithm 3 wait it must not
+	// block forever on a dead replica. tables is the query's footprint;
+	// an implementation may ignore it. The contract is the global
+	// watermark, not the footprint's groups, because an Admission
+	// promises VisibleTS() ≥ TS, which per-group watermarks covering qts
+	// do not imply.
 	WaitVisible(qts int64, tables []wal.TableID) bool
 }
 
@@ -54,27 +58,6 @@ type Replica interface {
 // Query path requires it.
 type Snapshotter interface {
 	Query(qts int64, tables ...wal.TableID) *query.Snapshot
-}
-
-// pollWait is the bounded-visibility wait: spin briefly, then back
-// off exponentially to a 500µs cadence, rechecking liveness each round so
-// a replica that dies mid-wait releases the waiter instead of hanging it.
-// Conservative by design: it admits on the global watermark; the node's
-// own per-group admission still applies inside the snapshot it serves.
-func pollWait(qts int64, visible func() int64, healthy func() bool) bool {
-	delay := time.Duration(0)
-	for {
-		if visible() >= qts {
-			return true
-		}
-		if !healthy() {
-			return false
-		}
-		if delay < 500*time.Microsecond {
-			delay = delay*2 + time.Microsecond
-		}
-		time.Sleep(delay)
-	}
 }
 
 // SupervisorReplica adapts a recovery.Supervisor — a crash-recovering
@@ -94,7 +77,8 @@ func NewSupervisorReplica(id string, sup *recovery.Supervisor) *SupervisorReplic
 func (r *SupervisorReplica) ID() string { return r.id }
 
 // VisibleTS implements Replica (0 while the supervisor has no live node,
-// e.g. mid-rebuild).
+// e.g. mid-rebuild). Like Healthy and WaitVisible, it never takes the
+// supervisor's lock.
 func (r *SupervisorReplica) VisibleTS() int64 {
 	if n := r.sup.Node(); n != nil {
 		return n.VisibleTS()
@@ -109,14 +93,34 @@ func (r *SupervisorReplica) Healthy() bool {
 	return r.sup.State() != recovery.StateFatal && r.sup.Node() != nil
 }
 
-// WaitVisible implements Replica with a bounded poll.
-func (r *SupervisorReplica) WaitVisible(qts int64, tables []wal.TableID) bool {
-	return pollWait(qts, r.VisibleTS, r.Healthy)
+// WaitVisible implements Replica: it parks on the current node until
+// that node's replayer publishes a global watermark covering qts. A
+// node closed mid-wait releases it; if the supervisor has already
+// installed a successor (a snapshot restore swaps before it closes),
+// the wait moves there, and otherwise — down, rebuilding or fatal — it
+// returns false so the router fails over.
+func (r *SupervisorReplica) WaitVisible(qts int64, _ []wal.TableID) bool {
+	n := r.sup.Node()
+	for n != nil && r.sup.State() != recovery.StateFatal {
+		if n.WaitVisibleTS(qts) {
+			return true
+		}
+		next := r.sup.Node()
+		if next == n {
+			return false
+		}
+		n = next
+	}
+	return false
 }
 
-// Query implements Snapshotter. It must only be called after a
-// successful admission (the router guarantees the node exists and the
-// watermark covers qts).
+// Query implements Snapshotter. Call it after a successful admission.
+// If the node went down since (the supervisor closed or is rebuilding),
+// it returns a snapshot whose every read fails.
 func (r *SupervisorReplica) Query(qts int64, tables ...wal.TableID) *query.Snapshot {
-	return r.sup.Node().Query(qts, tables...)
+	n := r.sup.Node()
+	if n == nil {
+		return query.Failed(fmt.Errorf("cluster: replica %s has no live node", r.id))
+	}
+	return n.Query(qts, tables...)
 }

@@ -45,18 +45,3 @@ func (ms *Membership) Add(r Replica) error {
 	sort.Slice(ms.order, func(i, j int) bool { return ms.order[i].r.ID() < ms.order[j].r.ID() })
 	return nil
 }
-
-// alive returns the routable members in ID order. The slice is freshly
-// allocated; callers may not mutate members through it beyond load
-// accounting.
-func (ms *Membership) alive() []*member {
-	ms.mu.RLock()
-	defer ms.mu.RUnlock()
-	out := make([]*member, 0, len(ms.order))
-	for _, m := range ms.order {
-		if m.r.Healthy() {
-			out = append(out, m)
-		}
-	}
-	return out
-}

@@ -100,37 +100,24 @@ func (a *Admission) Done() {
 func (r *Router) Admit(qts int64, tables ...wal.TableID) (*Admission, error) {
 	failovers := 0
 	for {
-		cands := r.cfg.Members.alive()
-		if len(cands) == 0 {
+		m, covered := r.pick(qts)
+		if m == nil {
 			r.m.RouteErrors.Inc()
 			return nil, ErrNoReplicas
 		}
-
-		if qts <= 0 {
-			// Freshest-visible read: any live replica serves it without
-			// blocking at whatever watermark it has; spread by load.
-			m := r.leastLoaded(cands)
-			m.load.Add(1)
-			r.m.RouteHits.Inc()
-			return &Admission{Replica: m.r, TS: m.r.VisibleTS(), Failovers: failovers, mem: m}, nil
-		}
-
-		// Zero-block path: a replica already covering qts.
-		var satisfied []*member
-		for _, m := range cands {
-			if m.r.VisibleTS() >= qts {
-				satisfied = append(satisfied, m)
+		if covered {
+			// Zero-block read. A freshest-visible read (qts ≤ 0) is
+			// always covered and pins the replica's current watermark.
+			ts := qts
+			if qts <= 0 {
+				ts = m.r.VisibleTS()
 			}
-		}
-		if len(satisfied) > 0 {
-			m := r.leastLoaded(satisfied)
 			m.load.Add(1)
 			r.m.RouteHits.Inc()
-			return &Admission{Replica: m.r, TS: qts, Failovers: failovers, mem: m}, nil
+			return &Admission{Replica: m.r, TS: ts, Failovers: failovers, mem: m}, nil
 		}
 
 		// Wait path: the freshest live replica reaches qts soonest.
-		m := freshest(cands)
 		m.load.Add(1)
 		r.m.RouteWaits.Inc()
 		t0 := time.Now()
@@ -150,38 +137,56 @@ func (r *Router) Admit(qts int64, tables ...wal.TableID) (*Admission, error) {
 	}
 }
 
-// leastLoaded picks the member with the smallest in-flight load. Ties
-// rotate round-robin (r.rr) so equal-load replicas — the common case on
-// an idle fleet, where every load is zero — share the traffic instead
-// of the smallest ID absorbing all of it.
-func (r *Router) leastLoaded(cands []*member) *member {
-	ties := make([]*member, 0, len(cands))
-	var bestLoad int64
-	for i, m := range cands {
-		l := m.load.Load()
-		switch {
-		case i == 0 || l < bestLoad:
-			bestLoad = l
-			ties = append(ties[:0], m)
-		case l == bestLoad:
-			ties = append(ties, m)
+// pick walks the roster in ID order under its read lock, allocating
+// nothing. Among live replicas covering qts (all of them when qts ≤ 0)
+// it returns the least loaded with covered = true; load ties rotate
+// round-robin (r.rr), so equal-load replicas — the common case on an
+// idle fleet, where every load is zero — share the traffic instead of
+// the smallest ID absorbing all of it. With none covering qts it returns
+// the freshest live replica (ties to the smallest ID) to wait on, and
+// nil when no replica is live.
+func (r *Router) pick(qts int64) (m *member, covered bool) {
+	ms := r.cfg.Members
+	ms.mu.RLock()
+	defer ms.mu.RUnlock()
+	var fresh, least *member
+	var freshTS, leastLoad int64
+	ties := 0
+	for _, c := range ms.order {
+		if !c.r.Healthy() {
+			continue
+		}
+		ts := c.r.VisibleTS()
+		if fresh == nil || ts > freshTS {
+			fresh, freshTS = c, ts
+		}
+		if ts < qts {
+			continue
+		}
+		switch l := c.load.Load(); {
+		case least == nil || l < leastLoad:
+			least, leastLoad, ties = c, l, 1
+		case l == leastLoad:
+			ties++
 		}
 	}
-	if len(ties) == 1 {
-		return ties[0]
+	if least == nil {
+		return fresh, false
 	}
-	return ties[int(r.rr.Add(1)%uint64(len(ties)))]
-}
-
-// freshest picks the member with the highest visible watermark; ties go
-// to the smallest ID.
-func freshest(cands []*member) *member {
-	best := cands[0]
-	bestTS := best.r.VisibleTS()
-	for _, m := range cands[1:] {
-		if ts := m.r.VisibleTS(); ts > bestTS {
-			best, bestTS = m, ts
+	if ties > 1 {
+		// Second pass for the k-th tie. Loads and health may have moved
+		// since the first; if the tie set shrank, the first pass's pick
+		// stands.
+		k := r.rr.Add(1) % uint64(ties)
+		for _, c := range ms.order {
+			if c.load.Load() != leastLoad || !c.r.Healthy() || c.r.VisibleTS() < qts {
+				continue
+			}
+			if k == 0 {
+				return c, true
+			}
+			k--
 		}
 	}
-	return best
+	return least, true
 }

@@ -215,46 +215,7 @@ func (d *downReplica) Healthy() bool { return !d.down.Load() && d.SupervisorRepl
 // supervisor has closed never serves one, even at a timestamp only it
 // ever covered.
 func TestRouterQueryEndToEnd(t *testing.T) {
-	mk := func(id uint64, ts int64, key uint64, val byte) wal.Txn {
-		return wal.Txn{ID: id, CommitTS: ts, Entries: []wal.Entry{{
-			Type: wal.TypeUpdate, TxnID: id, Timestamp: ts, Table: 1, RowKey: key,
-			Columns: []wal.Column{{ID: 1, Value: []byte{val}}},
-		}}}
-	}
-	txns := []wal.Txn{mk(1, 10, 1, 'x'), mk(2, 20, 2, 'y'), mk(3, 30, 1, 'z'), mk(4, 40, 1, 'w')}
-	encs := epoch.EncodeAll(epoch.MustSplit(txns, 1))
-
-	newSup := func() *recovery.Supervisor {
-		reg := metrics.NewRegistry()
-		spool, err := recovery.OpenSpool(recovery.SpoolConfig{
-			Dir: t.TempDir(), Policy: recovery.SyncNever, Metrics: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mgr, err := recovery.OpenManager(t.TempDir(), 0, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sup, err := recovery.NewSupervisor(recovery.Config{
-			Kind:        htap.KindAETS,
-			Plan:        grouping.SingleGroup([]wal.TableID{1}),
-			Node:        htap.Options{Workers: 2, Metrics: reg},
-			Spool:       spool,
-			Checkpoints: mgr,
-			Metrics:     reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sup.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			sup.Close()
-			spool.Close()
-		})
-		return sup
-	}
+	encs := rowEpochs(rowTxn(1, 10, 1, 'x'), rowTxn(2, 20, 2, 'y'), rowTxn(3, 30, 1, 'z'), rowTxn(4, 40, 1, 'w'))
 	feed := func(sup *recovery.Supervisor, from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
@@ -265,7 +226,7 @@ func TestRouterQueryEndToEnd(t *testing.T) {
 		sup.Node().Drain()
 	}
 	// fresh has the first three epochs, stale only the first.
-	freshSup, staleSup := newSup(), newSup()
+	freshSup, staleSup := startSupervisor(t), startSupervisor(t)
 	feed(freshSup, 0, 3)
 	feed(staleSup, 0, 1)
 
@@ -358,4 +319,52 @@ func TestRouterQueryEndToEnd(t *testing.T) {
 	if m.RouteWaits.Load() != 1 {
 		t.Fatalf("waits=%d, want 1 (the parked qts=40 read)", m.RouteWaits.Load())
 	}
+}
+
+// rowTxn is a one-entry transaction writing val to key of table 1.
+func rowTxn(id uint64, ts int64, key uint64, val byte) wal.Txn {
+	return wal.Txn{ID: id, CommitTS: ts, Entries: []wal.Entry{{
+		Type: wal.TypeUpdate, TxnID: id, Timestamp: ts, Table: 1, RowKey: key,
+		Columns: []wal.Column{{ID: 1, Value: []byte{val}}},
+	}}}
+}
+
+// rowEpochs encodes txns one per epoch.
+func rowEpochs(txns ...wal.Txn) []epoch.Encoded {
+	return epoch.EncodeAll(epoch.MustSplit(txns, 1))
+}
+
+// startSupervisor starts a supervised AETS replica of table 1 over
+// temporary directories; the test's cleanup closes it.
+func startSupervisor(t *testing.T) *recovery.Supervisor {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	spool, err := recovery.OpenSpool(recovery.SpoolConfig{
+		Dir: t.TempDir(), Policy: recovery.SyncNever, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := recovery.OpenManager(t.TempDir(), 0, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := recovery.NewSupervisor(recovery.Config{
+		Kind:        htap.KindAETS,
+		Plan:        grouping.SingleGroup([]wal.TableID{1}),
+		Node:        htap.Options{Workers: 2, Metrics: reg},
+		Spool:       spool,
+		Checkpoints: mgr,
+		Metrics:     reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		sup.Close()
+		spool.Close()
+	})
+	return sup
 }

@@ -179,6 +179,10 @@ func (n *Node) Err() error { return n.r.Err() }
 // VisibleTS returns the node's global visible timestamp.
 func (n *Node) VisibleTS() int64 { return n.r.GlobalTS() }
 
+// WaitVisibleTS blocks until VisibleTS reaches qts, returning true, or
+// until the node is closed short of it, returning false.
+func (n *Node) WaitVisibleTS(qts int64) bool { return n.r.WaitGlobal(qts) }
+
 // Query begins a snapshot read at qts over the given tables, blocking per
 // Algorithm 3 until the snapshot is visible. qts ≤ 0 reads the freshest
 // currently visible state without blocking.

@@ -37,6 +37,11 @@ type Replayer interface {
 	// tables is visible to readers (Algorithm 3 or the baseline's
 	// equivalent snapshot rule).
 	WaitVisible(qts int64, tables []wal.TableID)
+	// WaitGlobal blocks until the global visible timestamp reaches qts,
+	// returning true, or until the replayer stops short of it — also
+	// when it was stopped without ever starting — returning false. Only
+	// the replayer's global publish wakes it.
+	WaitGlobal(qts int64) bool
 	// GlobalTS returns the current global visible timestamp.
 	GlobalTS() int64
 	// Err returns the first fatal replay error, if any.

@@ -100,33 +100,7 @@ var benchCols = []uint32{1, 2}
 // BenchmarkRowScan for the chain-walking price of the same reads.
 func BenchmarkColumnarScan(b *testing.B) {
 	st := newBenchState(b)
-	s := st.exC.Begin(st.ts, 1)
-	b.Run("keys", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			seen := 0
-			_ = s.ScanKeys(1, 0, ^uint64(0), func(keys []uint64, _ []int64) bool {
-				seen += len(keys)
-				return true
-			})
-			if seen != st.rows {
-				b.Fatalf("scan saw %d of %d rows", seen, st.rows)
-			}
-		}
-	})
-	b.Run("cols", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			seen := 0
-			_ = s.ScanCols(1, 0, ^uint64(0), benchCols, func(uint64, int64, [][]byte) bool {
-				seen++
-				return true
-			})
-			if seen != st.rows {
-				b.Fatalf("scan saw %d of %d rows", seen, st.rows)
-			}
-		}
-	})
+	benchScans(b, st, st.exC)
 }
 
 // BenchmarkRowScan is the never-compacted side of BenchmarkColumnarScan:
@@ -134,10 +108,31 @@ func BenchmarkColumnarScan(b *testing.B) {
 // row is resolved from its vacuumed version chain.
 func BenchmarkRowScan(b *testing.B) {
 	st := newBenchState(b)
-	s := st.exR.Begin(st.ts, 1)
+	benchScans(b, st, st.exR)
+}
+
+// BenchmarkColumnarAggregate prices the aggregate shortcuts over the
+// frozen base: precomputed segment stats plus an O(hot-delta) adjustment,
+// instead of touching every row.
+func BenchmarkColumnarAggregate(b *testing.B) {
+	st := newBenchState(b)
+	benchAggregates(b, st, st.exC)
+}
+
+// BenchmarkRowAggregate is the never-compacted side of
+// BenchmarkColumnarAggregate: with an empty base there are no footer
+// stats, so every aggregate walks all chains.
+func BenchmarkRowAggregate(b *testing.B) {
+	st := newBenchState(b)
+	benchAggregates(b, st, st.exR)
+}
+
+// benchScans runs the keys and cols full-range scans over ex.
+func benchScans(b *testing.B, st *benchState, ex *Executor) {
+	s := ex.Begin(st.ts, 1)
 	b.Run("keys", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			seen := 0
 			_ = s.ScanKeys(1, 0, ^uint64(0), func(keys []uint64, _ []int64) bool {
 				seen += len(keys)
@@ -150,7 +145,7 @@ func BenchmarkRowScan(b *testing.B) {
 	})
 	b.Run("cols", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			seen := 0
 			_ = s.ScanCols(1, 0, ^uint64(0), benchCols, func(uint64, int64, [][]byte) bool {
 				seen++
@@ -163,15 +158,12 @@ func BenchmarkRowScan(b *testing.B) {
 	})
 }
 
-// BenchmarkColumnarAggregate prices the aggregate shortcuts over the
-// frozen base: precomputed segment stats plus an O(hot-delta) adjustment,
-// instead of touching every row.
-func BenchmarkColumnarAggregate(b *testing.B) {
-	st := newBenchState(b)
-	s := st.exC.Begin(st.ts, 1)
+// benchAggregates runs SumInt64, Count and MaxCommitTS over ex.
+func benchAggregates(b *testing.B, st *benchState, ex *Executor) {
+	s := ex.Begin(st.ts, 1)
 	b.Run("SumInt64", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if v, err := s.SumInt64(1, 1); err != nil || v == 0 {
 				b.Fatalf("SumInt64 = %d, %v", v, err)
 			}
@@ -179,7 +171,7 @@ func BenchmarkColumnarAggregate(b *testing.B) {
 	})
 	b.Run("Count", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if n, err := s.Count(1); err != nil || n != st.rows {
 				b.Fatalf("Count = %d, %v", n, err)
 			}
@@ -187,39 +179,7 @@ func BenchmarkColumnarAggregate(b *testing.B) {
 	})
 	b.Run("MaxCommitTS", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if ts, err := s.MaxCommitTS(1); err != nil || ts != st.maxTS {
-				b.Fatalf("MaxCommitTS = %d, %v", ts, err)
-			}
-		}
-	})
-}
-
-// BenchmarkRowAggregate is the never-compacted side of
-// BenchmarkColumnarAggregate: with an empty base there are no footer
-// stats, so every aggregate walks all chains.
-func BenchmarkRowAggregate(b *testing.B) {
-	st := newBenchState(b)
-	s := st.exR.Begin(st.ts, 1)
-	b.Run("SumInt64", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if v, err := s.SumInt64(1, 1); err != nil || v == 0 {
-				b.Fatalf("SumInt64 = %d, %v", v, err)
-			}
-		}
-	})
-	b.Run("Count", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if n, err := s.Count(1); err != nil || n != st.rows {
-				b.Fatalf("Count = %d, %v", n, err)
-			}
-		}
-	})
-	b.Run("MaxCommitTS", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if ts, err := s.MaxCommitTS(1); err != nil || ts != st.maxTS {
 				b.Fatalf("MaxCommitTS = %d, %v", ts, err)
 			}

@@ -62,7 +62,13 @@ type Snapshot struct {
 	ex     *Executor
 	TS     int64
 	tables map[wal.TableID]bool
+	err    error // non-nil: a Failed snapshot, every read returns it
 }
+
+// Failed returns a snapshot that serves nothing: every read returns err.
+// It stands in for a read view that could not be opened, so callers that
+// must return a *Snapshot report the failure on first use.
+func Failed(err error) *Snapshot { return &Snapshot{err: err} }
 
 // Begin blocks until the snapshot at qts is visible for the given tables
 // (Algorithm 3) and returns the read view. qts ≤ 0 means "freshest
@@ -82,6 +88,9 @@ func (e *Executor) Begin(qts int64, tables ...wal.TableID) *Snapshot {
 }
 
 func (s *Snapshot) check(table wal.TableID) error {
+	if s.err != nil {
+		return s.err
+	}
 	if !s.tables[table] {
 		return fmt.Errorf("query: table %d not declared when the snapshot began (visibility was not established for it)", table)
 	}

@@ -93,10 +93,12 @@ func (s *Supervisor) RestoreSnapshot(cursor uint64, size int64, r io.Reader) err
 		_ = node.Close()
 		return err
 	}
-	if s.node != nil {
-		_ = s.node.Close()
+	// Publish the new node before closing the old one: a routed read
+	// parked on the old node wakes when it closes and must find its
+	// successor already in place.
+	if old := s.node.Swap(node); old != nil {
+		_ = old.Close()
 	}
-	s.node = node
 	s.sinceCkpt = 0
 	s.lastCkpt = time.Now()
 	// The installed snapshot is a retained checkpoint cut this lifetime;
@@ -143,9 +145,7 @@ func (s *Supervisor) clearQuarantineBelowLocked(cursor uint64) {
 // flags the replica for snapshot repair (the next handshake's WELCOME
 // requests it) and reports ship.ErrDigestMismatch.
 func (s *Supervisor) VerifyDigest(seq uint64, _ int64, digest uint64) error {
-	s.mu.Lock()
-	node := s.node
-	s.mu.Unlock()
+	node := s.node.Load()
 	if node == nil || node.NextSeq() != seq {
 		// Not comparable at this instant; the next aligned digest still
 		// guards the stream.

@@ -115,10 +115,16 @@ type Supervisor struct {
 	cfg Config
 	rng *rand.Rand
 
+	// node is the live node, nil while down. Writers hold mu; readers
+	// (Node, and through it every routed read) load it without the lock,
+	// which Feed and Checkpoint hold for their whole duration. A writer
+	// retiring a node unpublishes it before closing it, so a reader that
+	// finds a closed node knows a successor, if any, is already visible.
+	node atomic.Pointer[htap.Node]
+
 	mu            sync.Mutex
 	recoverCond   *sync.Cond // signalled when an in-flight recovery ends
 	recovering    bool
-	node          *htap.Node
 	started       bool
 	closed        bool
 	sinceCkpt     int
@@ -278,9 +284,9 @@ func (s *Supervisor) applyLocked(enc *epoch.Encoded) error {
 	if s.quarantined[enc.Seq] {
 		return nil
 	}
-	if s.node != nil {
-		err := s.node.Feed(enc)
-		if err == nil && s.node.Err() == nil {
+	if node := s.node.Load(); node != nil {
+		err := node.Feed(enc)
+		if err == nil && node.Err() == nil {
 			return nil
 		}
 	}
@@ -298,8 +304,8 @@ func (s *Supervisor) Heartbeat(ts int64) error {
 	if s.State() == StateFatal {
 		return ErrFatal
 	}
-	if s.node != nil {
-		if err := s.node.Heartbeat(ts); err == nil && s.node.Err() == nil {
+	if node := s.node.Load(); node != nil {
+		if err := node.Heartbeat(ts); err == nil && node.Err() == nil {
 			return nil
 		}
 	}
@@ -312,21 +318,19 @@ func (s *Supervisor) NextSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	next := s.cfg.Spool.End()
-	if s.node != nil {
-		if n := s.node.NextSeq(); n > next {
+	if node := s.node.Load(); node != nil {
+		if n := node.NextSeq(); n > next {
 			next = n
 		}
 	}
 	return next
 }
 
-// Node returns the current node (nil while fatal). The pointer changes
-// across rebuilds; callers should re-fetch rather than retain it.
-func (s *Supervisor) Node() *htap.Node {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.node
-}
+// Node returns the current node (nil while down: mid-rebuild, fatal or
+// closed). The pointer changes across rebuilds and snapshot restores;
+// callers should re-fetch rather than retain it. It never takes the
+// supervisor's lock, so reads do not queue behind a feed or checkpoint.
+func (s *Supervisor) Node() *htap.Node { return s.node.Load() }
 
 // State returns the supervisor's coarse state.
 func (s *Supervisor) State() State { return State(s.state.Load()) }
@@ -358,7 +362,7 @@ func (s *Supervisor) Probe() error {
 	if s.closed || s.State() == StateFatal {
 		return s.lastErr
 	}
-	if s.node != nil && s.node.Err() == nil {
+	if node := s.node.Load(); node != nil && node.Err() == nil {
 		return nil
 	}
 	return s.recoverLocked(false)
@@ -378,12 +382,13 @@ func (s *Supervisor) Checkpoint() error {
 }
 
 func (s *Supervisor) checkpointLocked() error {
-	if s.node == nil {
+	node := s.node.Load()
+	if node == nil {
 		return errors.New("recovery: no live node to checkpoint")
 	}
 	var meta checkpoint.Meta
 	_, err := s.cfg.Checkpoints.Write(func(w io.Writer) error {
-		m, err := s.node.Checkpoint(w)
+		m, err := node.Checkpoint(w)
 		meta = m
 		return err
 	})
@@ -424,12 +429,8 @@ func (s *Supervisor) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.node != nil {
-		err := s.node.Close()
-		s.node = nil
-		if err != nil {
-			return err
-		}
+	if node := s.node.Swap(nil); node != nil {
+		return node.Close()
 	}
 	return nil
 }
@@ -450,7 +451,7 @@ func (s *Supervisor) recoverLocked(initial bool) error {
 	if s.closed {
 		return ErrSpoolClosed
 	}
-	if s.node != nil && s.node.Err() == nil {
+	if node := s.node.Load(); node != nil && node.Err() == nil {
 		return nil // another caller already rebuilt the node
 	}
 	if s.State() == StateFatal {
@@ -480,9 +481,8 @@ func (s *Supervisor) recoverLocked(initial bool) error {
 				return ErrSpoolClosed
 			}
 		}
-		if s.node != nil {
-			_ = s.node.Close()
-			s.node = nil
+		if old := s.node.Swap(nil); old != nil {
+			_ = old.Close()
 		}
 		node, meta, err := s.restoreBest()
 		if err != nil {
@@ -516,7 +516,7 @@ func (s *Supervisor) recoverLocked(initial bool) error {
 			}
 			continue
 		}
-		s.node = node
+		s.node.Store(node)
 		s.failCount = 0
 		s.forcePinpoint = false
 		s.lastErr = nil
@@ -694,7 +694,7 @@ func (s *Supervisor) checkpointLoop() {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			if !s.closed && s.node != nil && s.sinceCkpt > 0 &&
+			if !s.closed && s.node.Load() != nil && s.sinceCkpt > 0 &&
 				time.Since(s.lastCkpt) >= s.cfg.CheckpointInterval {
 				if err := s.checkpointLocked(); err != nil {
 					s.cCkptErr.Inc()
@@ -724,12 +724,11 @@ func (s *Supervisor) Health() obsrv.Health {
 		h.Status = "ok"
 	}
 	s.mu.Lock()
-	node := s.node
 	if s.lastErr != nil {
 		h.Err = s.lastErr.Error()
 	}
 	s.mu.Unlock()
-	if node != nil {
+	if node := s.node.Load(); node != nil {
 		h.VisibleTS = node.VisibleTS()
 		h.PrimaryTS = node.PrimaryTS()
 		h.ReplayLagTS = node.ReplayLag()

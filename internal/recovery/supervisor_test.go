@@ -396,3 +396,25 @@ func TestSupervisorCheckpointCompactsSpool(t *testing.T) {
 	}
 	env.assertReference(t, txns)
 }
+
+// TestNodeDoesNotWaitForSupervisorLock holds the supervisor's lock, as a
+// feed or a checkpoint does for its whole duration, and requires Node —
+// the read path of every routed query — to answer anyway.
+func TestNodeDoesNotWaitForSupervisorLock(t *testing.T) {
+	env := openSup(t, t.TempDir(), t.TempDir(), nil)
+	defer env.close(t)
+	env.sup.mu.Lock()
+	got := make(chan *htap.Node, 1)
+	go func() { got <- env.sup.Node() }()
+	select {
+	case n := <-got:
+		env.sup.mu.Unlock()
+		if n == nil {
+			t.Fatal("Node() = nil on a started supervisor")
+		}
+	case <-time.After(time.Second):
+		env.sup.mu.Unlock()
+		<-got
+		t.Fatal("Node() blocked behind the supervisor's lock")
+	}
+}

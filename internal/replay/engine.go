@@ -105,6 +105,15 @@ type Engine struct {
 	visCond *sync.Cond
 	waiters atomic.Int64
 
+	// Global-watermark waiters (WaitGlobal) park on gCh, which
+	// publishAll closes and replaces once per global advance — never on
+	// a per-piece group publish — and only while gWaiters > 0. stopped
+	// closes once the engine can publish no more.
+	gMu      sync.Mutex
+	gCh      chan struct{}
+	gWaiters atomic.Int64
+	stopped  chan struct{}
+
 	feed     chan *epoch.Encoded
 	inflight sync.WaitGroup
 	loopDone chan struct{}
@@ -151,6 +160,8 @@ func New(name string, mt *memtable.Memtable, plan *grouping.Plan, cfg Config) *E
 	cfg.fill()
 	e := &Engine{name: name, cfg: cfg, mt: mt}
 	e.visCond = sync.NewCond(&e.visMu)
+	e.gCh = make(chan struct{})
+	e.stopped = make(chan struct{})
 	e.feed = make(chan *epoch.Encoded, cfg.FeedDepth)
 	e.loopDone = make(chan struct{})
 	reg := cfg.Registry
@@ -214,20 +225,24 @@ func (e *Engine) Feed(enc *epoch.Encoded) error {
 // committed.
 func (e *Engine) Drain() { e.inflight.Wait() }
 
-// Stop drains and terminates the scheduler. The engine cannot be
+// Stop drains and terminates the scheduler, then releases WaitGlobal
+// waiters the drained watermark does not cover. The engine cannot be
 // restarted; Feed after Stop returns ErrStopped.
 func (e *Engine) Stop() {
 	e.lifecycle.Lock()
 	if !e.state.CompareAndSwap(stateStarted, stateStopped) {
 		// Never started (or already stopped): mark stopped so Feed fails
 		// cleanly, and don't wait on a scheduler that never ran.
-		e.state.CompareAndSwap(stateNew, stateStopped)
+		if e.state.CompareAndSwap(stateNew, stateStopped) {
+			close(e.stopped)
+		}
 		e.lifecycle.Unlock()
 		return
 	}
 	close(e.feed)
 	e.lifecycle.Unlock()
 	<-e.loopDone
+	close(e.stopped)
 }
 
 // Err returns the first fatal replay error, if any.

@@ -457,3 +457,62 @@ func (e *Engine) GroupTS(t wal.TableID) int64 {
 	}
 	return e.global.Load()
 }
+
+// TestWaitGlobal checks the router's admission wait: parked waiters
+// return true once an epoch publish covers them, false once the engine
+// stops short of them — also an engine stopped without ever starting —
+// and leave no registration behind.
+func TestWaitGlobal(t *testing.T) {
+	plan := grouping.SingleGroup([]wal.TableID{1})
+	park := func(e *Engine, qts int64, n int) chan bool {
+		out := make(chan bool, n)
+		for i := 0; i < n; i++ {
+			go func() { out <- e.WaitGlobal(qts) }()
+		}
+		for e.gWaiters.Load() != int64(n) {
+			runtime.Gosched()
+		}
+		return out
+	}
+	collect := func(out chan bool, n int, want bool) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case got := <-out:
+				if got != want {
+					t.Fatalf("WaitGlobal = %v, want %v", got, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("waiter %d of %d never returned", i, n)
+			}
+		}
+	}
+
+	e := New("AETS", memtable.New(), plan, Config{Workers: 1})
+	e.Start()
+	covered := park(e, 500, 4)
+	feed(t, e, &epoch.Encoded{Seq: 0, LastCommitTS: 400})
+	e.Drain()
+	select {
+	case got := <-covered:
+		t.Fatalf("WaitGlobal(500) returned %v at global ts %d", got, e.GlobalTS())
+	case <-time.After(20 * time.Millisecond):
+	}
+	feed(t, e, &epoch.Encoded{Seq: 0, LastCommitTS: 500})
+	collect(covered, 4, true)
+
+	stranded := park(e, 1000, 4)
+	e.Stop()
+	collect(stranded, 4, false)
+	if !e.WaitGlobal(500) || e.WaitGlobal(501) {
+		t.Fatal("a stopped engine must admit what it published and refuse the rest")
+	}
+
+	never := New("AETS", memtable.New(), plan, Config{Workers: 1})
+	stranded = park(never, 1, 2)
+	never.Stop()
+	collect(stranded, 2, false)
+	if n := e.gWaiters.Load() + never.gWaiters.Load(); n != 0 {
+		t.Fatalf("%d waiter registrations left behind", n)
+	}
+}

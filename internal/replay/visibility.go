@@ -28,8 +28,11 @@ func (e *Engine) publishAll(vs *visState, ts int64) {
 	for i := range vs.tg {
 		advanceMax(&vs.tg[i], ts)
 	}
-	advanceMax(&e.global, ts)
+	advanced := advanceMax(&e.global, ts)
 	e.wake()
+	if advanced {
+		e.wakeGlobal()
+	}
 	e.gRecycled.Set(float64(e.mt.Arenas().Recycled()))
 }
 
@@ -43,6 +46,47 @@ func (e *Engine) wake() {
 	e.visMu.Lock()
 	e.visCond.Broadcast()
 	e.visMu.Unlock()
+}
+
+// wakeGlobal releases every WaitGlobal waiter parked on the current
+// channel and installs a fresh one. Waiters register (gWaiters) before
+// they load the channel and re-check the watermark after, so a waiter
+// this call skips, or whose channel it already replaced, sees the new
+// global timestamp on that re-check.
+func (e *Engine) wakeGlobal() {
+	if e.gWaiters.Load() == 0 {
+		return
+	}
+	e.gMu.Lock()
+	close(e.gCh)
+	e.gCh = make(chan struct{})
+	e.gMu.Unlock()
+}
+
+// WaitGlobal blocks until the global commit timestamp reaches qts,
+// returning true, or until the engine stops short of it (Stop, or a
+// Stop before Start), returning false. Only epoch publishes and
+// heartbeats wake it, not per-group commits: it is the admission wait
+// of a router, which pins its reads to the global watermark.
+func (e *Engine) WaitGlobal(qts int64) bool {
+	if e.global.Load() >= qts {
+		return true
+	}
+	e.gWaiters.Add(1)
+	defer e.gWaiters.Add(-1)
+	for {
+		e.gMu.Lock()
+		ch := e.gCh
+		e.gMu.Unlock()
+		if e.global.Load() >= qts {
+			return true
+		}
+		select {
+		case <-ch:
+		case <-e.stopped:
+			return e.global.Load() >= qts
+		}
+	}
 }
 
 // GlobalTS returns the global commit timestamp: the maximum commit
@@ -87,12 +131,16 @@ func (e *Engine) WaitVisible(qts int64, tables []wal.TableID) {
 	e.hWait.Observe(time.Since(t0))
 }
 
-// advanceMax atomically raises a to at least v.
-func advanceMax(a *atomic.Int64, v int64) {
+// advanceMax atomically raises a to at least v and reports whether it
+// moved.
+func advanceMax(a *atomic.Int64, v int64) bool {
 	for {
 		cur := a.Load()
-		if cur >= v || a.CompareAndSwap(cur, v) {
-			return
+		if cur >= v {
+			return false
+		}
+		if a.CompareAndSwap(cur, v) {
+			return true
 		}
 	}
 }
