@@ -33,7 +33,7 @@ func BenchmarkTable1HotRatio(b *testing.B) {
 	for _, mk := range gens {
 		g := mk()
 		b.Run(g.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				ratio := workload.HotEntryRatio(mk(), 5000, 1)
 				b.ReportMetric(ratio*100, "hot%")
 			}
@@ -45,7 +45,7 @@ func BenchmarkTable1HotRatio(b *testing.B) {
 
 func benchReplay(b *testing.B, kind htap.Kind, exp htap.Experiment) {
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		res, err := htap.Run(kind, exp)
 		if err != nil {
 			b.Fatal(err)
@@ -135,7 +135,7 @@ func BenchmarkFig11Scalability(b *testing.B) {
 	for _, threads := range []int{1, 16, 64} {
 		for name, f := range sims {
 			b.Run(fmt.Sprintf("%s/threads=%d", name, threads), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
+				for b.Loop() {
 					r := f(tr, threads, costs)
 					b.ReportMetric(r.TxnsPerSec(), "sim-txns/s")
 				}
@@ -148,7 +148,7 @@ func BenchmarkFig11Scalability(b *testing.B) {
 
 func BenchmarkTable2Breakdown(b *testing.B) {
 	exp := tpccExperiment(0)
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		res, err := htap.Run(htap.KindAETS, exp)
 		if err != nil {
 			b.Fatal(err)
@@ -167,7 +167,7 @@ func BenchmarkFig12EpochSize(b *testing.B) {
 		b.Run(fmt.Sprintf("epoch=%d", size), func(b *testing.B) {
 			exp := tpccExperiment(benchTxns / 40)
 			exp.EpochSize = size
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				res, err := htap.Run(htap.KindAETS, exp)
 				if err != nil {
 					b.Fatal(err)
@@ -188,7 +188,7 @@ func BenchmarkFig13Adaptive(b *testing.B) {
 	}
 	for _, s := range []htap.Strategy{htap.StrategyDTGM, htap.StrategyHA, htap.StrategyNOAC} {
 		b.Run(string(s), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				res, err := htap.RunAdaptive(s, cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -257,7 +257,7 @@ func BenchmarkFig14HiddenDim(b *testing.B) {
 	series, adj := predictorSeries()
 	for _, dim := range []int{8, 16, 48} {
 		b.Run(fmt.Sprintf("hidden=%d", dim), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				cfg := predictor.DefaultDTGMConfig(15)
 				cfg.Hidden, cfg.Epochs = dim, 4
 				mape, err := predictor.Evaluate(predictor.NewDTGM(adj, cfg), series, 300, 60, 15)

@@ -25,10 +25,8 @@ type Compactor struct {
 	mt    *memtable.Memtable
 	store *Store
 
-	mu         sync.Mutex // one pass at a time
-	hot, tmpR  []*memtable.Record
-	keys, tmpK []uint64
-	rows       []frozenRow
+	mu   sync.Mutex // one pass at a time
+	rows []frozenRow
 }
 
 type frozenRow struct {
@@ -65,24 +63,13 @@ func (c *Compactor) RunOnce(watermark int64) int {
 
 func (c *Compactor) compactTable(id wal.TableID, watermark int64) int {
 	tab := c.mt.Table(id)
-	c.hot = tab.HotRecords(c.hot[:0])
-	if cap(c.keys) < len(c.hot) {
-		c.keys = make([]uint64, 0, cap(c.hot))
-		c.tmpR = make([]*memtable.Record, cap(c.hot))
-		c.tmpK = make([]uint64, cap(c.hot))
-	}
-	c.keys = c.keys[:0]
-	for _, r := range c.hot {
-		c.keys = append(c.keys, r.Key)
-	}
-	c.hot, c.keys = memtable.SortDedupePairs(c.hot, c.keys, c.tmpR, c.tmpK)
 
 	// Candidates: hot records whose newest version is at or below the
 	// watermark. Chains are strictly decreasing in CommitTS, so the head
 	// check covers the whole chain. The head snapshot (h0) is what the
 	// segment row is built from and what FreezeCommit verifies.
 	c.rows = c.rows[:0]
-	for _, rec := range c.hot {
+	for _, rec := range tab.Delta().Recs {
 		h0 := rec.Latest()
 		if h0 == nil || h0.CommitTS > watermark {
 			continue

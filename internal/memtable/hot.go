@@ -10,9 +10,80 @@ package memtable
 // Invariant: every record whose chain is non-empty is on its shard's hot
 // list. The list is an over-approximation — it may also hold records
 // frozen since the last PruneHot, and a record can appear more than once
-// if it was frozen and re-dirtied between prunes — so consumers sort by
-// key and dedupe (keys are unique within a table, so equal keys mean the
-// same record).
+// if it was frozen and re-dirtied between prunes. Consumers do not sort
+// or dedupe it themselves: they read Table.Delta, one key-ordered,
+// deduplicated view per table that is rebuilt only when a hot list has
+// changed. Frozen stragglers in the view have empty chains, so a reader's
+// Visible drops them.
+
+import "slices"
+
+// Delta is an immutable key-ordered view of a table's hot records: Recs
+// sorted by key with no key twice, Keys[i] == Recs[i].Key. It is shared by
+// every reader of the table until a hot list changes; callers must not
+// write to either slice.
+type Delta struct {
+	Recs []*Record
+	Keys []uint64
+	gen  uint64 // sum of the shards' hotGen when the build began
+}
+
+// hotGen sums the shards' hot-list change counters. Each only goes up,
+// so an unchanged sum means no list changed.
+func (t *Table) hotGen() uint64 {
+	var g uint64
+	for i := range t.shards {
+		g += t.shards[i].hotGen.Load()
+	}
+	return g
+}
+
+// Delta returns the table's hot records sorted by key and deduplicated.
+// The view is cached and reused while no hot list has changed; a change
+// makes the next caller rebuild it under the table's delta lock.
+//
+// A record whose Append returned before Delta was called is in the view:
+// markHot appends the record to its shard's list and bumps that shard's
+// counter under one hotMu critical section, a build reads the counters
+// before it gathers the lists, and a reader reuses a view only when the
+// counters still sum to what its build read. So a version at or below a
+// query's admitted snapshot — appended before its epoch published, hence
+// before the query began — is never missing from the view the query reads.
+func (t *Table) Delta() *Delta {
+	gen := t.hotGen()
+	if d := t.delta.Load(); d != nil && d.gen == gen {
+		return d
+	}
+	t.deltaMu.Lock()
+	defer t.deltaMu.Unlock()
+	gen = t.hotGen()
+	if d := t.delta.Load(); d != nil && d.gen == gen {
+		return d // another caller rebuilt it while we waited
+	}
+	n := 0
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.hotMu.Lock()
+		n += len(s.hot)
+		s.hotMu.Unlock()
+	}
+	// Lists may grow between the sizing pass and the gather; append copes.
+	recs, keys := make([]*Record, 0, n), make([]uint64, 0, n)
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.hotMu.Lock()
+		for _, r := range s.hot {
+			recs, keys = append(recs, r), append(keys, r.Key)
+		}
+		s.hotMu.Unlock()
+	}
+	t.deltaTmpR = slices.Grow(t.deltaTmpR[:0], len(recs))[:len(recs)]
+	t.deltaTmpK = slices.Grow(t.deltaTmpK[:0], len(keys))[:len(keys)]
+	recs, keys = SortDedupePairs(recs, keys, t.deltaTmpR, t.deltaTmpK)
+	d := &Delta{Recs: recs, Keys: keys, gen: gen}
+	t.delta.Store(d)
+	return d
+}
 
 // markHot puts the record on its shard's hot list. Called with r.mu held,
 // on the empty→non-empty chain transition; the CAS makes it idempotent.
@@ -25,6 +96,7 @@ func (r *Record) markHot() {
 	}
 	s.hotMu.Lock()
 	s.hot = append(s.hot, r)
+	s.hotGen.Add(1)
 	s.hotMu.Unlock()
 }
 
@@ -62,19 +134,6 @@ func (r *Record) FreezeCommit(h0 *Version, watermark int64) (froze bool, release
 	return false, r.Vacuum(watermark)
 }
 
-// HotRecords appends every hot record of the table to buf and returns it.
-// The result is unordered and may contain recently-frozen stragglers and
-// duplicates (see the file comment); callers sort by key and dedupe.
-func (t *Table) HotRecords(buf []*Record) []*Record {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.hotMu.Lock()
-		buf = append(buf, s.hot...)
-		s.hotMu.Unlock()
-	}
-	return buf
-}
-
 // PruneHot compacts the hot lists, dropping entries whose records were
 // frozen since the last prune. The compactor calls it once per pass, which
 // bounds the straggler population between passes.
@@ -88,10 +147,11 @@ func (t *Table) PruneHot() {
 				kept = append(kept, r)
 			}
 		}
-		for j := len(kept); j < len(s.hot); j++ {
-			s.hot[j] = nil
+		if len(kept) < len(s.hot) {
+			clear(s.hot[len(kept):])
+			s.hot = kept
+			s.hotGen.Add(1)
 		}
-		s.hot = kept
 		s.hotMu.Unlock()
 	}
 }

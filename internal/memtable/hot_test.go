@@ -1,6 +1,9 @@
 package memtable
 
 import (
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"aets/internal/wal"
@@ -40,15 +43,13 @@ func TestHotTracking(t *testing.T) {
 		t.Fatalf("HotLen after prune = %d, want 0", got)
 	}
 
-	// Re-dirty: back on the list, and HotRecords may legally hold the
-	// record once (it was pruned) — consumers dedupe regardless.
+	// Re-dirty: back on the list and in the table's delta view.
 	r.Append(hotVersion(20))
 	if !r.Hot() {
 		t.Fatal("re-dirtied record must be hot again")
 	}
-	recs := tab.HotRecords(nil)
-	if len(recs) != 1 || recs[0] != r {
-		t.Fatalf("HotRecords = %v, want [r]", recs)
+	if d := tab.Delta(); len(d.Recs) != 1 || d.Recs[0] != r || d.Keys[0] != 42 {
+		t.Fatalf("Delta = %v %v, want [r] [42]", d.Recs, d.Keys)
 	}
 }
 
@@ -115,4 +116,103 @@ func (t *Table) HotLen() int {
 		s.hotMu.Unlock()
 	}
 	return n
+}
+
+// TestDeltaStress runs appenders on every shard beside Delta callers and a
+// freezer that empties, prunes and re-dirties a separate key set (so the
+// lists change both ways and hold duplicates). Every view must be sorted
+// strictly ascending with Keys parallel to Recs, and must hold every
+// record whose first Append returned before the Delta call began. Run it
+// under -race.
+func TestDeltaStress(t *testing.T) {
+	const appenders, perAppender, churned = 4, 2000, 64
+	tab := NewWithShards(8).Table(1)
+	key := func(w, k int) uint64 { return uint64(k)*(appenders+1) + uint64(w) }
+
+	var done [appenders]atomic.Int64 // keys [0, done) of each appender are in
+	var wg sync.WaitGroup
+	for w := range appenders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range perAppender {
+				tab.GetOrCreate(key(w, k)).Append(hotVersion(int64(k + 1)))
+				done[w].Store(int64(k + 1))
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() { // freezer: the churned keys leave the lists and come back
+		defer bg.Done()
+		for ts := int64(1); ; ts++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for k := range churned {
+				r := tab.GetOrCreate(key(appenders, k))
+				if h := r.Latest(); h != nil && ts%2 == 0 {
+					r.FreezeCommit(h, h.CommitTS)
+				} else {
+					r.Append(hotVersion(ts))
+				}
+			}
+			if ts%3 == 0 {
+				tab.PruneHot()
+			}
+		}
+	}()
+	check := func() bool {
+		var want [appenders]int64
+		for w := range want {
+			want[w] = done[w].Load()
+		}
+		d := tab.Delta()
+		if len(d.Recs) != len(d.Keys) {
+			t.Errorf("Delta: %d records, %d keys", len(d.Recs), len(d.Keys))
+			return false
+		}
+		for i, k := range d.Keys {
+			if d.Recs[i].Key != k {
+				t.Errorf("Delta: Keys[%d] = %d, record key %d", i, k, d.Recs[i].Key)
+				return false
+			}
+			if i > 0 && d.Keys[i-1] >= k {
+				t.Errorf("Delta: keys not strictly ascending at %d: %d then %d", i, d.Keys[i-1], k)
+				return false
+			}
+		}
+		for w, n := range want {
+			for k := range int(n) {
+				if _, ok := slices.BinarySearch(d.Keys, key(w, k)); !ok {
+					t.Errorf("Delta misses key %d, appended before the call", key(w, k))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for range 2 {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !check() {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	bg.Wait()
+	check()
 }

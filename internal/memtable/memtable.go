@@ -222,9 +222,12 @@ type shard struct {
 
 	// hot lists records of this shard that carry an in-memory version
 	// chain (see hot.go). It is an over-approximation maintained under
-	// its own mutex so the Append fast path never touches mu.
-	hotMu sync.Mutex
-	hot   []*Record
+	// its own mutex so the Append fast path never touches mu. hotGen
+	// counts changes to hot, bumped under hotMu; Table.Delta reads it
+	// without the lock to tell whether its cached view is current.
+	hotMu  sync.Mutex
+	hot    []*Record
+	hotGen atomic.Uint64
 }
 
 // Table is the sharded B+Tree index of one table's records.
@@ -242,6 +245,15 @@ type Table struct {
 	// gathers into fresh buffers. The records they pin live as long as
 	// the table anyway: records are never removed from it.
 	scan atomic.Pointer[scanScratch]
+
+	// delta is the cached key-ordered view of the hot lists (hot.go).
+	// deltaMu serialises its rebuilds and guards the radix temporaries,
+	// which only a rebuild uses; the view itself is never written after
+	// publication, so readers share it without a lock.
+	delta     atomic.Pointer[Delta]
+	deltaMu   sync.Mutex
+	deltaTmpR []*Record
+	deltaTmpK []uint64
 }
 
 // scanScratch is one ordered Scan's gather buffer: the (key, record) pairs

@@ -1,8 +1,9 @@
 package memtable
 
 // sort.go is the one way records are put in key order: an ordered Scan
-// sorts what it gathered from the shards, and the query planner and the
-// columnar compactor sort the hot lists they enumerate.
+// sorts what it gathered from the shards, and Table.Delta sorts the hot
+// lists once per change into the view the query planner and the columnar
+// compactor share.
 
 // SortDedupePairs sorts the parallel (record, key) vectors by key in
 // place and removes duplicate keys, nil-ing the freed record tail.

@@ -23,6 +23,7 @@ type benchState struct {
 	rows  int       // live rows at the snapshot
 	ts    int64     // snapshot timestamp
 	maxTS int64     // expected MaxCommitTS (newest live version)
+	cold  uint64    // a live key that is frozen and not in the hot delta
 }
 
 func newBenchState(tb testing.TB) *benchState {
@@ -73,6 +74,7 @@ func newBenchState(tb testing.TB) *benchState {
 		put(keys[i*37%len(keys)], i%64 == 63)
 	}
 	st.vis.ts.Store(st.ts)
+	st.cold = keys[1] // 37·i ≢ 1 (mod 1<<16) for every i < 1024
 
 	// Sanity: both paths agree before we price them.
 	cC, err1 := st.exC.Begin(st.ts, 1).Count(1)
@@ -113,10 +115,30 @@ func BenchmarkRowScan(b *testing.B) {
 
 // BenchmarkColumnarAggregate prices the aggregate shortcuts over the
 // frozen base: precomputed segment stats plus an O(hot-delta) adjustment,
-// instead of touching every row.
+// instead of touching every row. Count-churn is the worst case of the
+// table's shared delta view: one record is frozen and re-dirtied before
+// every Count, so every Count rebuilds (gathers and sorts) the view.
 func BenchmarkColumnarAggregate(b *testing.B) {
 	st := newBenchState(b)
 	benchAggregates(b, st, st.exC)
+	b.Run("Count-churn", func(b *testing.B) {
+		tab := st.exC.mt.Table(1)
+		rec := tab.Get(st.cold)
+		s := st.exC.Begin(st.ts, 1)
+		b.ReportAllocs()
+		for b.Loop() {
+			// The new version is newer than the snapshot, so the base
+			// row still answers and Count holds.
+			if h := rec.Latest(); h != nil {
+				rec.FreezeCommit(h, h.CommitTS)
+			}
+			tab.PruneHot()
+			rec.Append(&memtable.Version{CommitTS: st.ts + 1, Columns: []wal.Column{colI64(1)}})
+			if n, err := s.Count(1); err != nil || n != st.rows {
+				b.Fatalf("Count = %d, %v", n, err)
+			}
+		}
+	})
 }
 
 // BenchmarkRowAggregate is the never-compacted side of

@@ -545,3 +545,36 @@ func TestColumnarBeforeFirstCompaction(t *testing.T) {
 		t.Fatal("no segment should exist yet")
 	}
 }
+
+// TestDeltaViewFollowsPublishedWrites pins the currency of the table's
+// shared delta view: a query builds it, then a version lands on a frozen
+// record and on a brand-new one and the epoch publishes, and a query at
+// the new timestamp must read both. The view is reused only while no hot
+// list changed, so if markHot did not bump its shard's counter the second
+// query would read the first view and miss both writes.
+func TestDeltaViewFollowsPublishedWrites(t *testing.T) {
+	p := newTwinPair()
+	for k := uint64(0); k < 8; k++ {
+		p.apply(k, int64(k+1), k+1, false, []wal.Column{colI64(int64(k))})
+	}
+	p.freeze(8)
+	p.apply(100, 9, 9, false, []wal.Column{colI64(100)})
+	p.compare(t, 9, [2]uint64{2, 200}) // builds the view: {100}
+
+	p.apply(3, 10, 10, false, []wal.Column{colI64(33)}) // re-dirties frozen key 3
+	p.apply(50, 11, 11, false, []wal.Column{colI64(50)})
+	p.compare(t, 11, [2]uint64{2, 200})
+
+	s := p.exs[0].ex.Begin(11, 1)
+	if sum, _ := s.SumInt64(1, 1); sum != 0+1+2+33+4+5+6+7+100+50 {
+		t.Fatalf("SumInt64 at ts 11 = %d, want the new values of keys 3 and 50 counted", sum)
+	}
+	var keys []uint64
+	_ = s.ScanKeys(1, 2, 200, func(ks []uint64, _ []int64) bool {
+		keys = append(keys, ks...)
+		return true
+	})
+	if fmt.Sprint(keys) != "[2 3 4 5 6 7 50 100]" {
+		t.Fatalf("ScanKeys[2,200] at ts 11 = %v", keys)
+	}
+}

@@ -33,6 +33,7 @@ package query
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"aets/internal/colstore"
 	"aets/internal/memtable"
@@ -71,17 +72,19 @@ type plan struct {
 	// enumerates it in O(range).
 	compacted bool
 
-	hot     []*memtable.Record
-	hotKeys []uint64 // parallel to hot
-	tmpR    []*memtable.Record
-	tmpK    []uint64 // radix-sort temporaries
-	vals    [][]byte
-	colIdx  []int
-	excl    []int
-	vers    [deltaBlock]*memtable.Version // merge's per-block row vectors
-	shadow  [deltaBlock]int
-	batchK  []uint64 // ScanKeys output batch
-	batchT  []int64
+	vals   [][]byte
+	colIdx []int
+	excl   []int
+	keys   [deltaBlock]uint64 // merge's per-block row vectors
+	vers   [deltaBlock]*memtable.Version
+	shadow [deltaBlock]int
+	// blockR/blockK hold the delta a point read and the never-compacted
+	// path collect themselves. A compacted range read merges a window of
+	// the table's shared Delta view instead, which the plan never writes.
+	blockR [deltaBlock]*memtable.Record
+	blockK [deltaBlock]uint64
+	batchK []uint64 // ScanKeys output batch
+	batchT []int64
 }
 
 // begin resolves the plan for [from, to] of table. Callers defer end.
@@ -129,32 +132,28 @@ func (p *plan) end() {
 	e.plans.Put(p)
 }
 
-// gather enumerates the delta of a compacted table restricted to
-// [from, to] — sorted by key and deduped — into hot and the parallel
-// hotKeys, which walk compares against instead of dereferencing a record
-// per probe. A point read asks the index for its one candidate instead.
-func (p *plan) gather() {
+// gather returns the delta of a compacted table restricted to [from, to],
+// in ascending key order with parallel keys, which walk compares against
+// instead of dereferencing a record per probe: a window of the table's
+// shared sorted view, found by two binary searches. A point read asks the
+// index for its one candidate instead.
+func (p *plan) gather() ([]*memtable.Record, []uint64) {
 	if p.from == p.to {
-		p.hot, p.hotKeys = p.hot[:0], p.hotKeys[:0]
-		if rec := p.tab.Get(p.from); rec != nil {
-			p.hot, p.hotKeys = append(p.hot, rec), append(p.hotKeys, p.from)
+		rec := p.tab.Get(p.from)
+		if rec == nil {
+			return nil, nil
 		}
-		return
+		p.blockR[0], p.blockK[0] = rec, p.from
+		return p.blockR[:1], p.blockK[:1]
 	}
-	p.hot = p.tab.HotRecords(p.hot[:0])
-	if cap(p.hotKeys) < len(p.hot) {
-		p.hotKeys = make([]uint64, 0, cap(p.hot))
-		p.tmpR = make([]*memtable.Record, cap(p.hot))
-		p.tmpK = make([]uint64, cap(p.hot))
+	d := p.tab.Delta()
+	lo, _ := slices.BinarySearch(d.Keys, p.from)
+	hi := len(d.Keys)
+	if p.to < ^uint64(0) {
+		hi, _ = slices.BinarySearch(d.Keys[lo:], p.to+1)
+		hi += lo // ≥ lo, so an empty range (from > to) is an empty window
 	}
-	out, keys := p.hot[:0], p.hotKeys[:0]
-	for _, r := range p.hot {
-		if k := r.Key; k >= p.from && k <= p.to {
-			out = append(out, r)
-			keys = append(keys, k)
-		}
-	}
-	p.hot, p.hotKeys = memtable.SortDedupePairs(out, keys, p.tmpR, p.tmpK)
+	return d.Recs[lo:hi], d.Keys[lo:hi]
 }
 
 // runFunc receives base rows [i, e), all live and shadowed by no chain.
@@ -174,20 +173,20 @@ type deltaFunc func(keys []uint64, vers []*memtable.Version, shadow []int) bool
 func (p *plan) walk(run runFunc, rows deltaFunc) bool {
 	ok := true
 	if p.compacted || p.from == p.to {
-		p.gather()
-		for off := 0; ok && off < len(p.hot); off += deltaBlock {
-			end := min(off+deltaBlock, len(p.hot))
-			ok = p.merge(p.hot[off:end], p.hotKeys[off:end], run, rows)
+		recs, keys := p.gather()
+		for off := 0; ok && off < len(recs); off += deltaBlock {
+			end := min(off+deltaBlock, len(recs))
+			ok = p.merge(recs[off:end], keys[off:end], run, rows)
 		}
 	} else {
 		// Empty base, every record is delta: stream the table's own index
 		// through the same merge.
-		p.hot, p.hotKeys = p.hot[:0], p.hotKeys[:0]
+		n := 0
 		block := func(key uint64, rec *memtable.Record) bool {
-			p.hot, p.hotKeys = append(p.hot, rec), append(p.hotKeys, key)
-			if len(p.hot) == deltaBlock {
-				ok = p.merge(p.hot, p.hotKeys, run, rows)
-				p.hot, p.hotKeys = p.hot[:0], p.hotKeys[:0]
+			p.blockR[n], p.blockK[n] = rec, key
+			if n++; n == deltaBlock {
+				ok = p.merge(p.blockR[:], p.blockK[:], run, rows)
+				n = 0
 			}
 			return ok
 		}
@@ -196,14 +195,15 @@ func (p *plan) walk(run runFunc, rows deltaFunc) bool {
 		} else {
 			p.tab.ScanAny(p.from, p.to, block)
 		}
-		ok = ok && p.merge(p.hot, p.hotKeys, run, rows)
+		ok = ok && p.merge(p.blockR[:n], p.blockK[:n], run, rows)
 	}
 	return ok && (run == nil || liveRuns(p.base, p.pos, p.bn, run))
 }
 
 // merge stitches one block of delta records (ascending keys, at most
 // deltaBlock of them) over the base rows from p.pos on and yields the
-// pieces to walk's callbacks. keys is compacted in place.
+// pieces to walk's callbacks. It only reads recs and keys, which may be
+// the table's shared Delta view.
 func (p *plan) merge(recs []*memtable.Record, keys []uint64, run runFunc, rows deltaFunc) bool {
 	// Resolve visibility in one tight pass — an independent cache miss
 	// per record, nothing else in the way — and drop the chains invisible
@@ -211,11 +211,11 @@ func (p *plan) merge(recs []*memtable.Record, keys []uint64, run runFunc, rows d
 	ts, n := p.s.TS, 0
 	for j, rec := range recs {
 		if v := rec.Visible(ts); v != nil {
-			keys[n], p.vers[n] = keys[j], v
+			p.keys[n], p.vers[n] = keys[j], v
 			n++
 		}
 	}
-	keys, vers, shadow := keys[:n], p.vers[:n], p.shadow[:n]
+	keys, vers, shadow := p.keys[:n], p.vers[:n], p.shadow[:n]
 	base, bn, pos := p.base, p.bn, p.pos
 	if pos == bn { // no base rows left: nothing to shadow, nothing to interleave
 		for j := range shadow {

@@ -110,8 +110,8 @@ func (s *Supervisor) RestoreSnapshot(cursor uint64, size int64, r io.Reader) err
 	}
 	s.failSeq, s.failCount = 0, 0
 	s.forcePinpoint = false
-	s.lastErr = nil
-	s.needSnap = false
+	s.setLastErr(nil)
+	s.needSnap.Store(false)
 	s.clearQuarantineBelowLocked(cursor)
 	if len(s.quarantined) == 0 {
 		s.setState(StateRunning)
@@ -155,9 +155,7 @@ func (s *Supervisor) VerifyDigest(seq uint64, _ int64, digest uint64) error {
 	if local == digest {
 		return nil
 	}
-	s.mu.Lock()
-	s.needSnap = true
-	s.mu.Unlock()
+	s.needSnap.Store(true)
 	s.digestMismatches.Add(1)
 	return fmt.Errorf("%w: local %016x, sender %016x at cursor %d",
 		ship.ErrDigestMismatch, local, digest, seq)
@@ -166,12 +164,9 @@ func (s *Supervisor) VerifyDigest(seq uint64, _ int64, digest uint64) error {
 // NeedSnapshot reports whether a digest mismatch awaits snapshot
 // repair. Wire it to ship.ReceiverConfig.NeedSnapshot so the repair
 // request survives receiver (and process) lifetimes until a snapshot
-// actually lands.
-func (s *Supervisor) NeedSnapshot() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.needSnap
-}
+// actually lands. It takes no lock, so the receiver's WELCOME does not
+// wait behind a feed or a checkpoint.
+func (s *Supervisor) NeedSnapshot() bool { return s.needSnap.Load() }
 
 // parseQuarantineSeq extracts the sequence from a quarantine sidecar
 // filename, or false if the name is not one.

@@ -134,11 +134,16 @@ type Supervisor struct {
 	failCount     int      // consecutive failures at failSeq
 	forcePinpoint bool     // an unattributed failure demands per-epoch drains
 	quarantined   map[uint64]bool
-	lastErr       error
-	// needSnap flags a detected digest mismatch awaiting snapshot
-	// repair; it survives receiver lifetimes (see NeedSnapshot) and
-	// clears only when a snapshot actually restores.
-	needSnap bool
+
+	// lastErr is the error that last took the node down (nil once a
+	// rebuild or snapshot succeeds); it is written under mu. needSnap
+	// flags a detected digest mismatch awaiting snapshot repair; it
+	// survives receiver lifetimes (see NeedSnapshot) and clears only when
+	// a snapshot actually restores. Both are read without mu, so a
+	// health scrape or a handshake never waits behind a feed or a
+	// checkpoint.
+	lastErr  atomic.Pointer[error]
+	needSnap atomic.Bool
 
 	state            atomic.Int32
 	restarts         atomic.Int64
@@ -335,7 +340,19 @@ func (s *Supervisor) Node() *htap.Node { return s.node.Load() }
 // State returns the supervisor's coarse state.
 func (s *Supervisor) State() State { return State(s.state.Load()) }
 
-// Stats returns a snapshot of the supervisor's counters.
+// setLastErr records err (nil clears it). Called with mu held.
+func (s *Supervisor) setLastErr(err error) { s.lastErr.Store(&err) }
+
+// lastError returns the recorded error without taking mu.
+func (s *Supervisor) lastError() error {
+	if p := s.lastErr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Stats returns a snapshot of the supervisor's counters. It takes no
+// lock.
 func (s *Supervisor) Stats() Stats {
 	st := Stats{
 		State:            s.State(),
@@ -345,11 +362,9 @@ func (s *Supervisor) Stats() Stats {
 		DigestMismatches: s.digestMismatches.Load(),
 		SnapshotRestores: s.snapRestores.Load(),
 	}
-	s.mu.Lock()
-	if s.lastErr != nil {
-		st.LastErr = s.lastErr.Error()
+	if err := s.lastError(); err != nil {
+		st.LastErr = err.Error()
 	}
-	s.mu.Unlock()
 	return st
 }
 
@@ -360,7 +375,7 @@ func (s *Supervisor) Probe() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.State() == StateFatal {
-		return s.lastErr
+		return s.lastError()
 	}
 	if node := s.node.Load(); node != nil && node.Err() == nil {
 		return nil
@@ -472,12 +487,12 @@ func (s *Supervisor) recoverLocked(initial bool) error {
 			case <-time.After(delay):
 			case <-s.stop:
 				s.mu.Lock()
-				s.lastErr = ErrSpoolClosed
+				s.setLastErr(ErrSpoolClosed)
 				return ErrSpoolClosed
 			}
 			s.mu.Lock()
 			if s.closed {
-				s.lastErr = ErrSpoolClosed
+				s.setLastErr(ErrSpoolClosed)
 				return ErrSpoolClosed
 			}
 		}
@@ -486,7 +501,7 @@ func (s *Supervisor) recoverLocked(initial bool) error {
 		}
 		node, meta, err := s.restoreBest()
 		if err != nil {
-			s.lastErr = err
+			s.setLastErr(err)
 			continue
 		}
 		// The checkpoint can be ahead of the spool (spool truncated by a
@@ -494,7 +509,7 @@ func (s *Supervisor) recoverLocked(initial bool) error {
 		// resume cursor is appendable.
 		if err := s.cfg.Spool.AlignTo(meta.NextEpochSeq()); err != nil {
 			node.Close()
-			s.lastErr = err
+			s.setLastErr(err)
 			continue
 		}
 		// After the first failure, pinpoint: drain per epoch so the
@@ -503,7 +518,7 @@ func (s *Supervisor) recoverLocked(initial bool) error {
 		badSeq, err := s.replaySpool(node, meta.NextEpochSeq(), pinpoint)
 		if err != nil {
 			node.Close()
-			s.lastErr = err
+			s.setLastErr(err)
 			if pinpoint {
 				if s.failCount > 0 && badSeq == s.failSeq {
 					s.failCount++
@@ -519,7 +534,7 @@ func (s *Supervisor) recoverLocked(initial bool) error {
 		s.node.Store(node)
 		s.failCount = 0
 		s.forcePinpoint = false
-		s.lastErr = nil
+		s.setLastErr(nil)
 		if !initial {
 			s.restarts.Add(1)
 			s.cRestarts.Inc()
@@ -533,10 +548,10 @@ func (s *Supervisor) recoverLocked(initial bool) error {
 		return nil
 	}
 	s.setState(StateFatal)
-	if s.lastErr == nil {
-		s.lastErr = ErrFatal
+	if s.lastError() == nil {
+		s.setLastErr(ErrFatal)
 	}
-	return fmt.Errorf("%w (last error: %v)", ErrFatal, s.lastErr)
+	return fmt.Errorf("%w (last error: %v)", ErrFatal, s.lastError())
 }
 
 // restoreBest builds a node from the newest checkpoint that passes
@@ -707,7 +722,8 @@ func (s *Supervisor) checkpointLoop() {
 
 // Health returns the obsrv health report: running and degraded serve
 // 200 (a degraded replica still answers queries), fatal serves 503.
-// Call it from obsrv.Options.Health; it refreshes replay_lag_ts.
+// Call it from obsrv.Options.Health; it refreshes replay_lag_ts. It
+// takes no lock, so a scrape never waits behind a feed or a checkpoint.
 func (s *Supervisor) Health() obsrv.Health {
 	st := s.State()
 	h := obsrv.Health{
@@ -723,11 +739,9 @@ func (s *Supervisor) Health() obsrv.Health {
 	if st == StateRunning {
 		h.Status = "ok"
 	}
-	s.mu.Lock()
-	if s.lastErr != nil {
-		h.Err = s.lastErr.Error()
+	if err := s.lastError(); err != nil {
+		h.Err = err.Error()
 	}
-	s.mu.Unlock()
 	if node := s.node.Load(); node != nil {
 		h.VisibleTS = node.VisibleTS()
 		h.PrimaryTS = node.PrimaryTS()

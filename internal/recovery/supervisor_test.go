@@ -418,3 +418,29 @@ func TestNodeDoesNotWaitForSupervisorLock(t *testing.T) {
 		t.Fatal("Node() blocked behind the supervisor's lock")
 	}
 }
+
+// TestStatusReadsDoNotWaitForSupervisorLock is the same check for the
+// status reads: Stats and Health answer /varz and /healthz scrapes, and
+// NeedSnapshot answers the receiver's WELCOME. None of them may queue
+// behind a feed or a whole checkpoint.
+func TestStatusReadsDoNotWaitForSupervisorLock(t *testing.T) {
+	env := openSup(t, t.TempDir(), t.TempDir(), nil)
+	defer env.close(t)
+	for name, read := range map[string]func(){
+		"Stats":        func() { env.sup.Stats() },
+		"Health":       func() { env.sup.Health() },
+		"NeedSnapshot": func() { env.sup.NeedSnapshot() },
+	} {
+		env.sup.mu.Lock()
+		done := make(chan struct{})
+		go func() { read(); close(done) }()
+		select {
+		case <-done:
+			env.sup.mu.Unlock()
+		case <-time.After(time.Second):
+			env.sup.mu.Unlock()
+			<-done
+			t.Fatalf("%s blocked behind the supervisor's lock", name)
+		}
+	}
+}
