@@ -14,6 +14,7 @@ package colstore
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"aets/internal/wal"
 )
@@ -96,6 +97,8 @@ type Segment struct {
 	Live           int // rows with the Del bit clear
 
 	sums map[uint32]int64 // per-column Σ of 8-byte LE values over live rows
+
+	place atomic.Pointer[placement] // the latest delta view placed here
 }
 
 // Len returns the number of rows (tombstones included).

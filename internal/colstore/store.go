@@ -42,8 +42,9 @@ func NewStore() *Store {
 // sees either the old world (chains intact) or the new one (base has
 // every frozen row) — never the torn middle.
 type TableState struct {
-	mu   sync.RWMutex
-	base atomic.Pointer[Segment]
+	mu      sync.RWMutex
+	base    atomic.Pointer[Segment]
+	placeMu sync.Mutex // serialises placement builds (Placement)
 }
 
 // Base returns the current base segment, or nil before the first

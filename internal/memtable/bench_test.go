@@ -17,8 +17,7 @@ func BenchmarkGetOrCreate(b *testing.B) {
 		keys[i] = rng.Uint64() % (1 << 18)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		mt.Table(1).GetOrCreate(keys[i%len(keys)])
 	}
 }
@@ -149,8 +148,7 @@ func BenchmarkAppend(b *testing.B) {
 			Columns: []wal.Column{{ID: 1, Value: make([]byte, 16)}}}
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		rec.Append(vers[i%len(vers)])
 	}
 }
@@ -160,8 +158,7 @@ func BenchmarkVisible(b *testing.B) {
 	for i := 1; i <= 64; i++ {
 		rec.Append(&Version{TxnID: uint64(i), CommitTS: int64(i * 10)})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if rec.Visible(int64((i%64+1)*10)) == nil {
 			b.Fatal("version lost")
 		}

@@ -11,8 +11,8 @@ import (
 
 // benchState is the shared majority-frozen fixture: 1<<16 random keys
 // below 1<<20 through 8 shards (the same population as the memtable scan
-// benchmarks), every one frozen into the columnar base, then a ~1k-row
-// hot delta re-dirtied on top. The row-store twin holds the identical
+// benchmarks), every one frozen into the columnar base, then a hot delta
+// of hot updates (1024 in the archived set) re-dirtied on top. The row-store twin holds the identical
 // visible state in vacuumed chains and no base at all, so Columnar-vs-Row
 // sub-benchmarks price the two sides of the planner's one selection (is
 // there a base segment?) over the same data.
@@ -26,7 +26,7 @@ type benchState struct {
 	cold  uint64    // a live key that is frozen and not in the hot delta
 }
 
-func newBenchState(tb testing.TB) *benchState {
+func newBenchState(tb testing.TB, hot int) *benchState {
 	tb.Helper()
 	st := &benchState{vis: &fakeVis{}}
 	mtC := memtable.NewWithShards(8)
@@ -69,12 +69,12 @@ func newBenchState(tb testing.TB) *benchState {
 	if comp.RunOnce(w) == 0 {
 		tb.Fatal("bench fixture: nothing froze")
 	}
-	// Hot delta over the frozen base: ~1k updates, a few deletes.
-	for i := 0; i < 1024; i++ {
+	// Hot delta over the frozen base: updates, a few deletes.
+	for i := 0; i < hot; i++ {
 		put(keys[i*37%len(keys)], i%64 == 63)
 	}
 	st.vis.ts.Store(st.ts)
-	st.cold = keys[1] // 37·i ≢ 1 (mod 1<<16) for every i < 1024
+	st.cold = keys[1] // 37·i ≢ 1 (mod 1<<16) for every i < 7085
 
 	// Sanity: both paths agree before we price them.
 	cC, err1 := st.exC.Begin(st.ts, 1).Count(1)
@@ -101,7 +101,7 @@ var benchCols = []uint32{1, 2}
 // column values per row on top. Both run at 0 allocs/op; compare against
 // BenchmarkRowScan for the chain-walking price of the same reads.
 func BenchmarkColumnarScan(b *testing.B) {
-	st := newBenchState(b)
+	st := newBenchState(b, 1024)
 	benchScans(b, st, st.exC)
 }
 
@@ -109,7 +109,7 @@ func BenchmarkColumnarScan(b *testing.B) {
 // the same calls through the same planner with an empty base, so every
 // row is resolved from its vacuumed version chain.
 func BenchmarkRowScan(b *testing.B) {
-	st := newBenchState(b)
+	st := newBenchState(b, 1024)
 	benchScans(b, st, st.exR)
 }
 
@@ -117,9 +117,12 @@ func BenchmarkRowScan(b *testing.B) {
 // frozen base: precomputed segment stats plus an O(hot-delta) adjustment,
 // instead of touching every row. Count-churn is the worst case of the
 // table's shared delta view: one record is frozen and re-dirtied before
-// every Count, so every Count rebuilds (gathers and sorts) the view.
+// every Count, so every Count rebuilds (gathers and sorts) the view and
+// places it in the base again. The delta4k cases read a 4096-update
+// delta through one reused view, where placing each delta key in the
+// base is most of an operation's work unless it is done once.
 func BenchmarkColumnarAggregate(b *testing.B) {
-	st := newBenchState(b)
+	st := newBenchState(b, 1024)
 	benchAggregates(b, st, st.exC)
 	b.Run("Count-churn", func(b *testing.B) {
 		tab := st.exC.mt.Table(1)
@@ -139,13 +142,36 @@ func BenchmarkColumnarAggregate(b *testing.B) {
 			}
 		}
 	})
+	big := newBenchState(b, 4096)
+	s := big.exC.Begin(big.ts, 1)
+	b.Run("SumInt64-delta4k", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if v, err := s.SumInt64(1, 1); err != nil || v == 0 {
+				b.Fatalf("SumInt64 = %d, %v", v, err)
+			}
+		}
+	})
+	b.Run("ScanKeys-delta4k", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			seen := 0
+			_ = s.ScanKeys(1, 0, ^uint64(0), func(keys []uint64, _ []int64) bool {
+				seen += len(keys)
+				return true
+			})
+			if seen != big.rows {
+				b.Fatalf("scan saw %d of %d rows", seen, big.rows)
+			}
+		}
+	})
 }
 
 // BenchmarkRowAggregate is the never-compacted side of
 // BenchmarkColumnarAggregate: with an empty base there are no footer
 // stats, so every aggregate walks all chains.
 func BenchmarkRowAggregate(b *testing.B) {
-	st := newBenchState(b)
+	st := newBenchState(b, 1024)
 	benchAggregates(b, st, st.exR)
 }
 

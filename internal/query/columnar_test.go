@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"aets/internal/colstore"
 	"aets/internal/memtable"
@@ -277,6 +279,17 @@ func FuzzColumnarScan(f *testing.F) {
 	// delete must block fill-down from the base).
 	f.Add([]byte{0x01, 0x04, 0x01, 0x03, 0x04, 0x03, 0x05, 0x00, 0x01, 0x03, 0x07, 0xff}, uint64(3), uint64(10))
 	f.Add([]byte{0x01, 0x04, 0x01, 0x03, 0x05, 0x00, 0x04, 0x03, 0x01, 0x2d, 0x07, 0xff}, uint64(3), uint64(10))
+	// The delta's placement in the base, one seed each. Reads at several
+	// ranges share one view and base: the full-range aggregates place the
+	// view (keys 0 1 2 10 11 100 over a base of 0 2 10 12 100 5000, with a
+	// hot delete and a partial update among them), and the caller's range
+	// [10, 5000] starts inside it. Then a freeze replaces the base between
+	// two reads at the same qts: the second read, at the old watermark,
+	// places a view of newer, invisible chains in the new base.
+	f.Add([]byte{0x01, 0x00, 0x01, 0x02, 0x01, 0x04, 0x01, 0x06, 0x01, 0x07, 0x01, 0x09, 0x05, 0x00,
+		0x02, 0x0e, 0x02, 0x01, 0x03, 0x04, 0x02, 0x05, 0x02, 0x07, 0x04, 0x02, 0x07, 0xff}, uint64(10), uint64(5000))
+	f.Add([]byte{0x01, 0x00, 0x01, 0x04, 0x01, 0x07, 0x01, 0x09, 0x05, 0x00, 0x02, 0x02, 0x02, 0x04, 0x04, 0x07,
+		0x07, 0xff, 0x06, 0x00, 0x02, 0x04, 0x02, 0x01, 0x07, 0x00}, uint64(2), uint64(100))
 
 	strVals := []string{"x", "yy", "zzz", ""}
 	f.Fuzz(func(t *testing.T, data []byte, from, to uint64) {
@@ -371,7 +384,7 @@ func TestColumnarConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
-	churnWG.Add(2)
+	churnWG.Add(3)
 	go func() { // compactor + vacuum trailing far behind the clock
 		defer churnWG.Done()
 		for {
@@ -386,31 +399,35 @@ func TestColumnarConcurrent(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // fresh-snapshot readers: ordering invariant under churn
-		defer churnWG.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			s := ex.Begin(0, 1)
-			last := int64(-1)
-			_ = s.Scan(1, 0, ^uint64(0), func(r Row) bool {
-				if int64(r.Key) <= last {
-					t.Errorf("scan keys out of order: %d after %d", r.Key, last)
-					return false
+	// Two fresh-snapshot readers, so they also race to build each (delta
+	// view, base) placement: ordering invariant under churn.
+	for range 2 {
+		go func() {
+			defer churnWG.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
 				}
-				last = int64(r.Key)
-				return true
-			})
-			if n, err := s.Count(1); err != nil || n < 0 {
-				t.Errorf("Count = %d, %v", n, err)
+				s := ex.Begin(0, 1)
+				last := int64(-1)
+				_ = s.Scan(1, 0, ^uint64(0), func(r Row) bool {
+					if int64(r.Key) <= last {
+						t.Errorf("scan keys out of order: %d after %d", r.Key, last)
+						return false
+					}
+					last = int64(r.Key)
+					return true
+				})
+				if n, err := s.Count(1); err != nil || n < 0 {
+					t.Errorf("Count = %d, %v", n, err)
+				}
+				_, _ = s.SumInt64(1, 1)
+				_, _ = s.MaxCommitTS(1)
 			}
-			_, _ = s.SumInt64(1, 1)
-			_, _ = s.MaxCommitTS(1)
-		}
-	}()
+		}()
+	}
 
 	// Wait for the writers, then stop the background churn.
 	writerWG.Wait()
@@ -510,6 +527,62 @@ func TestColumnarZeroAllocOps(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPlacementKeepsNothingAlive pins that a cached placement of the delta
+// in the base keeps neither a replaced base segment nor a replaced delta
+// view reachable, whether or not the table is read again: a compaction
+// that publishes a new base makes the old base and the view placed in it
+// garbage, and so does a view change that leaves the base in place.
+func TestPlacementKeepsNothingAlive(t *testing.T) {
+	vis := &fakeVis{}
+	mt, cs := memtable.New(), colstore.NewStore()
+	comp := colstore.NewCompactor(mt, cs)
+	ex := NewExecutor(mt, vis, cs)
+	ts := int64(0)
+	put := func(keys ...uint64) {
+		for _, k := range keys {
+			ts++
+			mt.Table(1).GetOrCreate(k).Append(&memtable.Version{
+				TxnID: uint64(ts), CommitTS: ts, Columns: []wal.Column{colI64(int64(k))},
+			})
+		}
+		vis.ts.Store(ts)
+	}
+	// placed reads the table, which places the view in the base, and
+	// returns both held only weakly.
+	placed := func(want int) (weak.Pointer[colstore.Segment], weak.Pointer[memtable.Delta]) {
+		t.Helper()
+		if n, err := ex.Begin(ts, 1).Count(1); err != nil || n != want {
+			t.Fatalf("Count = %d (err %v), want %d", n, err, want)
+		}
+		return weak.Make(cs.Get(1).Base()), weak.Make(mt.Table(1).Delta())
+	}
+	put(1, 2, 3, 4)
+	comp.RunOnce(ts)
+	put(2, 5)
+	oldBase, oldView := placed(5)
+	put(6)
+	if comp.RunOnce(ts) == 0 {
+		t.Fatal("nothing froze")
+	}
+	runtime.GC()
+	if oldBase.Value() != nil || oldView.Value() != nil {
+		t.Fatal("a compaction's new base left the old base or its placed view reachable")
+	}
+
+	put(7)
+	w := ts
+	_, oldView = placed(7)
+	put(8)
+	if comp.RunOnce(w-1) != 0 { // freezes nothing, but rebuilds the view
+		t.Fatal("a record newer than the watermark froze")
+	}
+	runtime.GC()
+	if oldView.Value() != nil {
+		t.Fatal("the base's placement kept a replaced view reachable")
+	}
+	placed(8)
 }
 
 // TestColumnarBeforeFirstCompaction pins the never-compacted shape on a

@@ -77,14 +77,17 @@ type plan struct {
 	excl   []int
 	keys   [deltaBlock]uint64 // merge's per-block row vectors
 	vers   [deltaBlock]*memtable.Version
+	at     [deltaBlock]uint32
 	shadow [deltaBlock]int
-	// blockR/blockK hold the delta a point read and the never-compacted
-	// path collect themselves. A compacted range read merges a window of
-	// the table's shared Delta view instead, which the plan never writes.
-	blockR [deltaBlock]*memtable.Record
-	blockK [deltaBlock]uint64
-	batchK []uint64 // ScanKeys output batch
-	batchT []int64
+	// blockR/blockK (and pointAt) hold the delta a point read and the
+	// never-compacted path collect themselves. A compacted range read
+	// merges a window of the table's shared Delta view and of its
+	// placement in the base instead, which the plan never writes.
+	blockR  [deltaBlock]*memtable.Record
+	blockK  [deltaBlock]uint64
+	pointAt [1]uint32
+	batchK  []uint64 // ScanKeys output batch
+	batchT  []int64
 }
 
 // begin resolves the plan for [from, to] of table. Callers defer end.
@@ -133,18 +136,23 @@ func (p *plan) end() {
 }
 
 // gather returns the delta of a compacted table restricted to [from, to],
-// in ascending key order with parallel keys, which walk compares against
-// instead of dereferencing a record per probe: a window of the table's
-// shared sorted view, found by two binary searches. A point read asks the
-// index for its one candidate instead.
-func (p *plan) gather() ([]*memtable.Record, []uint64) {
+// in ascending key order with parallel keys and, when a base participates,
+// parallel placement words (colstore.Placement): a window of the table's
+// shared sorted view, found by two binary searches, and the same window of
+// that view's placement in the base. A point read asks the index for its
+// one candidate and places it in the base itself.
+func (p *plan) gather() ([]*memtable.Record, []uint64, []uint32) {
 	if p.from == p.to {
 		rec := p.tab.Get(p.from)
 		if rec == nil {
-			return nil, nil
+			return nil, nil, nil
 		}
 		p.blockR[0], p.blockK[0] = rec, p.from
-		return p.blockR[:1], p.blockK[:1]
+		if p.base == nil {
+			return p.blockR[:1], p.blockK[:1], nil
+		}
+		p.pointAt[0] = p.base.Place(p.from)
+		return p.blockR[:1], p.blockK[:1], p.pointAt[:]
 	}
 	d := p.tab.Delta()
 	lo, _ := slices.BinarySearch(d.Keys, p.from)
@@ -153,7 +161,10 @@ func (p *plan) gather() ([]*memtable.Record, []uint64) {
 		hi, _ = slices.BinarySearch(d.Keys[lo:], p.to+1)
 		hi += lo // ≥ lo, so an empty range (from > to) is an empty window
 	}
-	return d.Recs[lo:hi], d.Keys[lo:hi]
+	if p.base == nil {
+		return d.Recs[lo:hi], d.Keys[lo:hi], nil
+	}
+	return d.Recs[lo:hi], d.Keys[lo:hi], p.st.Placement(p.base, d)[lo:hi]
 }
 
 // runFunc receives base rows [i, e), all live and shadowed by no chain.
@@ -173,10 +184,14 @@ type deltaFunc func(keys []uint64, vers []*memtable.Version, shadow []int) bool
 func (p *plan) walk(run runFunc, rows deltaFunc) bool {
 	ok := true
 	if p.compacted || p.from == p.to {
-		recs, keys := p.gather()
+		recs, keys, at := p.gather()
 		for off := 0; ok && off < len(recs); off += deltaBlock {
 			end := min(off+deltaBlock, len(recs))
-			ok = p.merge(recs[off:end], keys[off:end], run, rows)
+			var a []uint32
+			if at != nil {
+				a = at[off:end]
+			}
+			ok = p.merge(recs[off:end], keys[off:end], a, run, rows)
 		}
 	} else {
 		// Empty base, every record is delta: stream the table's own index
@@ -185,7 +200,7 @@ func (p *plan) walk(run runFunc, rows deltaFunc) bool {
 		block := func(key uint64, rec *memtable.Record) bool {
 			p.blockR[n], p.blockK[n] = rec, key
 			if n++; n == deltaBlock {
-				ok = p.merge(p.blockR[:], p.blockK[:], run, rows)
+				ok = p.merge(p.blockR[:], p.blockK[:], nil, run, rows)
 				n = 0
 			}
 			return ok
@@ -195,16 +210,18 @@ func (p *plan) walk(run runFunc, rows deltaFunc) bool {
 		} else {
 			p.tab.ScanAny(p.from, p.to, block)
 		}
-		ok = ok && p.merge(p.blockR[:n], p.blockK[:n], run, rows)
+		ok = ok && p.merge(p.blockR[:n], p.blockK[:n], nil, run, rows)
 	}
 	return ok && (run == nil || liveRuns(p.base, p.pos, p.bn, run))
 }
 
 // merge stitches one block of delta records (ascending keys, at most
 // deltaBlock of them) over the base rows from p.pos on and yields the
-// pieces to walk's callbacks. It only reads recs and keys, which may be
-// the table's shared Delta view.
-func (p *plan) merge(recs []*memtable.Record, keys []uint64, run runFunc, rows deltaFunc) bool {
+// pieces to walk's callbacks. at holds the records' placement words in
+// the base; it is nil only when no base participates. merge only reads
+// recs, keys and at, which may be the table's shared Delta view and its
+// shared placement.
+func (p *plan) merge(recs []*memtable.Record, keys []uint64, at []uint32, run runFunc, rows deltaFunc) bool {
 	// Resolve visibility in one tight pass — an independent cache miss
 	// per record, nothing else in the way — and drop the chains invisible
 	// at the snapshot: they shadow nothing, their base rows stay in runs.
@@ -212,40 +229,40 @@ func (p *plan) merge(recs []*memtable.Record, keys []uint64, run runFunc, rows d
 	for j, rec := range recs {
 		if v := rec.Visible(ts); v != nil {
 			p.keys[n], p.vers[n] = keys[j], v
+			if at != nil {
+				p.at[n] = at[j]
+			}
 			n++
 		}
 	}
 	keys, vers, shadow := p.keys[:n], p.vers[:n], p.shadow[:n]
-	base, bn, pos := p.base, p.bn, p.pos
+	bn, pos := p.bn, p.pos
 	if pos == bn { // no base rows left: nothing to shadow, nothing to interleave
 		for j := range shadow {
 			shadow[j] = -1
 		}
 		return n == 0 || rows(keys, vers, shadow)
 	}
+	// The placement already says where each key lands, so no key is
+	// compared here: a key's lower bound is never below pos (keys ascend,
+	// and pos passes an exact hit), and an exact hit is its shadowed row.
 	ds := 0 // pending delta batch start
-	for j, k := range keys {
-		i := -1
-		if pos < bn {
-			lo := pos
-			if pos = base.LowerBoundFrom(pos, k); pos > bn {
-				pos = bn
+	for j, a := range p.at[:n] {
+		lb := min(int(a>>colstore.PlaceShift), bn)
+		if run != nil && lb > pos {
+			// Base rows sort between the pending batch and this row.
+			if ds < j && !rows(keys[ds:j], vers[ds:j], shadow[ds:j]) || !liveRuns(p.base, pos, lb, run) {
+				return false
 			}
-			if run != nil && pos > lo {
-				// Base rows sort between the pending batch and this row.
-				if ds < j && !rows(keys[ds:j], vers[ds:j], shadow[ds:j]) || !liveRuns(base, lo, pos, run) {
-					return false
-				}
-				ds = j
-			}
-			if pos < bn && base.Keys[pos] == k {
-				if !base.Deleted(pos) {
-					i = pos
-				}
-				pos++
-			}
+			ds = j
 		}
-		shadow[j] = i
+		pos, shadow[j] = lb, -1
+		if a&colstore.PlaceExact != 0 {
+			if a&colstore.PlaceLive != 0 {
+				shadow[j] = lb
+			}
+			pos++
+		}
 	}
 	p.pos = pos
 	return ds == n || rows(keys[ds:], vers[ds:], shadow[ds:])
