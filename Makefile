@@ -29,12 +29,15 @@ test:
 # (including TestScanStress — full-range ordered Scans racing
 # GetOrCreate and Vacuum), the query
 # planner against feed + compaction, the columnar compactor, the
-# checkpoint writer, the HTAP node wiring, the cluster router/fan-out
-# and the recovery supervisor/spool (their chaos e2es run separately,
-# already under -race, in chaos-cluster and chaos).
+# checkpoint writer, the HTAP node wiring, the figure harness's
+# concurrent query clients (every replayer kind; the per-experiment
+# smoke test is skipped here, it only repeats them at other sizes), the
+# cluster router/fan-out and the recovery supervisor/spool (their chaos
+# e2es run separately, already under -race, in chaos-cluster and chaos).
 race:
 	$(GO) test -race ./internal/ship/... ./internal/replay/... ./internal/baselines/... ./internal/epoch/... ./internal/memtable/... \
 		./internal/query/... ./internal/colstore/... ./internal/checkpoint/... ./internal/htap/...
+	$(GO) test -race -skip 'TestEveryExperimentRuns' ./cmd/aetsbench/
 	$(GO) test -race -skip 'TestClusterChaos' ./internal/cluster/
 	$(GO) test -race -skip 'TestChaos' ./internal/recovery/...
 

@@ -1,4 +1,4 @@
-package htap
+package main
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 
 	"aets/internal/alloc"
 	"aets/internal/grouping"
+	"aets/internal/htap"
 	"aets/internal/memtable"
 	"aets/internal/metrics"
 	"aets/internal/predictor"
@@ -122,7 +123,7 @@ func RunAdaptive(strategy Strategy, cfg AdaptiveConfig) (*AdaptiveResult, error)
 			return nil, err
 		}
 		rateAt = func(slot int) map[wal.TableID]float64 {
-			recent := series[maxInt(0, slot-12):slot]
+			recent := series[max(0, slot-12):slot]
 			pred := d.Predict(recent, 1)
 			out := make(map[wal.TableID]float64, len(hotIDs))
 			for j, id := range hotIDs {
@@ -133,13 +134,13 @@ func RunAdaptive(strategy Strategy, cfg AdaptiveConfig) (*AdaptiveResult, error)
 	case StrategyHA:
 		rateAt = func(slot int) map[wal.TableID]float64 {
 			out := make(map[wal.TableID]float64, len(hotIDs))
-			from := maxInt(0, slot-5)
+			from := max(0, slot-5)
 			for j, id := range hotIDs {
 				s := 0.0
 				for k := from; k < slot; k++ {
 					s += series[k][j]
 				}
-				out[id] = s / float64(maxInt(slot-from, 1))
+				out[id] = s / float64(max(slot-from, 1))
 			}
 			return out
 		}
@@ -156,13 +157,13 @@ func RunAdaptive(strategy Strategy, cfg AdaptiveConfig) (*AdaptiveResult, error)
 			return out
 		}
 	default:
-		return nil, fmt.Errorf("htap: unknown adaptive strategy %q", strategy)
+		return nil, fmt.Errorf("unknown adaptive strategy %q", strategy)
 	}
 
 	p := primary.New(bt, cfg.Seed)
 	mt := memtable.New()
 	base := cfg.TrainSlots
-	engine := NewAETS(mt, plan(bt, allTables, rateAt(base)), Options{
+	engine := htap.NewAETS(mt, busTrackerPlan(allTables, rateAt(base)), htap.Options{
 		Workers: cfg.Workers, Urgency: urgency,
 	})
 	engine.Start()
@@ -175,7 +176,7 @@ func RunAdaptive(strategy Strategy, cfg AdaptiveConfig) (*AdaptiveResult, error)
 
 	for slot := 0; slot < cfg.WarmupSlots+cfg.Slots; slot++ {
 		abs := base + slot
-		engine.SetPlan(plan(bt, allTables, rateAt(abs)))
+		engine.SetPlan(busTrackerPlan(allTables, rateAt(abs)))
 
 		encs := p.GenerateEncoded(cfg.TxnsPerSlot, cfg.EpochSize)
 		trueRates := series[abs]
@@ -221,10 +222,10 @@ func RunAdaptive(strategy Strategy, cfg AdaptiveConfig) (*AdaptiveResult, error)
 	return res, nil
 }
 
-// plan rebuilds the dynamic BusTracker grouping from predicted rates:
-// DBSCAN clusters of similarly rated hot tables, singleton cold groups
-// ("the grouping is determined dynamically", §VI-A3).
-func plan(bt *workload.BusTracker, all []wal.TableID, rates map[wal.TableID]float64) *grouping.Plan {
+// busTrackerPlan rebuilds the dynamic BusTracker grouping from predicted
+// rates: DBSCAN clusters of similarly rated hot tables, singleton cold
+// groups ("the grouping is determined dynamically", §VI-A3).
+func busTrackerPlan(all []wal.TableID, rates map[wal.TableID]float64) *grouping.Plan {
 	return grouping.Build(rates, all, grouping.Options{Eps: 0.3, MinPts: 2})
 }
 
@@ -244,11 +245,4 @@ func sampleHot(rng *rand.Rand, ids []wal.TableID, rates []float64) wal.TableID {
 		}
 	}
 	return ids[len(ids)-1]
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,4 +1,4 @@
-package htap
+package main
 
 import (
 	"fmt"
@@ -9,6 +9,7 @@ import (
 
 	"aets/internal/epoch"
 	"aets/internal/grouping"
+	"aets/internal/htap"
 	"aets/internal/memtable"
 	"aets/internal/metrics"
 	"aets/internal/primary"
@@ -86,7 +87,7 @@ type RunResult struct {
 // Run replays the experiment's workload on a fresh backup of the given
 // kind while issuing the analytical query load, and reports throughput,
 // hot/cold replay times and visibility delays.
-func Run(kind Kind, exp Experiment) (*RunResult, error) {
+func Run(kind htap.Kind, exp Experiment) (*RunResult, error) {
 	exp.fill()
 	gen := exp.NewGen()
 	p := primary.New(gen, exp.Seed)
@@ -95,7 +96,7 @@ func Run(kind Kind, exp Experiment) (*RunResult, error) {
 
 	var bd metrics.Breakdown
 	mt := memtable.New()
-	r, err := NewReplayer(kind, mt, exp.Plan(), Options{
+	r, err := htap.NewReplayer(kind, mt, exp.Plan(), htap.Options{
 		Workers: exp.Workers, Breakdown: &bd,
 	})
 	if err != nil {
@@ -116,12 +117,6 @@ func Run(kind Kind, exp Experiment) (*RunResult, error) {
 	}
 
 	var shipped atomic.Int64
-	firstTS := int64(0)
-	if len(encs) > 0 {
-		if txns0, err := encs[0].Decode(); err == nil && len(txns0) > 0 {
-			firstTS = txns0[0].CommitTS
-		}
-	}
 	start := time.Now()
 
 	// snapshotTS returns a query's qts: the freshest primary snapshot the
@@ -134,7 +129,6 @@ func Run(kind Kind, exp Experiment) (*RunResult, error) {
 	snapshotTS := func() int64 {
 		return shipped.Load()
 	}
-	_ = firstTS
 
 	// Concurrent analytical query load: each query reads the freshest
 	// primary snapshot available at its arrival (Algorithm 3's qts). A
@@ -237,7 +231,7 @@ func CalibrateRate(exp Experiment, fraction float64) (float64, error) {
 	if exp.Txns > 20000 {
 		exp.Txns = 20000
 	}
-	res, err := Run(KindAETS, exp)
+	res, err := Run(htap.KindAETS, exp)
 	if err != nil {
 		return 0, err
 	}
@@ -248,7 +242,7 @@ func CalibrateRate(exp Experiment, fraction float64) (float64, error) {
 }
 
 // RunAll runs the experiment across the given kinds on identical inputs.
-func RunAll(kinds []Kind, exp Experiment) ([]*RunResult, error) {
+func RunAll(kinds []htap.Kind, exp Experiment) ([]*RunResult, error) {
 	out := make([]*RunResult, 0, len(kinds))
 	for _, k := range kinds {
 		r, err := Run(k, exp)
@@ -258,40 +252,4 @@ func RunAll(kinds []Kind, exp Experiment) ([]*RunResult, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// TPCCRates returns the paper's TPC-C access-rate assignment (§VI-A3): the
-// order_line group is accessed twice as often as the
-// district/stock/customer/order group.
-func TPCCRates(base float64) map[wal.TableID]float64 {
-	return map[wal.TableID]float64{
-		workload.TPCCDistrict:  base,
-		workload.TPCCStock:     base,
-		workload.TPCCCustomer:  base,
-		workload.TPCCOrder:     base,
-		workload.TPCCOrderLine: 2 * base,
-	}
-}
-
-// CHRates returns per-table rates proportional to how many of the 22 CH
-// queries touch each written table; with PerTable grouping this reproduces
-// the paper's "each table is assigned to its own group" setup.
-func CHRates(gen workload.Generator) map[wal.TableID]float64 {
-	counts := make(map[wal.TableID]int)
-	written := make(map[wal.TableID]bool)
-	for _, t := range gen.Tables() {
-		written[t.ID] = true
-	}
-	for _, q := range gen.Queries() {
-		for _, t := range q.Tables {
-			if written[t] {
-				counts[t]++
-			}
-		}
-	}
-	rates := make(map[wal.TableID]float64, len(counts))
-	for t, c := range counts {
-		rates[t] = float64(c) * 100
-	}
-	return rates
 }

@@ -11,7 +11,7 @@ import (
 // printComparison renders the Fig 8/9-style three panels: normalised
 // replay throughput (ATR = 1.0), normalised replay time (AETS cold = 1.0),
 // and mean visibility delay.
-func printComparison(results []*htap.RunResult) {
+func printComparison(results []*RunResult) {
 	var atrTPS float64
 	var aetsCold time.Duration
 	for _, r := range results {
@@ -50,7 +50,7 @@ func runFig8(o opts) error {
 			txns = 6000
 		}
 	}
-	exp := htap.Experiment{
+	exp := Experiment{
 		NewGen:     func() workload.Generator { return workload.NewTPCC(20) },
 		Rates:      htap.TPCCRates(1000),
 		Txns:       txns,
@@ -69,18 +69,18 @@ func runFig8(o opts) error {
 // algorithm sustains the stream (the paper's real-time replication regime,
 // where delay differences come from replay ordering rather than from an
 // overloaded backup).
-func runComparison(exp htap.Experiment, kinds []htap.Kind) error {
-	rate, err := htap.CalibrateRate(exp, 0.35)
+func runComparison(exp Experiment, kinds []htap.Kind) error {
+	rate, err := CalibrateRate(exp, 0.35)
 	if err != nil {
 		return err
 	}
-	tput, err := htap.RunAll(kinds, exp)
+	tput, err := RunAll(kinds, exp)
 	if err != nil {
 		return err
 	}
 	paced := exp
 	paced.PrimaryRate = rate
-	vis, err := htap.RunAll(kinds, paced)
+	vis, err := RunAll(kinds, paced)
 	if err != nil {
 		return err
 	}
@@ -103,7 +103,7 @@ func runFig9(o opts) error {
 		}
 	}
 	bt := workload.NewBusTracker()
-	exp := htap.Experiment{
+	exp := Experiment{
 		NewGen:     func() workload.Generator { return workload.NewBusTracker() },
 		Rates:      bt.Rates(0),
 		Txns:       txns,
@@ -126,7 +126,7 @@ func runFig10(o opts) error {
 			txns = 4000
 		}
 	}
-	exp := htap.Experiment{
+	exp := Experiment{
 		NewGen:     func() workload.Generator { return workload.NewCHBench(20) },
 		PerTable:   true,
 		Txns:       txns,
@@ -139,12 +139,12 @@ func runFig10(o opts) error {
 	exp.Rates = htap.CHRates(workload.NewCHBench(20))
 
 	kinds := []htap.Kind{htap.KindAETS, htap.KindATR, htap.KindC5}
-	rate, err := htap.CalibrateRate(exp, 0.35)
+	rate, err := CalibrateRate(exp, 0.35)
 	if err != nil {
 		return err
 	}
 	exp.PrimaryRate = rate
-	results, err := htap.RunAll(kinds, exp)
+	results, err := RunAll(kinds, exp)
 	if err != nil {
 		return err
 	}
@@ -187,17 +187,17 @@ func runTable2(o opts) error {
 	bt := workload.NewBusTracker()
 	rows := []struct {
 		name string
-		exp  htap.Experiment
+		exp  Experiment
 	}{
-		{"TPC-C", htap.Experiment{
+		{"TPC-C", Experiment{
 			NewGen: func() workload.Generator { return workload.NewTPCC(20) },
 			Rates:  htap.TPCCRates(1000),
 		}},
-		{"BusTracker", htap.Experiment{
+		{"BusTracker", Experiment{
 			NewGen: func() workload.Generator { return workload.NewBusTracker() },
 			Rates:  bt.Rates(0),
 		}},
-		{"CH-benCHmark", htap.Experiment{
+		{"CH-benCHmark", Experiment{
 			NewGen:   func() workload.Generator { return workload.NewCHBench(20) },
 			Rates:    htap.CHRates(workload.NewCHBench(20)),
 			PerTable: true,
@@ -210,7 +210,7 @@ func runTable2(o opts) error {
 		exp.EpochSize = o.Epoch
 		exp.Workers = o.Workers
 		exp.Seed = o.Seed
-		res, err := htap.Run(htap.KindAETS, exp)
+		res, err := Run(htap.KindAETS, exp)
 		if err != nil {
 			return fmt.Errorf("%s: %w", row.name, err)
 		}
@@ -234,7 +234,7 @@ func runFig12(o opts) error {
 	if o.Quick {
 		sizes = []int{64, 512, 2048, 8192}
 	}
-	base := htap.Experiment{
+	base := Experiment{
 		NewGen:    func() workload.Generator { return workload.NewTPCC(20) },
 		Rates:     htap.TPCCRates(1000),
 		Txns:      txns,
@@ -242,7 +242,7 @@ func runFig12(o opts) error {
 		Workers:   o.Workers,
 		Seed:      o.Seed,
 	}
-	rate, err := htap.CalibrateRate(base, 0.7)
+	rate, err := CalibrateRate(base, 0.7)
 	if err != nil {
 		return err
 	}
@@ -258,7 +258,7 @@ func runFig12(o opts) error {
 		exp.Queries = txns / 20
 		exp.QueryEvery = 200 * time.Microsecond
 		exp.PrimaryRate = rate
-		res, err := htap.Run(htap.KindAETS, exp)
+		res, err := Run(htap.KindAETS, exp)
 		if err != nil {
 			return err
 		}
@@ -271,7 +271,7 @@ func runFig12(o opts) error {
 
 // runFig13 compares the three thread-allocation policies on BusTracker.
 func runFig13(o opts) error {
-	cfg := htap.AdaptiveConfig{
+	cfg := AdaptiveConfig{
 		Slots: 25, WarmupSlots: 5, TxnsPerSlot: 4096, EpochSize: o.Epoch,
 		Workers: o.Workers, QueriesPerSlot: 64, Seed: o.Seed,
 	}
@@ -282,10 +282,10 @@ func runFig13(o opts) error {
 		cfg.DTGMEpochs = 2
 		cfg.DTGMHidden = 8
 	}
-	strategies := []htap.Strategy{htap.StrategyDTGM, htap.StrategyHA, htap.StrategyNOAC}
-	results := make([]*htap.AdaptiveResult, 0, len(strategies))
+	strategies := []Strategy{StrategyDTGM, StrategyHA, StrategyNOAC}
+	results := make([]*AdaptiveResult, 0, len(strategies))
 	for _, s := range strategies {
-		r, err := htap.RunAdaptive(s, cfg)
+		r, err := RunAdaptive(s, cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s, err)
 		}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"aets/internal/grouping"
+	"aets/internal/htap"
 	"aets/internal/primary"
 	"aets/internal/sim"
-	"aets/internal/wal"
 	"aets/internal/workload"
 )
 
@@ -24,12 +24,7 @@ func runFig11(o opts) error {
 	gen := workload.NewTPCC(20)
 	p := primary.New(gen, o.Seed)
 	raw := p.GenerateTxns(txns)
-	rates := map[wal.TableID]float64{
-		workload.TPCCDistrict: 1000, workload.TPCCStock: 1000,
-		workload.TPCCCustomer: 1000, workload.TPCCOrder: 1000,
-		workload.TPCCOrderLine: 2000,
-	}
-	plan := grouping.Build(rates, workload.TableIDs(gen.Tables()),
+	plan := grouping.Build(htap.TPCCRates(1000), workload.TableIDs(gen.Tables()),
 		grouping.Options{Eps: 0.05, MinPts: 2})
 	tr := sim.BuildTrace(raw, plan, o.Epoch)
 

@@ -2,51 +2,23 @@ package htap
 
 import (
 	"testing"
-	"time"
 
+	"aets/internal/grouping"
 	"aets/internal/memtable"
 	"aets/internal/primary"
 	"aets/internal/reference"
 	"aets/internal/workload"
 )
 
-func smallTPCC(queries int) Experiment {
-	return Experiment{
-		NewGen:     func() workload.Generator { return workload.NewTPCC(2) },
-		Rates:      TPCCRates(1000),
-		Txns:       1200,
-		EpochSize:  256,
-		Workers:    4,
-		Queries:    queries,
-		QueryEvery: 100 * time.Microsecond,
-		Seed:       11,
-	}
-}
-
-func TestRunAllKinds(t *testing.T) {
-	for _, k := range Kinds {
-		res, err := Run(k, smallTPCC(32))
-		if err != nil {
-			t.Fatalf("%s: %v", k, err)
-		}
-		if res.Throughput.TxnsPerSec() <= 0 {
-			t.Fatalf("%s: zero throughput", k)
-		}
-		if res.HotReplayTime <= 0 || res.ColdReplayTime <= 0 {
-			t.Fatalf("%s: replay times %v %v", k, res.HotReplayTime, res.ColdReplayTime)
-		}
-		if res.HotReplayTime > res.ColdReplayTime {
-			t.Fatalf("%s: hot stage time exceeds total (%v > %v)", k, res.HotReplayTime, res.ColdReplayTime)
-		}
-		if res.Visibility.Count() == 0 {
-			t.Fatalf("%s: no visibility samples", k)
-		}
-	}
+// tpccPlan returns the paper's TPC-C grouping for gen.
+func tpccPlan(gen workload.Generator) *grouping.Plan {
+	return grouping.Build(TPCCRates(1000), workload.TableIDs(gen.Tables()),
+		grouping.Options{Eps: 0.05, MinPts: 2})
 }
 
 func TestNewReplayerUnknownKind(t *testing.T) {
-	exp := smallTPCC(0)
-	if _, err := NewReplayer("nope", memtable.New(), exp.Plan(), Options{}); err == nil {
+	plan := tpccPlan(workload.NewTPCC(2))
+	if _, err := NewReplayer("nope", memtable.New(), plan, Options{}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
@@ -65,52 +37,20 @@ func TestCHRatesCoverWrittenHotTables(t *testing.T) {
 	}
 }
 
-func TestAETSHotStageShareTracksEntryShare(t *testing.T) {
-	// With the TPC-C mix, hot tables carry ~91% of entries; the hot stage
-	// must take the dominant share of AETS's replay time.
-	res, err := Run(KindAETS, smallTPCC(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	share := float64(res.HotReplayTime) / float64(res.ColdReplayTime)
-	if share < 0.5 || share > 1.0 {
-		t.Fatalf("hot stage share %.2f, want within (0.5, 1.0] for a 91%%-hot workload", share)
-	}
-}
-
-func TestRunAdaptiveStrategies(t *testing.T) {
-	cfg := AdaptiveConfig{
-		Slots: 2, WarmupSlots: 1, TxnsPerSlot: 512, EpochSize: 256,
-		Workers: 4, QueriesPerSlot: 8, TrainSlots: 80,
-		DTGMHidden: 4, DTGMEpochs: 1, Seed: 3,
-	}
-	for _, s := range []Strategy{StrategyDTGM, StrategyHA, StrategyNOAC} {
-		res, err := RunAdaptive(s, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if len(res.PerSlotMeanUS) != cfg.Slots {
-			t.Fatalf("%s: %d slots, want %d", s, len(res.PerSlotMeanUS), cfg.Slots)
-		}
-	}
-	if _, err := RunAdaptive("bogus", cfg); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-}
-
 func TestReplayEquivalenceAcrossKinds(t *testing.T) {
 	// All four replayers over the same encoded stream must produce
 	// identical Memtables.
-	exp := smallTPCC(0)
+	newGen := func() workload.Generator { return workload.NewTPCC(2) }
+	plan := tpccPlan(newGen())
 	ref := memtable.New()
 	var refSet bool
 	for _, k := range Kinds {
 		mt := memtable.New()
-		r, err := NewReplayer(k, mt, exp.Plan(), Options{Workers: 4})
+		r, err := NewReplayer(k, mt, plan, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		encs := primary.New(exp.NewGen(), exp.Seed).GenerateEncoded(exp.Txns, exp.EpochSize)
+		encs := primary.New(newGen(), 11).GenerateEncoded(1200, 256)
 		r.Start()
 		for i := range encs {
 			r.Feed(&encs[i])
@@ -124,7 +64,7 @@ func TestReplayEquivalenceAcrossKinds(t *testing.T) {
 			ref, refSet = mt, true
 			continue
 		}
-		if err := reference.Equal(ref, mt, workload.TableIDs(exp.NewGen().Tables())); err != nil {
+		if err := reference.Equal(ref, mt, workload.TableIDs(newGen().Tables())); err != nil {
 			t.Fatalf("%s differs from %s: %v", k, Kinds[0], err)
 		}
 	}

@@ -146,33 +146,6 @@ func TestCorruptEpochFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestPacedRunRecordsLowDelays verifies the pacing path: at a primary rate
-// well below replay throughput, visibility delays must be far smaller than
-// the unpaced backlog regime.
-func TestPacedRunRecordsLowDelays(t *testing.T) {
-	exp := smallTPCC(60)
-	rate, err := CalibrateRate(exp, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate <= 0 {
-		t.Fatal("calibrated rate must be positive")
-	}
-	exp.PrimaryRate = rate
-	res, err := Run(KindAETS, exp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Visibility.Count() == 0 {
-		t.Fatal("paced run recorded no queries")
-	}
-	// The paced run must take at least Txns/rate seconds.
-	minElapsed := float64(exp.Txns) / rate
-	if res.Throughput.Elapsed.Seconds() < minElapsed*0.9 {
-		t.Fatalf("paced run finished in %v, expected ≥ %.2fs", res.Throughput.Elapsed, minElapsed)
-	}
-}
-
 // TestHeartbeatInterleavedWithData mixes dummy heartbeat epochs into the
 // stream; replay must stay correct and the global timestamp monotone.
 func TestHeartbeatInterleavedWithData(t *testing.T) {

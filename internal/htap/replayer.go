@@ -1,12 +1,11 @@
 // Package htap is the top-level façade of the library: it wires the backup
-// node together (Memtable, group plan, replayer implementation) and
-// provides the experiment harness used by the benchmarks, the examples and
-// cmd/aetsbench to reproduce the paper's tables and figures.
+// node together (Memtable, group plan, replayer implementation). The
+// paper's figure harness that drives these replayers lives in
+// cmd/aetsbench.
 package htap
 
 import (
 	"fmt"
-	"time"
 
 	"aets/internal/alloc"
 	"aets/internal/baselines"
@@ -68,8 +67,6 @@ type Options struct {
 	Workers int
 	// Urgency is AETS's thread-allocation urgency λ (default log-rate).
 	Urgency alloc.UrgencyFunc
-	// SnapshotPeriod is C5's snapshot advance period (default 5 ms).
-	SnapshotPeriod time.Duration
 	// Pipeline is the replay pipeline depth for AETS/TPLR: how many epochs
 	// may be in flight at once. Values ≤ 0 mean 1, one epoch at a time;
 	// there is no separate serial path.
@@ -116,7 +113,7 @@ func NewReplayer(kind Kind, mt *memtable.Memtable, plan *grouping.Plan, opts Opt
 	case KindATR:
 		return baselines.NewATR(mt, opts.Workers), nil
 	case KindC5:
-		return baselines.NewC5(mt, opts.Workers, opts.SnapshotPeriod), nil
+		return baselines.NewC5(mt, opts.Workers, 0), nil
 	default:
 		return nil, fmt.Errorf("htap: unknown replayer kind %q", kind)
 	}

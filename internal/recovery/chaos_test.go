@@ -269,16 +269,13 @@ func TestChaosRestartsConvergeToReference(t *testing.T) {
 // TestChaosPoisonEpochQuarantinedNotCrashLooping is the poison half of
 // the acceptance bar, driven through the Applier interface the
 // transport uses: one undecodable epoch mid-stream must be quarantined
-// within the configured failure budget, leaving the node degraded and
+// within the supervisor's failure budget, leaving the node degraded and
 // still applying the rest of the stream.
 func TestChaosPoisonEpochQuarantinedNotCrashLooping(t *testing.T) {
 	_, encs := supStream(t, 1000, 100)
 	k := len(encs) / 2
 	spoolDir, ckptDir := t.TempDir(), t.TempDir()
-	env := openSup(t, spoolDir, ckptDir, func(cfg *Config) {
-		cfg.QuarantineAfter = 3
-		cfg.RetryBudget = 8
-	})
+	env := openSup(t, spoolDir, ckptDir, nil)
 	defer env.close(t)
 
 	for i := range encs[:k] {

@@ -54,6 +54,19 @@ var ErrFatal = errors.New("recovery: supervisor fatal, retry budget exhausted")
 // quarantinePrefix names poison-epoch sidecar files in the spool dir.
 const quarantinePrefix = "quarantine-"
 
+const (
+	// retryBudget is the consecutive failed rebuild attempts tolerated
+	// before the supervisor goes fatal.
+	retryBudget = 8
+	// quarantineAfter quarantines an epoch after this many consecutive
+	// replay failures at the same sequence.
+	quarantineAfter = 3
+)
+
+// Quarantine must engage before the retry budget runs out, which needs
+// retryBudget > quarantineAfter+1; this fails to compile otherwise.
+var _ [retryBudget - quarantineAfter - 2]struct{}
+
 // Config configures a Supervisor.
 type Config struct {
 	// Kind, Plan and Node build (and rebuild) the htap.Node.
@@ -73,13 +86,6 @@ type Config struct {
 	// RetryBase and RetryMax bound the exponential rebuild backoff
 	// (jittered). Defaults 50ms and 5s.
 	RetryBase, RetryMax time.Duration
-	// RetryBudget is the consecutive failed rebuild attempts tolerated
-	// before the supervisor goes fatal. Default 8. Must exceed
-	// QuarantineAfter+1 for quarantine to engage before fatal.
-	RetryBudget int
-	// QuarantineAfter quarantines an epoch after this many consecutive
-	// replay failures at the same sequence. Default 3.
-	QuarantineAfter int
 	// ProbeInterval is the watchdog cadence for detecting asynchronous
 	// replay failures. 0 uses 250ms; negative disables the watchdog
 	// (tests drive Probe explicitly).
@@ -178,12 +184,6 @@ func NewSupervisor(cfg Config) (*Supervisor, error) {
 	}
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = 5 * time.Second
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 8
-	}
-	if cfg.QuarantineAfter <= 0 {
-		cfg.QuarantineAfter = 3
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 250 * time.Millisecond
@@ -454,7 +454,7 @@ func (s *Supervisor) Close() error {
 // validates (falling back across corrupt ones), replay the spool tail,
 // and retry the whole sequence with jittered exponential backoff up to
 // the budget. A sequence that keeps failing is quarantined once it hits
-// the QuarantineAfter threshold. Called with s.mu held; the lock is
+// the quarantineAfter threshold. Called with s.mu held; the lock is
 // released around backoff sleeps.
 func (s *Supervisor) recoverLocked(initial bool) error {
 	// The lock is released during backoff sleeps, so a watchdog Probe or
@@ -479,7 +479,7 @@ func (s *Supervisor) recoverLocked(initial bool) error {
 	}()
 
 	start := time.Now()
-	for attempt := 0; attempt < s.cfg.RetryBudget; attempt++ {
+	for attempt := 0; attempt < retryBudget; attempt++ {
 		if attempt > 0 {
 			delay := s.backoff(attempt - 1)
 			s.mu.Unlock()
@@ -597,7 +597,7 @@ func (s *Supervisor) replaySpool(node *htap.Node, from uint64, pinpoint bool) (b
 		if s.quarantined[enc.Seq] {
 			return s.skipEpoch(node, enc)
 		}
-		if enc.Seq == s.failSeq && s.failCount >= s.cfg.QuarantineAfter {
+		if enc.Seq == s.failSeq && s.failCount >= quarantineAfter {
 			if qerr := s.quarantineLocked(enc); qerr != nil {
 				return qerr
 			}

@@ -28,6 +28,9 @@ var (
 	ErrStopped = errors.New("replay: engine stopped")
 )
 
+// feedDepth is the epoch queue depth between Feed and the scheduler.
+const feedDepth = 8
+
 // Config parameterises an Engine.
 type Config struct {
 	// Workers is the total replay worker budget T shared by all groups of a
@@ -41,8 +44,6 @@ type Config struct {
 	TwoStage bool
 	// Breakdown, when non-nil, accumulates the Table II phase timing.
 	Breakdown *metrics.Breakdown
-	// FeedDepth is the epoch queue depth between Feed and the scheduler.
-	FeedDepth int
 	// Pipeline is the epoch pipeline depth: the maximum number of epochs
 	// in flight (dispatched but not yet published). Values ≤ 0 mean 1,
 	// where epoch N+1 is not dispatched until N has published; there is
@@ -60,9 +61,6 @@ func (c *Config) fill() {
 	}
 	if c.Urgency == nil {
 		c.Urgency = alloc.LogUrgency
-	}
-	if c.FeedDepth <= 0 {
-		c.FeedDepth = 8
 	}
 	if c.Pipeline <= 0 {
 		c.Pipeline = 1
@@ -162,7 +160,7 @@ func New(name string, mt *memtable.Memtable, plan *grouping.Plan, cfg Config) *E
 	e.visCond = sync.NewCond(&e.visMu)
 	e.gCh = make(chan struct{})
 	e.stopped = make(chan struct{})
-	e.feed = make(chan *epoch.Encoded, cfg.FeedDepth)
+	e.feed = make(chan *epoch.Encoded, feedDepth)
 	e.loopDone = make(chan struct{})
 	reg := cfg.Registry
 	e.gDepth = reg.Gauge("replay_pipeline_depth")

@@ -51,11 +51,6 @@ type ReceiverConfig struct {
 	Resume uint64
 	// Applier receives the ordered epochs. Required.
 	Applier Applier
-	// AckEvery batches cumulative acks: one every N applied epochs. The
-	// receiver additionally acks whenever its input buffer drains, so a
-	// blocked sender is never starved of the ack it waits for.
-	// Default 1.
-	AckEvery int
 	// Drain, when set, is called before the final ack of a clean
 	// end-of-stream — the hook where the backup quiesces replay and cuts
 	// its checkpoint, making the resume cursor durable.
@@ -114,9 +109,6 @@ type Receiver struct {
 func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.Applier == nil {
 		return nil, fmt.Errorf("ship: ReceiverConfig.Applier is required")
-	}
-	if cfg.AckEvery <= 0 {
-		cfg.AckEvery = 1
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics(nil)
@@ -207,7 +199,6 @@ func (r *Receiver) Serve(conn net.Conn) (done bool, err error) {
 		}
 	}
 
-	sinceAck := 0
 	for {
 		kind, flags, payload, err := ReadFrameFlags(br)
 		if err == io.EOF {
@@ -270,11 +261,7 @@ func (r *Receiver) Serve(conn net.Conn) (done bool, err error) {
 			r.txns += int64(enc.TxnCount)
 			r.entries += int64(enc.EntryCount)
 			r.mu.Unlock()
-			sinceAck++
-			if sinceAck >= r.cfg.AckEvery || br.Buffered() == 0 {
-				ack()
-				sinceAck = 0
-			}
+			ack()
 		case KindHeartbeat:
 			ts, err := parseHeartbeat(payload)
 			if err != nil {
@@ -285,7 +272,6 @@ func (r *Receiver) Serve(conn net.Conn) (done bool, err error) {
 			}
 			// Keep the sender's ack cursor and lag gauge fresh while idle.
 			ack()
-			sinceAck = 0
 		case KindSnapBegin:
 			if negotiated&CapSnapshot == 0 {
 				return false, fmt.Errorf("%w: snapshot frame without negotiated capability", ErrCorrupt)
@@ -298,7 +284,6 @@ func (r *Receiver) Serve(conn net.Conn) (done bool, err error) {
 				return false, err
 			}
 			ack()
-			sinceAck = 0
 		case KindSnapChunk, KindSnapEnd:
 			// Chunks and trailers are consumed by the SNAPBEGIN handler's
 			// stream reader; loose ones mean the sender lost its place.
